@@ -21,8 +21,8 @@ from .discretization import (
 )
 from .fraccalc import (
     FractionalOrder,
-    L1Weights,
     caputo_l1,
+    l1_scale,
     l1_weights,
     mittag_leffler,
     rl_integral,
@@ -50,12 +50,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FractionalOrder",
-    "L1Weights",
     "mittag_leffler",
     "rl_integral",
     "rl_integral_backward",
     "caputo_l1",
     "l1_weights",
+    "l1_scale",
     "TimeGrid",
     "SpaceGrid",
     "Field",

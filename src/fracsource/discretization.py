@@ -10,7 +10,7 @@ based gradient relies on.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -159,9 +159,6 @@ class SpaceTimeField:
     def zeros(cls, grid: SpaceGrid, tgrid: TimeGrid) -> "SpaceTimeField":
         return cls(grid, tgrid, np.zeros((tgrid.n_steps + 1, grid.n_nodes)))
 
-    def at_time(self, n: int) -> Field:
-        return Field(self.grid, self.values[n].copy())
-
     def to_csv(self, path) -> None:
         """One row per (time node, space node): t, coordinates, value."""
         coords = self.grid.coords
@@ -244,18 +241,6 @@ class ObservationMask:
             raise ValueError("observation subdomain contains no grid node")
         return cls(grid, ind.astype(float))
 
-    @classmethod
-    def from_box_complement(cls, grid: SpaceGrid, box: Box) -> "ObservationMask":
-        """Nodes strictly outside the closed box (omega = Omega \\ box)."""
-        coords = grid.coords
-        inside = np.ones(grid.n_nodes, dtype=bool)
-        for axis, (lo, hi) in enumerate(box):
-            inside &= (coords[:, axis] >= lo) & (coords[:, axis] <= hi)
-        ind = ~inside
-        if not ind.any():
-            raise ValueError("observation subdomain contains no grid node")
-        return cls(grid, ind.astype(float))
-
     @property
     def n_active(self) -> int:
         return int(self.indicator.sum())
@@ -290,11 +275,6 @@ class EllipticOperator:
 
     def apply(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
         return (self.stiffness @ values) / self.mass + values
-
-    def apply_field(self, f: Field) -> Field:
-        if f.grid != self.grid:
-            raise ValueError("field grid does not match the operator grid")
-        return Field(self.grid, self.apply(f.values))
 
     def rayleigh(self, values: NDArray[np.float64]) -> float:
         """Generalized Rayleigh quotient v.Mv / v.Wv of the operator."""

@@ -7,6 +7,7 @@ f_0 = 2 on a 41-nodes-per-axis, 40-step space-time mesh.
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
@@ -15,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .discretization import Field, ObservationMask, SpaceGrid, SpaceTimeField, TimeGrid, assemble_operator
 from .forward import ProblemSpec, solve_forward
@@ -23,7 +25,7 @@ from .inversion import ReconstructionConfig, ReconstructionResult, iterate
 from .oracle import PolynomialMu
 
 __all__ = [
-    "SplitMix64",
+    "splitmix64",
     "ExperimentConfig",
     "F_TRUE_PRESETS",
     "OMEGA_PRESETS",
@@ -41,32 +43,19 @@ MU = PolynomialMu((1.0, 0.0, 10.0 * math.pi))
 _MASK64 = (1 << 64) - 1
 
 
-class SplitMix64:
-    """SplitMix64 generator (public domain; Steele, Lea & Flood 2014).
+def splitmix64(seed: int, n: int) -> NDArray[np.uint64]:
+    """First ``n`` outputs of the SplitMix64 generator (public domain; Steele, Lea & Flood 2014).
 
-    state <- state + 0x9E3779B97F4A7C15; the output mix is
-    z = state; z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9;
+    Output k >= 1 mixes the state seed + k * 0x9E3779B97F4A7C15 mod 2^64:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB; return z ^ (z >> 31).
-    Uniform doubles use the top 53 bits divided by 2^53.
+    The state has this closed form, so all draws are computed at once.
     """
-
-    def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK64
-
-    def next_uint64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        """Uniform draw in [0, 1) with 53-bit resolution."""
-        return (self.next_uint64() >> 11) * 2.0**-53
-
-    def symmetric(self) -> float:
-        """Uniform draw in [-1, 1)."""
-        return 2.0 * self.uniform() - 1.0
+    k = np.arange(1, n + 1, dtype=np.uint64)
+    z = np.uint64(seed & _MASK64) + k * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _f_51a(x):
@@ -134,16 +123,41 @@ OMEGA_PRESETS: dict[str, dict] = {
 }
 
 
-_EXPR_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "pi": np.pi}
+_EXPR_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_EXPR_NAMES = {**_EXPR_FUNCS, "pi": np.pi}
+_EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
+def _check_expr(node: ast.AST, names: set) -> None:
+    """Accept only numbers, ``names``, sin/cos/exp calls, + - * / ** and unary +-."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return
+    if isinstance(node, ast.Name) and node.id in names:
+        return
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_OPS):
+        _check_expr(node.left, names)
+        _check_expr(node.right, names)
+        return
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _EXPR_OPS):
+        _check_expr(node.operand, names)
+        return
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _EXPR_FUNCS
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        _check_expr(node.args[0], names)
+        return
+    raise ValueError(f"f_true expression may not contain {ast.unparse(node)!r}")
 
 
 def _expr_function(expr: str, dim: int) -> Callable:
     """Compile an f_true expression over sin, cos, exp, pi and x1[, x2]."""
-    code = compile(expr, "<f_true>", "eval")
-    allowed = set(_EXPR_NAMES) | ({"x1"} if dim == 1 else {"x1", "x2"})
-    unknown = set(code.co_names) - allowed
-    if unknown:
-        raise ValueError(f"f_true expression uses unsupported names: {sorted(unknown)}")
+    tree = ast.parse(expr, "<f_true>", "eval")
+    _check_expr(tree.body, {"pi", "x1"} if dim == 1 else {"pi", "x1", "x2"})
+    code = compile(tree, "<f_true>", "eval")
 
     def fn(*coords):
         scope = dict(_EXPR_NAMES)
@@ -197,6 +211,7 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
+        FractionalOrder(self.alpha)  # raises unless 0 < alpha < 1
         if self.delta < 0.0:
             raise ValueError("noise level delta must be >= 0")
         _resolve_f_true(self.f_true, self.dim)  # raises on bad preset/expression
@@ -324,18 +339,18 @@ def synthesize_observation(
 ) -> SpaceTimeField:
     """Noisy observation u_obs = (1 + delta rand(-1,1)) u(f_true) on omega, 0 outside.
 
-    Draws come from :class:`SplitMix64`; the order is masked nodes by ascending
-    flat index, and for each node all time nodes 0..n_steps, so a fixed seed
-    reproduces the observation bitwise.
+    Draws come from :func:`splitmix64`, each the top 53 bits over 2^53 mapped
+    to [-1, 1); the order is masked nodes by ascending flat index, and for
+    each node all time nodes 0..n_steps, so a fixed seed reproduces the
+    observation bitwise.
     """
     u = solve_forward(spec, f_true)
     obs = np.zeros_like(u.values)
-    rng = SplitMix64(seed)
     active = np.flatnonzero(mask.indicator)
     n_times = spec.tgrid.n_steps + 1
-    for idx in active:
-        for n in range(n_times):
-            obs[n, idx] = (1.0 + delta * rng.symmetric()) * u.values[n, idx]
+    uniform = (splitmix64(seed, active.size * n_times) >> np.uint64(11)).astype(float) * 2.0**-53
+    r = (2.0 * uniform - 1.0).reshape(active.size, n_times).T
+    obs[:, active] = (1.0 + delta * r) * u.values[:, active]
     return SpaceTimeField(spec.grid, spec.tgrid, obs)
 
 

@@ -8,7 +8,6 @@ steps and across all reconstruction iterations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +17,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .discretization import EllipticOperator, Field, SpaceTimeField, TimeGrid
-from .fraccalc import FractionalOrder, l1_weights
+from .fraccalc import FractionalOrder, l1_scale, l1_weights
 
 __all__ = ["ProblemSpec", "solve_forward", "solve_homogeneous"]
 
@@ -43,19 +42,14 @@ class ProblemSpec:
     def grid(self):
         return self.op.grid
 
-    @property
-    def l1_scale(self) -> float:
-        a = self.alpha.alpha
-        return self.tgrid.tau ** (-a) / math.gamma(2.0 - a)
-
     @cached_property
     def weights(self) -> NDArray[np.float64]:
-        return l1_weights(self.alpha, self.tgrid.n_steps, self.tgrid.tau).b
+        return l1_weights(self.alpha, self.tgrid.n_steps)
 
     @cached_property
     def step_solver(self):
         """LU factorization of beta W + M, shared by every step."""
-        beta = self.l1_scale
+        beta = l1_scale(self.alpha, self.tgrid.tau)
         system = (sparse.diags(beta * self.op.mass) + self.op.weighted_matrix).tocsc()
         lu = splu(system)
         # c0 = 1 makes the system matrix positive definite; a vanishing pivot
@@ -78,7 +72,7 @@ def _step_l1(
     """
     n_steps = spec.tgrid.n_steps
     n_nodes = spec.grid.n_nodes
-    beta = spec.l1_scale
+    beta = l1_scale(spec.alpha, spec.tgrid.tau)
     b = spec.weights
     mass = spec.op.mass
     lu = spec.step_solver

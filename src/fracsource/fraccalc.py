@@ -1,15 +1,15 @@
 """Scalar fractional-calculus kernels.
 
-Mittag-Leffler evaluation on the real line, Riemann-Liouville integrals
-(forward and backward) by product-trapezoid quadrature, the L1 discretization
-of the Caputo derivative, and the L1 weight sequence shared with the
-time-stepping solvers.
+Mittag-Leffler evaluation on the real line for alpha in (0, 1],
+Riemann-Liouville integrals (forward and backward) by product-trapezoid
+quadrature, the L1 discretization of the Caputo derivative, and the L1 weight
+sequence and scale shared with the time-stepping solvers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -18,12 +18,12 @@ from scipy.special import gammaln, hyp1f1, rgamma
 
 __all__ = [
     "FractionalOrder",
-    "L1Weights",
     "mittag_leffler",
     "rl_integral",
     "rl_integral_backward",
     "caputo_l1",
     "l1_weights",
+    "l1_scale",
 ]
 
 _LN10 = math.log(10.0)
@@ -46,34 +46,24 @@ class FractionalOrder:
             raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class L1Weights:
-    """L1 weight sequence b_k = (k+1)^(1-alpha) - k^(1-alpha) for a uniform step tau."""
-
-    alpha: FractionalOrder
-    tau: float
-    b: NDArray[np.float64] = field(repr=False)
-
-    @property
-    def scale(self) -> float:
-        """Prefactor tau^(-alpha) / Gamma(2 - alpha) of the L1 operator."""
-        a = self.alpha.alpha
-        return self.tau ** (-a) / math.gamma(2.0 - a)
-
-
-def l1_weights(alpha: FractionalOrder, n_steps: int, tau: float = 1.0) -> L1Weights:
-    """Weights of the L1 Caputo discretization for ``n_steps`` uniform steps.
+def l1_weights(alpha: FractionalOrder, n_steps: int) -> NDArray[np.float64]:
+    """Weights b_k = (k+1)^(1-alpha) - k^(1-alpha) of the L1 Caputo discretization.
 
     b_0 = 1 and the sequence is positive and strictly decreasing; partial sums
     telescope to n^(1-alpha), which makes the L1 operator annihilate constants
-    exactly.  ``tau`` only enters the :attr:`L1Weights.scale` prefactor.
+    exactly.  The step size enters only through :func:`l1_scale`.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     a = alpha.alpha
     k = np.arange(n_steps, dtype=float)
-    b = (k + 1.0) ** (1.0 - a) - k ** (1.0 - a)
-    return L1Weights(alpha=alpha, tau=tau, b=b)
+    return (k + 1.0) ** (1.0 - a) - k ** (1.0 - a)
+
+
+def l1_scale(alpha: FractionalOrder, tau: float) -> float:
+    """Prefactor tau^(-alpha) / Gamma(2 - alpha) of the L1 operator."""
+    a = alpha.alpha
+    return tau ** (-a) / math.gamma(2.0 - a)
 
 
 def _ml_taylor(alpha: float, beta: float, z: float) -> float:
@@ -148,26 +138,18 @@ def _ml_spectral(alpha: float, beta: float, z: float) -> float:
     return total + part
 
 
-def _ml_oscillatory_tail(alpha: float, beta: float, z: float) -> float:
-    # Conjugate saddle pair for alpha in (1, 2) on the negative axis.
-    zeta = (-z) ** (1.0 / alpha) * complex(
-        math.cos(math.pi / alpha), math.sin(math.pi / alpha)
-    )
-    return (2.0 / alpha) * (zeta ** (1.0 - beta) * np.exp(zeta)).real
-
-
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """Evaluate the two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
     Real arguments only; negative real z is the primary regime and is accurate
-    to ~1e-12 absolute for alpha in (0, 1] (measured <= 2.1e-13 on [-100, 0]
-    for the orders used here).  For alpha in (1, 2] the mid-range accuracy
-    degrades to ~1e-8; large positive z may overflow to ``inf``.
+    to ~1e-12 absolute (measured <= 2.1e-13 on [-100, 0] for the orders used
+    here); large positive z may overflow to ``inf``.
 
     Parameters
     ----------
     alpha, beta : float
-        Parameters of E_{alpha,beta}; ``alpha`` must lie in (0, 2].
+        Parameters of E_{alpha,beta}; ``alpha`` must lie in (0, 1], the range
+        of the model's orders plus the exponential case alpha = 1.
     z : float
         Real argument.
 
@@ -176,8 +158,8 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     float
         E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha k + beta).
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if z == 0.0:
         return float(rgamma(beta))
     if alpha == 1.0:
@@ -189,10 +171,6 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
         return _ml_taylor(alpha, beta, z)
     y = (-z) ** (1.0 / alpha)
     if y <= _TAYLOR_MAX_Y:
-        return _ml_taylor(alpha, beta, z)
-    if alpha > 1.0:
-        if y >= _ASYMPTOTIC_MIN_Y:
-            return _ml_oscillatory_tail(alpha, beta, z) + _ml_asymptotic(alpha, beta, z)
         return _ml_taylor(alpha, beta, z)
     if beta >= 1.0 + alpha:
         # Reduce beta below 1 + alpha: E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z.
@@ -275,9 +253,8 @@ def caputo_l1(
     n_nodes = t.size
     if u.shape != (n_nodes,):
         raise ValueError("u must be a scalar function sampled on the time grid")
-    a = alpha.alpha
-    b = l1_weights(alpha, n_nodes - 1).b
-    scale = tau ** (-a) / math.gamma(2.0 - a)
+    b = l1_weights(alpha, n_nodes - 1)
+    scale = l1_scale(alpha, tau)
     du = np.diff(u)
     out = np.zeros_like(u)
     for n in range(1, n_nodes):

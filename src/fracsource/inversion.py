@@ -67,6 +67,12 @@ class ReconstructionResult:
     converged: bool = True
 
 
+def _residual(spec: ProblemSpec, f: Field, u_obs: SpaceTimeField) -> SpaceTimeField:
+    """u(f) - u_obs on the full space-time grid."""
+    u = solve_forward(spec, f)
+    return SpaceTimeField(spec.grid, spec.tgrid, u.values - u_obs.values)
+
+
 def _misfit(residual: SpaceTimeField, mask: ObservationMask) -> float:
     return masked_inner_product(residual, residual, mask)
 
@@ -91,8 +97,7 @@ def objective(
     rho: float,
 ) -> float:
     """Phi(f) = ||u(f) - u_obs||^2 over omega x (0,T) plus rho ||f||^2."""
-    u = solve_forward(spec, f)
-    residual = SpaceTimeField(spec.grid, spec.tgrid, u.values - u_obs.values)
+    residual = _residual(spec, f, u_obs)
     return _misfit(residual, mask) + rho * inner_product(f, f)
 
 
@@ -104,8 +109,7 @@ def gradient(
     rho: float,
 ) -> Field:
     """int_0^T mu z(f) dt + rho f, i.e. half the Frechet derivative of Phi."""
-    u = solve_forward(spec, f)
-    residual = SpaceTimeField(spec.grid, spec.tgrid, u.values - u_obs.values)
+    residual = _residual(spec, f, u_obs)
     z = solve_adjoint(spec, residual, mask)
     return Field(spec.grid, _mu_time_integral(spec, z) + rho * f.values)
 
@@ -140,8 +144,7 @@ def iterate(
     converged = False
     k = 0
     for k in range(1, cfg.max_iter + 1):
-        u = solve_forward(spec, f)
-        residual = SpaceTimeField(spec.grid, spec.tgrid, u.values - u_obs.values)
+        residual = _residual(spec, f, u_obs)
         phi_history.append(_misfit(residual, mask) + cfg.rho * inner_product(f, f))
         if not math.isfinite(phi_history[-1]) or (
             phi_history[-1] > 1e12 * (phi_history[0] + 1.0)
@@ -190,13 +193,8 @@ def estimate_m(
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    rng = np.random.default_rng(seed)
-    for _ in range(3):
-        v = Field(spec.grid, rng.standard_normal(spec.grid.n_nodes))
-        nv = norm_l2(v)
-        if nv > 0.0:
-            v = Field(spec.grid, v.values / nv)
-            break
+    v = Field(spec.grid, np.random.default_rng(seed).standard_normal(spec.grid.n_nodes))
+    v = Field(spec.grid, v.values / norm_l2(v))
     q = 0.0
     for _ in range(iters):
         u = solve_forward(spec, v)
@@ -206,7 +204,7 @@ def estimate_m(
             return 0.0
         z = solve_adjoint(spec, u, mask)
         w = _mu_time_integral(spec, z)
-        nw = math.sqrt(max(float(np.sum(spec.grid.quad_weights * w * w)), 0.0))
+        nw = norm_l2(Field(spec.grid, w))
         if nw == 0.0:
             return 0.0
         v = Field(spec.grid, w / nw)

@@ -126,7 +126,7 @@ class ThetaFunction:
         return vals
 
 
-def duhamel_theta(alpha: FractionalOrder, mu: PolynomialMu, tgrid: TimeGrid) -> ThetaFunction:
+def duhamel_theta(alpha: FractionalOrder, mu: PolynomialMu) -> ThetaFunction:
     """Solve J^{1-alpha} theta = mu analytically for polynomial mu.
 
     For mu = sum_p c_p t^p the solution is
@@ -142,7 +142,6 @@ def duhamel_theta(alpha: FractionalOrder, mu: PolynomialMu, tgrid: TimeGrid) -> 
             continue
         coeffs.append(c * math.gamma(p + 1.0) / math.gamma(p + a))
         exponents.append(p + a - 1.0)
-    del tgrid  # the representation is grid free; kept for interface symmetry
     return ThetaFunction(coeffs=tuple(coeffs), exponents=tuple(exponents))
 
 
@@ -240,7 +239,7 @@ def duhamel_check(
     tg_fine = TimeGrid(tgrid.T, tgrid.n_steps * refine)
     spec_fine = ProblemSpec(alpha=alpha, tgrid=tg_fine, op=op, mu=mu.sample(tg_fine))
     v = solve_homogeneous(spec_fine, f)
-    theta = duhamel_theta(alpha, mu, tg_fine)
+    theta = duhamel_theta(alpha, mu)
 
     t = tg_fine.nodes
     tau = tg_fine.tau

@@ -148,18 +148,6 @@ class TestMask:
         active = np.flatnonzero(mask.indicator)
         assert list(active) == [0, 1, 2, 38, 39, 40]
 
-    def test_complement_excludes_closed_box(self):
-        g = SpaceGrid(2, 41)
-        mask = ObservationMask.from_box_complement(g, [[0.1, 0.9], [0.1, 0.9]])
-        # closed inner box covers 33 nodes per axis
-        assert mask.n_active == 41 * 41 - 33 * 33
-        coords = g.coords[mask.indicator == 1.0]
-        inside = (
-            (coords[:, 0] >= 0.1) & (coords[:, 0] <= 0.9)
-            & (coords[:, 1] >= 0.1) & (coords[:, 1] <= 0.9)
-        )
-        assert not inside.any()
-
     def test_empty_mask_rejected(self):
         g = SpaceGrid(1, 11)
         with pytest.raises(ValueError):

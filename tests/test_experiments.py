@@ -9,36 +9,81 @@ from fracsource.experiments import (
     EXPERIMENT_PRESETS,
     ExperimentConfig,
     OMEGA_PRESETS,
-    SplitMix64,
     build_problem,
     config_from_file,
     config_from_preset,
     run_experiment,
     run_reconstruction,
     run_table,
+    splitmix64,
     synthesize_observation,
     table_base_config,
 )
+
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """Scalar SplitMix64 generator, the reference for the vectorised one.
+
+    state <- state + 0x9E3779B97F4A7C15; the output mix is
+    z = state; z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB; return z ^ (z >> 31).
+    Uniform doubles use the top 53 bits divided by 2^53.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.state = seed & _MASK64
+
+    def next_uint64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        return (self.next_uint64() >> 11) * 2.0**-53
 
 
 class TestSplitMix64:
     def test_known_sequence_from_seed_zero(self):
         # reference outputs of SplitMix64 (seed 0), used across language
         # implementations of the generator
-        rng = SplitMix64(0)
-        assert rng.next_uint64() == 0xE220A8397B1DCDAF
-        assert rng.next_uint64() == 0x6E789E6AA1B965F4
-        assert rng.next_uint64() == 0x06C45D188009454F
+        assert [int(z) for z in splitmix64(0, 3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 123, 2**63 + 5, 2**64 - 1])
+    def test_matches_scalar_reference(self, seed):
+        rng = SplitMix64(seed)
+        expected = [rng.next_uint64() for _ in range(1000)]
+        draws = splitmix64(seed, 1000)
+        assert draws.dtype == np.uint64
+        assert [int(z) for z in draws] == expected
 
     def test_uniform_range_and_determinism(self):
-        a = SplitMix64(123)
-        b = SplitMix64(123)
-        ua = [a.uniform() for _ in range(1000)]
-        ub = [b.uniform() for _ in range(1000)]
-        assert ua == ub
-        assert all(0.0 <= u < 1.0 for u in ua)
-        sa = [SplitMix64(5).symmetric() for _ in range(1)]
-        assert all(-1.0 <= s < 1.0 for s in sa)
+        rng = SplitMix64(123)
+        expected = [rng.uniform() for _ in range(1000)]
+        u = (splitmix64(123, 1000) >> np.uint64(11)).astype(float) * 2.0**-53
+        assert u.tolist() == expected
+        assert np.array_equal(splitmix64(123, 1000), splitmix64(123, 1000))
+        assert np.all((0.0 <= u) & (u < 1.0))
+
+    def test_observation_matches_scalar_draw_order(self):
+        # masked nodes by ascending flat index, all time nodes per node
+        cfg = config_from_preset("5.1a", n_steps=10)
+        spec, f_true, mask = build_problem(cfg)
+        obs = synthesize_observation(spec, f_true, mask, 0.02, seed=7)
+        u = solve_forward(spec, f_true).values
+        expected = np.zeros_like(u)
+        rng = SplitMix64(7)
+        for idx in np.flatnonzero(mask.indicator):
+            for n in range(spec.tgrid.n_steps + 1):
+                expected[n, idx] = (1.0 + 0.02 * (2.0 * rng.uniform() - 1.0)) * u[n, idx]
+        assert np.array_equal(obs.values, expected)
 
 
 class TestConfig:
@@ -62,16 +107,42 @@ class TestConfig:
             config_from_preset("5.1a", omega=[[[0.0, 1.5]]])
         with pytest.raises(ValueError):
             config_from_preset("5.3a", omega=[[[0.0, 0.1]]])  # 1 interval, dim 2
+        with pytest.raises(ValueError):
+            config_from_preset("5.1a", alpha=1.5)
 
     def test_f_true_expression(self):
         cfg = config_from_preset("5.1a", f_true="sin(pi*x1) + x1 - 3", n_steps=10)
         _, f_expr, _ = build_problem(cfg)
         _, f_preset, _ = build_problem(config_from_preset("5.1a", n_steps=10))
         assert np.allclose(f_expr.values, f_preset.values, rtol=1e-15)
+        # every allowed operator and function, in 2D
+        cfg = config_from_preset("5.3a", f_true="-x1**2 / 2 + exp(+x2) - cos(pi) * 1e-3")
+        _, f, _ = build_problem(cfg)
+        x1, x2 = f.grid.coords.T
+        assert_allclose(f.values, -x1**2 / 2 + np.exp(x2) + 1e-3, rtol=1e-15)
         with pytest.raises(ValueError):
             config_from_preset("5.1a", f_true="__import__('os')")
         with pytest.raises((ValueError, SyntaxError)):
             config_from_preset("5.1a", f_true="sin(pi*x1")
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            # the lambda body is a nested code object that reaches object.__subclasses__
+            "(lambda: ().__class__.__base__.__subclasses__().__len__())() + 0*x1",
+            "x1.__class__",
+            "sin(x1)[0]",
+            "[x1 for x1 in (1, 2)][0] + x1",
+            "x2 + x1",  # x2 is not a coordinate in 1D
+            "abs(x1)",
+            "sin(x=x1)",
+            "x1 if x1 else 1",
+            "'a' * 2",
+        ],
+    )
+    def test_f_true_expression_rejects_non_arithmetic(self, expr):
+        with pytest.raises(ValueError):
+            config_from_preset("5.1a", f_true=expr)
 
     def test_omega_boxes_literal(self):
         cfg = config_from_preset("5.1a", omega=[[[0.0, 0.05]], [[0.95, 1.0]]])

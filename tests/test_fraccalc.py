@@ -45,6 +45,8 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(-0.5, 1.0, -1.0)
         with pytest.raises(ValueError):
+            mittag_leffler(1.5, 1.0, -1.0)
+        with pytest.raises(ValueError):
             mittag_leffler(2.5, 1.0, -1.0)
 
     def test_complete_monotonicity_surrogate(self):
@@ -92,13 +94,13 @@ class TestMittagLeffler:
 class TestL1Weights:
     def test_first_weights(self):
         w = l1_weights(FractionalOrder(0.5), 8)
-        assert w.b[0] == 1.0
-        assert_allclose(w.b[1], math.sqrt(2.0) - 1.0, rtol=1e-15)
+        assert w[0] == 1.0
+        assert_allclose(w[1], math.sqrt(2.0) - 1.0, rtol=1e-15)
 
     @given(st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=25, deadline=None)
     def test_positive_strictly_decreasing(self, alpha):
-        b = l1_weights(FractionalOrder(alpha), 200).b
+        b = l1_weights(FractionalOrder(alpha), 200)
         assert np.all(b > 0.0)
         assert np.all(np.diff(b) < 0.0)
 

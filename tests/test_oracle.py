@@ -121,14 +121,14 @@ class TestEigenForward:
 class TestDuhamelTheta:
     def test_constant_mu(self):
         alpha = FractionalOrder(0.5)
-        theta = duhamel_theta(alpha, PolynomialMu((1.0,)), TimeGrid(1.0, 10))
+        theta = duhamel_theta(alpha, PolynomialMu((1.0,)))
         assert theta.exponents == (-0.5,)
         assert_allclose(theta.coeffs[0], 1.0 / math.gamma(0.5), rtol=1e-15)
         assert_allclose(theta(1.0), 1.0 / math.gamma(0.5), rtol=1e-14)
 
     def test_quadratic_mu(self):
         alpha = FractionalOrder(0.3)
-        theta = duhamel_theta(alpha, MU_STD, TimeGrid(1.0, 10))
+        theta = duhamel_theta(alpha, MU_STD)
         assert_allclose(theta.exponents, (-0.7, 1.3), rtol=1e-14)
         assert_allclose(theta.coeffs[0], 1.0 / math.gamma(0.3), rtol=1e-14)
         assert_allclose(
@@ -138,7 +138,7 @@ class TestDuhamelTheta:
     def test_round_trip_reproduces_mu(self):
         # J^{1-alpha} theta = mu, checked away from the endpoint singularity
         tg = TimeGrid(1.0, 400)
-        theta = duhamel_theta(FractionalOrder(0.5), MU_STD, tg)
+        theta = duhamel_theta(FractionalOrder(0.5), MU_STD)
         recovered = rl_integral(0.5, theta.samples_for_quadrature(tg), tg.nodes)
         exact = MU_STD.sample(tg)
         sel = tg.nodes >= 0.25
@@ -147,7 +147,7 @@ class TestDuhamelTheta:
 
     def test_rejects_non_polynomial(self):
         with pytest.raises(TypeError):
-            duhamel_theta(FractionalOrder(0.5), lambda t: np.exp(t), TimeGrid(1.0, 10))
+            duhamel_theta(FractionalOrder(0.5), lambda t: np.exp(t))
 
 
 class TestDuhamelCheck:
