@@ -6,7 +6,6 @@ reconstruction of f from partial interior observations, and eigen-expansion
 oracles for verification.
 """
 
-from .adjoint import solve_adjoint
 from .discretization import (
     EllipticOperator,
     Field,
@@ -28,7 +27,7 @@ from .fraccalc import (
     rl_integral,
     rl_integral_backward,
 )
-from .forward import ProblemSpec, solve_forward, solve_homogeneous
+from .forward import ProblemSpec, solve_adjoint, solve_forward, solve_homogeneous
 from .inversion import (
     ReconstructionConfig,
     ReconstructionResult,

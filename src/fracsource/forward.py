@@ -3,7 +3,9 @@
 Each step solves (beta W + M) u^n = W rhs^n with beta = tau^-alpha/Gamma(2-alpha),
 where M is the symmetric mass-weighted operator matrix and W the trapezoid mass;
 the factorization is computed once per :class:`ProblemSpec` and reused across
-steps and across all reconstruction iterations.
+steps and across all reconstruction iterations.  The same stepping, run in
+reversed time, gives the transpose of the source-to-observation map
+(:func:`solve_adjoint`).
 """
 
 from __future__ import annotations
@@ -16,10 +18,16 @@ from numpy.typing import NDArray
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .discretization import EllipticOperator, Field, SpaceTimeField, TimeGrid
+from .discretization import (
+    EllipticOperator,
+    Field,
+    ObservationMask,
+    SpaceTimeField,
+    TimeGrid,
+)
 from .fraccalc import FractionalOrder, l1_scale, l1_weights
 
-__all__ = ["ProblemSpec", "solve_forward", "solve_homogeneous"]
+__all__ = ["ProblemSpec", "solve_forward", "solve_homogeneous", "solve_adjoint"]
 
 
 @dataclass(eq=False)
@@ -108,3 +116,39 @@ def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:
     source = np.zeros((spec.tgrid.n_steps + 1, spec.grid.n_nodes))
     v = _step_l1(spec, source, a.values.copy())
     return SpaceTimeField(spec.grid, spec.tgrid, v)
+
+
+def solve_adjoint(
+    spec: ProblemSpec, residual: SpaceTimeField, mask: ObservationMask
+) -> Field:
+    """A^T r = int_0^T mu z dt, for the adjoint state z driven by chi_omega * r.
+
+    A: f -> u(f)|_omega is :func:`solve_forward` observed on omega; the transpose
+    is taken in the mass-weighted L2(Omega) product and the trapezoid-in-time
+    pairing of :func:`masked_inner_product`.  ``residual`` is sampled on the
+    full space-time grid; values outside omega are ignored.
+
+    With s = T - t the backward derivative -d/dt J^{1-alpha}_{T-} becomes the
+    forward Caputo derivative in s, so z is the same L1 scheme run in reversed
+    time from z(., T) = 0.  Reversed step p takes the residual at time node
+    n_steps + 1 - p times the trapezoid weight ratio wt / tau (1/2 at t = T);
+    the t = 0 sample pairs with u(., 0) = 0 and never enters.  The mu integral
+    is the left-rectangle rule tau * sum_{n>=1} mu(t_n) z(t_{n-1}), dual to the
+    forward scheme's nodal source sampling.  Together they make
+    <A f, r> = <f, A^T r> hold to rounding rather than to O(tau).
+    """
+    if residual.grid != spec.grid or residual.tgrid != spec.tgrid:
+        raise ValueError("residual grids do not match the problem spec")
+    if mask.grid != spec.grid:
+        raise ValueError("mask grid does not match the problem grid")
+    tau = spec.tgrid.tau
+    # mask.chi is the quadrature-consistent chi_omega (half weight on the box
+    # boundary), matching the omega quadrature of masked_inner_product
+    wt_frac = spec.tgrid.quad_weights / tau
+    weighted = (wt_frac[:, None] * residual.values) * mask.chi[None, :]
+    source = np.zeros_like(weighted)
+    source[1:] = weighted[1:][::-1]
+    # the copy keeps the mu contraction on a contiguous array: the matmul on
+    # the reversed view rounds differently
+    z = _step_l1(spec, source, np.zeros(spec.grid.n_nodes))[::-1].copy()
+    return Field(spec.grid, tau * (spec.mu[1:] @ z[:-1]))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .adjoint import solve_adjoint
 from .discretization import (
     Field,
     ObservationMask,
@@ -24,7 +23,7 @@ from .discretization import (
     masked_inner_product,
     norm_l2,
 )
-from .forward import ProblemSpec, solve_forward
+from .forward import ProblemSpec, solve_adjoint, solve_forward
 
 __all__ = [
     "ReconstructionConfig",
@@ -77,18 +76,6 @@ def _misfit(residual: SpaceTimeField, mask: ObservationMask) -> float:
     return masked_inner_product(residual, residual, mask)
 
 
-def _mu_time_integral(spec: ProblemSpec, z: SpaceTimeField) -> NDArray[np.float64]:
-    """Quadrature of int_0^T mu(t) z(., t) dt, exact dual of the forward solve.
-
-    tau * sum_{n>=1} mu(t_n) z(t_{n-1}): the left-rectangle rule in z paired
-    with the forward scheme's nodal source sampling; combined with the
-    transpose-consistent adjoint source this makes gradient and objective
-    agree to rounding.
-    """
-    tau = spec.tgrid.tau
-    return tau * (spec.mu[1:] @ z.values[:-1])
-
-
 def objective(
     spec: ProblemSpec,
     f: Field,
@@ -110,8 +97,7 @@ def gradient(
 ) -> Field:
     """int_0^T mu z(f) dt + rho f, i.e. half the Frechet derivative of Phi."""
     residual = _residual(spec, f, u_obs)
-    z = solve_adjoint(spec, residual, mask)
-    return Field(spec.grid, _mu_time_integral(spec, z) + rho * f.values)
+    return Field(spec.grid, solve_adjoint(spec, residual, mask).values + rho * f.values)
 
 
 def threshold_update(
@@ -155,11 +141,8 @@ def iterate(
                 phi_history[-1],
             )
             break
-        z = solve_adjoint(spec, residual, mask)
-        f_next = Field(
-            spec.grid,
-            threshold_update(f.values, _mu_time_integral(spec, z), cfg.m, cfg.rho),
-        )
+        data_term = solve_adjoint(spec, residual, mask).values
+        f_next = Field(spec.grid, threshold_update(f.values, data_term, cfg.m, cfg.rho))
         step = norm_l2(Field(spec.grid, f_next.values - f.values))
         # stopping ratio ||f_{k+1}-f_k|| / ||f_k|| with a floor at f_k = 0
         threshold = cfg.eps * max(norm_l2(f), _ZERO_NORM_FLOOR)
@@ -202,10 +185,9 @@ def estimate_m(
         q = av2 / inner_product(v, v)
         if av2 == 0.0:
             return 0.0
-        z = solve_adjoint(spec, u, mask)
-        w = _mu_time_integral(spec, z)
-        nw = norm_l2(Field(spec.grid, w))
+        w = solve_adjoint(spec, u, mask)
+        nw = norm_l2(w)
         if nw == 0.0:
             return 0.0
-        v = Field(spec.grid, w / nw)
+        v = Field(spec.grid, w.values / nw)
     return q

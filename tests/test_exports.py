@@ -1,8 +1,11 @@
 """Every name a fracsource module exports must resolve, so a deletion cannot
-leave a dangling entry in an ``__all__`` list."""
+leave a dangling entry in an ``__all__`` list, and no module imports another
+module's private names."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,20 @@ def test_all_names_resolve(name):
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
 
+
+
+SRC = Path(fracsource.__file__).parent
+
+
+def test_no_private_imports_across_modules():
+    # a private name belongs to its module; a sibling that needs it should get
+    # a public function instead
+    private = [
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"private names imported across modules: {private}"
