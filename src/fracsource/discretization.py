@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 Box = Sequence[Sequence[float]]  # one (lo, hi) pair per axis
+_BOX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,17 @@ class SpaceGrid:
         return np.column_stack([x1.ravel(), x2.ravel()])
 
     @property
-    def quad_weights(self) -> NDArray[np.float64]:
-        """Flattened tensor-product trapezoid weights."""
+    def axis_weights(self) -> NDArray[np.float64]:
+        """Trapezoid weights along one axis."""
         w = np.full(self.n_per_axis, self.h)
         w[0] *= 0.5
         w[-1] *= 0.5
+        return w
+
+    @property
+    def quad_weights(self) -> NDArray[np.float64]:
+        """Flattened tensor-product trapezoid weights."""
+        w = self.axis_weights
         if self.dim == 1:
             return w
         return np.outer(w, w).ravel()
@@ -217,25 +224,21 @@ class ObservationMask:
         w[1:, 1:] += quarter
         return w.ravel()
 
-    @property
-    def chi(self) -> NDArray[np.float64]:
-        """Quadrature-consistent discrete indicator (0.5-weighted on d omega).
-
-        Ratio of the omega cell weights to the full-grid trapezoid weights;
-        used wherever chi_omega multiplies a field inside the equations so the
-        discrete adjoint pairing matches :func:`masked_inner_product`.
-        """
-        return self.quad_weights / self.grid.quad_weights
-
     @classmethod
     def from_boxes(cls, grid: SpaceGrid, boxes: Iterable[Box]) -> "ObservationMask":
-        """Nodes whose coordinates lie in any of the closed boxes."""
+        """Nodes whose coordinates lie in any of the closed boxes.
+
+        A node within 1e-12 of a box face counts as inside, so a face that
+        falls on a grid line keeps its nodes despite the rounding of
+        ``linspace`` coordinates (x = 0.30000000000000004 on 11 nodes).
+        """
         coords = grid.coords
         ind = np.zeros(grid.n_nodes, dtype=bool)
         for box in boxes:
             inside = np.ones(grid.n_nodes, dtype=bool)
             for axis, (lo, hi) in enumerate(box):
-                inside &= (coords[:, axis] >= lo) & (coords[:, axis] <= hi)
+                x = coords[:, axis]
+                inside &= (x >= lo - _BOX_TOL) & (x <= hi + _BOX_TOL)
             ind |= inside
         if not ind.any():
             raise ValueError("observation subdomain contains no grid node")
@@ -263,11 +266,18 @@ class EllipticOperator:
     exactly zero, so the action preserves constants bitwise); adding the
     diagonal of trapezoid weights gives ``weighted_matrix``, the full
     symmetric form M = W A.  The operator action is W^-1 (K v) + v.
+
+    Both K and W are tensor products of the 1D factors k1 and W1, so the
+    W-orthonormal eigenbasis of W^-1 M is the tensor product of the columns
+    of ``axis_modes`` (the W1-orthonormal eigenvectors of k1 v = kappa W1 v,
+    with kappa in ``axis_eigenvalues``).
     """
 
     grid: SpaceGrid
     stiffness: sparse.csr_matrix
     mass: NDArray[np.float64]
+    axis_eigenvalues: NDArray[np.float64]
+    axis_modes: NDArray[np.float64]
 
     @property
     def weighted_matrix(self) -> sparse.csr_matrix:
@@ -282,15 +292,29 @@ class EllipticOperator:
         den = float(values @ (self.mass * values))
         return num / den
 
+    @property
+    def eigenvalues(self) -> NDArray[np.float64]:
+        """Eigenvalues 1 + kappa_i (+ kappa_k) of W^-1 M, one per tensor mode.
+
+        Ordered like the nodes: the first axis's mode index varies slowest.
+        """
+        kappa = self.axis_eigenvalues
+        if self.grid.dim == 1:
+            return 1.0 + kappa
+        return (1.0 + kappa[:, None] + kappa[None, :]).ravel()
+
 
 def assemble_operator(grid: SpaceGrid) -> EllipticOperator:
     """Assemble -Laplace + 1 with homogeneous Neumann boundary conditions."""
     n = grid.n_per_axis
     h = grid.h
     k1 = _stiffness_1d(n, h)
-    w1 = np.full(n, h)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
+    w1 = grid.axis_weights
+    # k1 v = kappa W1 v through the symmetric W1^-1/2 k1 W1^-1/2; scaling its
+    # orthonormal eigenvectors by W1^-1/2 makes them W1-orthonormal
+    s = 1.0 / np.sqrt(w1)
+    kappa, y = np.linalg.eigh(s[:, None] * k1.toarray() * s[None, :])
+    modes = s[:, None] * y
     if grid.dim == 1:
         mass = w1
         stiffness = k1
@@ -298,7 +322,9 @@ def assemble_operator(grid: SpaceGrid) -> EllipticOperator:
         W1 = sparse.diags(w1)
         mass = np.outer(w1, w1).ravel()
         stiffness = (sparse.kron(k1, W1) + sparse.kron(W1, k1)).tocsr()
-    return EllipticOperator(grid=grid, stiffness=stiffness, mass=mass)
+    return EllipticOperator(
+        grid=grid, stiffness=stiffness, mass=mass, axis_eigenvalues=kappa, axis_modes=modes
+    )
 
 
 def inner_product(a: Field, b: Field) -> float:

@@ -1,17 +1,27 @@
 """L1 time-stepping solver for d_t^alpha u + (-Laplace + 1) u = f(x) mu(t).
 
 Each step solves (beta W + M) u^n = W rhs^n with beta = tau^-alpha/Gamma(2-alpha),
-where M is the symmetric mass-weighted operator matrix and W the trapezoid mass;
-the factorization is computed once per :class:`ProblemSpec` and reused across
-steps and across all reconstruction iterations.  The same stepping, run in
-reversed time, gives the transpose of the source-to-observation map
-(:func:`solve_adjoint`).
+where M is the symmetric mass-weighted operator matrix and W the trapezoid mass.
+The step matrix is the same at every step and both M and W are tensor products
+of their 1D factors, so the scheme diagonalises in the W-orthonormal eigenbasis
+P of W^-1 M (fast diagonalisation; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+In that basis every mode j follows a scalar L1 recursion driven by the same mu,
+so u^n = P (R[n] * P^T W f), where the response table R[n, j] is the recursion
+run once per :class:`ProblemSpec` with a unit source.  Per spec this costs one
+n x n ``eigh`` (n nodes per axis, in the operator assembly) and one
+O(n_t^2 N) table; per solve it costs two batched n x n transforms along each
+axis.  :func:`solve_adjoint` is the exact transpose of that product.
+
+The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`) steps nodal
+values instead; it serves :func:`solve_homogeneous` and is the reference the
+modal solves are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,6 +32,7 @@ from .discretization import (
     EllipticOperator,
     Field,
     ObservationMask,
+    SpaceGrid,
     SpaceTimeField,
     TimeGrid,
 )
@@ -66,24 +77,40 @@ class ProblemSpec:
             raise ArithmeticError("singular implicit system; operator assembly is broken")
         return lu
 
+    @cached_property
+    def response(self) -> NDArray[np.float64]:
+        """R[n, j]: the L1 scheme's value of mode j at time node n for a unit source.
+
+        Mode j has eigenvalue lambda_j of W^-1 M, so each step divides by
+        beta + lambda_j; shape (n_steps + 1, n_nodes).
+        """
+        beta = l1_scale(self.alpha, self.tgrid.tau)
+        lam = self.op.eigenvalues
+        source = np.broadcast_to(self.mu[:, None], (self.mu.size, lam.size))
+        return _step_l1(self, source, np.zeros(lam.size), lambda rhs: rhs / (beta + lam))
+
+    def lu_solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
+        """One nodal step: solve (beta W + M) u = W rhs with the shared LU."""
+        return self.step_solver.solve(self.op.mass * rhs)
+
 
 def _step_l1(
     spec: ProblemSpec,
     source: NDArray[np.float64],
     initial: NDArray[np.float64],
+    solve: Callable[[NDArray[np.float64]], NDArray[np.float64]],
 ) -> NDArray[np.float64]:
-    """Run the implicit L1 scheme with per-step nodal sources.
+    """Run the implicit L1 scheme with per-step sources.
 
     ``source[n]`` is the full right-hand side sample at time node n (only
-    n >= 1 enters the scheme); ``initial`` is u^0.  Returns the full history
-    array of shape (n_steps + 1, n_nodes).
+    n >= 1 enters the scheme); ``initial`` is u^0; ``solve`` maps a step's
+    right-hand side to u^n.  Returns the full history array of shape
+    (n_steps + 1, len(initial)).
     """
     n_steps = spec.tgrid.n_steps
-    n_nodes = spec.grid.n_nodes
+    n_nodes = initial.size
     beta = l1_scale(spec.alpha, spec.tgrid.tau)
     b = spec.weights
-    mass = spec.op.mass
-    lu = spec.step_solver
 
     u = np.empty((n_steps + 1, n_nodes))
     u[0] = initial
@@ -95,17 +122,33 @@ def _step_l1(
         else:
             hist = 0.0
         rhs = beta * (u[n - 1] - hist) + source[n]
-        u[n] = lu.solve(mass * rhs)
+        u[n] = solve(rhs)
         diffs[n - 1] = u[n] - u[n - 1]
     return u
+
+
+def _along_axes(
+    grid: SpaceGrid, mat: NDArray[np.float64], values: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Apply the n x n matrix ``mat`` along every spatial axis of ``values``.
+
+    ``values[..., :]`` holds node-major samples (or modal coefficients) of
+    the grid; leading axes are batched.
+    """
+    x = values.reshape(values.shape[:-1] + (grid.n_per_axis,) * grid.dim) @ mat.T
+    if grid.dim == 2:
+        x = mat @ x
+    return x.reshape(values.shape)
 
 
 def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
     """Solve d_t^alpha u + A u = f mu(t) with u(.,0) = 0, Neumann boundary."""
     if f.grid != spec.grid:
         raise ValueError("source field grid does not match the problem grid")
-    source = spec.mu[:, None] * f.values[None, :]
-    u = _step_l1(spec, source, np.zeros(spec.grid.n_nodes))
+    modes = spec.op.axis_modes
+    # P^T W f, since P^T W P = I
+    f_hat = _along_axes(spec.grid, modes.T * spec.grid.axis_weights, f.values)
+    u = _along_axes(spec.grid, modes, spec.response * f_hat)
     return SpaceTimeField(spec.grid, spec.tgrid, u)
 
 
@@ -114,7 +157,7 @@ def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:
     if a.grid != spec.grid:
         raise ValueError("initial field grid does not match the problem grid")
     source = np.zeros((spec.tgrid.n_steps + 1, spec.grid.n_nodes))
-    v = _step_l1(spec, source, a.values.copy())
+    v = _step_l1(spec, source, a.values.copy(), spec.lu_solve)
     return SpaceTimeField(spec.grid, spec.tgrid, v)
 
 
@@ -128,27 +171,19 @@ def solve_adjoint(
     pairing of :func:`masked_inner_product`.  ``residual`` is sampled on the
     full space-time grid; values outside omega are ignored.
 
-    With s = T - t the backward derivative -d/dt J^{1-alpha}_{T-} becomes the
-    forward Caputo derivative in s, so z is the same L1 scheme run in reversed
-    time from z(., T) = 0.  Reversed step p takes the residual at time node
-    n_steps + 1 - p times the trapezoid weight ratio wt / tau (1/2 at t = T);
-    the t = 0 sample pairs with u(., 0) = 0 and never enters.  The mu integral
-    is the left-rectangle rule tau * sum_{n>=1} mu(t_n) z(t_{n-1}), dual to the
-    forward scheme's nodal source sampling.  Together they make
-    <A f, r> = <f, A^T r> hold to rounding rather than to O(tau).
+    With u^n = P (R[n] * P^T W f) the pairing is
+    sum_n w_n <u^n, r^n>_omega = (P^T W f) . g_hat, where
+    g_hat = sum_{n>=1} w_n R[n] * P^T (W_omega r^n), w_n are the trapezoid
+    weights in time and W_omega the omega quadrature weights; hence
+    A^T r = P g_hat, which makes <A f, r> = <f, A^T r> hold to rounding.
+    The t = 0 sample pairs with u(., 0) = 0 and never enters.  Costs one
+    batched transform of the residual along each axis and one of g_hat.
     """
     if residual.grid != spec.grid or residual.tgrid != spec.tgrid:
         raise ValueError("residual grids do not match the problem spec")
     if mask.grid != spec.grid:
         raise ValueError("mask grid does not match the problem grid")
-    tau = spec.tgrid.tau
-    # mask.chi is the quadrature-consistent chi_omega (half weight on the box
-    # boundary), matching the omega quadrature of masked_inner_product
-    wt_frac = spec.tgrid.quad_weights / tau
-    weighted = (wt_frac[:, None] * residual.values) * mask.chi[None, :]
-    source = np.zeros_like(weighted)
-    source[1:] = weighted[1:][::-1]
-    # the copy keeps the mu contraction on a contiguous array: the matmul on
-    # the reversed view rounds differently
-    z = _step_l1(spec, source, np.zeros(spec.grid.n_nodes))[::-1].copy()
-    return Field(spec.grid, tau * (spec.mu[1:] @ z[:-1]))
+    modes = spec.op.axis_modes
+    r_hat = _along_axes(spec.grid, modes.T, mask.quad_weights * residual.values[1:])
+    g_hat = spec.tgrid.quad_weights[1:] @ (spec.response[1:] * r_hat)
+    return Field(spec.grid, _along_axes(spec.grid, modes, g_hat))

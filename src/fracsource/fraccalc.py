@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import integrate
 from scipy.special import gammaln, hyp1f1, rgamma
 
 __all__ = [
@@ -110,6 +109,10 @@ def _ml_asymptotic(alpha: float, beta: float, z: float) -> float:
 def _ml_spectral(alpha: float, beta: float, z: float) -> float:
     # Real-line spectral representation for 0 < alpha < 1, beta < 1 + alpha,
     # z < 0.  The substitution r = v^p removes the endpoint singularity.
+    # scipy.integrate is imported here, its only use, to keep it off the
+    # import path of the solvers.
+    from scipy import integrate
+
     x = -z
     s1 = math.sin(math.pi * (1.0 - beta))
     s2 = math.sin(math.pi * (1.0 - beta + alpha))
@@ -172,8 +175,11 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     y = (-z) ** (1.0 / alpha)
     if y <= _TAYLOR_MAX_Y:
         return _ml_taylor(alpha, beta, z)
-    if beta >= 1.0 + alpha:
-        # Reduce beta below 1 + alpha: E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z.
+    if beta >= 1.0 + 0.5 * alpha:
+        # Reduce beta below 1 + alpha/2: E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z.
+        # This keeps the spectral exponent q = 1 / (1 + alpha - beta) below
+        # 2 / alpha; as beta approaches 1 + alpha, v^q overflows and the
+        # integral loses accuracy.
         return (mittag_leffler(alpha, beta - alpha, z) - float(rgamma(beta - alpha))) / z
     if y >= _ASYMPTOTIC_MIN_Y:
         return _ml_asymptotic(alpha, beta, z)

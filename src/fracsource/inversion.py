@@ -127,7 +127,7 @@ def iterate(
         raise ValueError("initial guess grid does not match the problem grid")
     f = Field(spec.grid, cfg.f0.values.copy())
     phi_history: list[float] = []
-    converged = False
+    converged = diverged = False
     k = 0
     for k in range(1, cfg.max_iter + 1):
         residual = _residual(spec, f, u_obs)
@@ -140,6 +140,7 @@ def iterate(
                 k - 1,
                 phi_history[-1],
             )
+            diverged = True
             break
         data_term = solve_adjoint(spec, residual, mask).values
         f_next = Field(spec.grid, threshold_update(f.values, data_term, cfg.m, cfg.rho))
@@ -156,7 +157,10 @@ def iterate(
         if step < threshold:
             converged = True
             break
-    phi_history.append(objective(spec, f, u_obs, mask, cfg.rho))
+    # a diverged run stops before updating f, so its last phi is already Phi(f_K)
+    phi_history.append(
+        phi_history[-1] if diverged else objective(spec, f, u_obs, mask, cfg.rho)
+    )
     err = None
     if f_true is not None:
         err = norm_l2(Field(spec.grid, f.values - f_true.values)) / norm_l2(f_true)

@@ -148,6 +148,13 @@ class TestMask:
         active = np.flatnonzero(mask.indicator)
         assert list(active) == [0, 1, 2, 38, 39, 40]
 
+    def test_box_face_on_rounded_node(self):
+        # linspace puts node 3 of 11 at 0.30000000000000004, just outside [0, 0.3]
+        g = SpaceGrid(1, 11)
+        assert g.axis_nodes[3] > 0.3
+        mask = ObservationMask.from_boxes(g, [[[0.0, 0.3]]])
+        assert list(np.flatnonzero(mask.indicator)) == [0, 1, 2, 3]
+
     def test_empty_mask_rejected(self):
         g = SpaceGrid(1, 11)
         with pytest.raises(ValueError):

@@ -14,9 +14,12 @@ from fracsource import (
     assemble_operator,
     masked_inner_product,
     mittag_leffler,
+    solve_adjoint,
     solve_forward,
     solve_homogeneous,
 )
+from fracsource import forward
+from fracsource.forward import _step_l1
 from fracsource.oracle import eigen_forward, modes_up_to
 
 from conftest import MU_STD, cos_field, make_spec
@@ -41,6 +44,20 @@ class TestProblemSpec:
         spec = make_spec(0.5, op41)
         assert spec.step_solver is spec.step_solver
 
+    def test_modal_data_cached(self, monkeypatch):
+        grid = SpaceGrid(2, 11)
+        spec = make_spec(0.5, assemble_operator(grid), n_steps=10)
+        f = Field.constant(grid, 1.0)
+        u = solve_forward(spec, f)
+        assert spec.response is spec.response
+        assert spec.response.shape == (11, grid.n_nodes)
+        # later solves on the spec reuse the table: no L1 recursion runs
+        calls = []
+        monkeypatch.setattr(forward, "_step_l1", lambda *args: calls.append(args))
+        solve_forward(spec, f)
+        solve_adjoint(spec, u, ObservationMask(grid, np.ones(grid.n_nodes)))
+        assert calls == []
+
 
 class TestSolveForward:
     def test_zero_source(self, grid41, op41):
@@ -63,6 +80,17 @@ class TestSolveForward:
         spec = make_spec(0.5, op41)
         with pytest.raises(ValueError):
             solve_forward(spec, Field.constant(SpaceGrid(1, 21), 1.0))
+
+    @pytest.mark.parametrize("dim, n, n_steps", [(1, 41, 40), (2, 41, 40), (2, 21, 400)])
+    def test_matches_lu_stepping(self, dim, n, n_steps):
+        # the modal solve is the nodal LU scheme in another basis
+        grid = SpaceGrid(dim, n)
+        spec = make_spec(0.5, assemble_operator(grid), n_steps=n_steps)
+        f = Field(grid, np.random.default_rng(1).standard_normal(grid.n_nodes))
+        source = spec.mu[:, None] * f.values[None, :]
+        want = _step_l1(spec, source, np.zeros(grid.n_nodes), spec.lu_solve)
+        got = solve_forward(spec, f).values
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_against_eigen_oracle(self, grid41, op41, alpha):

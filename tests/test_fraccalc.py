@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -60,6 +60,9 @@ class TestMittagLeffler:
         st.floats(min_value=0.5, max_value=1.4),
         st.floats(min_value=-60.0, max_value=-0.1),
     )
+    # beta + alpha just below 1 + alpha puts the exponent 1/(1 + alpha - beta)
+    # of the spectral integral at 256, where it overflowed
+    @example(0.75, 0.99609375, -5.0)
     @settings(max_examples=60, deadline=None)
     def test_beta_shift_identity(self, alpha, beta, z):
         # E_{a,b}(z) = z E_{a,b+a}(z) + 1/Gamma(b) ties the Taylor, spectral
