@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -15,12 +16,13 @@ from .experiments import (
     EXPERIMENT_PRESETS,
     config_from_file,
     config_from_preset,
-    build_problem,
+    build_forward_problem,
     run_experiment,
     run_table,
 )
 from .forward import solve_forward
 from .verification import run_all_checks
+
 
 def _collect_overrides(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
@@ -34,6 +36,17 @@ def main(verbose: bool) -> None:
         level=logging.INFO if verbose else logging.WARNING,
         format="%(name)s %(message)s",
     )
+
+
+@contextmanager
+def _usage_errors():
+    """Report a ValueError from config validation or problem building as a
+    one-line error with exit status 1, not a traceback; status 2 stays
+    reserved for a diverged reconstruction."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
 
 
 def _config(preset, config, overrides):
@@ -53,8 +66,9 @@ def _config(preset, config, overrides):
 @click.option("--out", type=click.Path(), default="u.csv", show_default=True)
 def forward(preset, config, alpha, n_per_axis, n_steps, out):
     """Solve the forward problem for a preset's true source and dump u to CSV."""
-    cfg = _config(preset, config, _collect_overrides(alpha=alpha, n_per_axis=n_per_axis, n_steps=n_steps))
-    spec, f_true, _ = build_problem(cfg)
+    with _usage_errors():
+        cfg = _config(preset, config, _collect_overrides(alpha=alpha, n_per_axis=n_per_axis, n_steps=n_steps))
+        spec, f_true = build_forward_problem(cfg)
     u = solve_forward(spec, f_true)
     u.to_csv(out)
     click.echo(f"wrote {out}")
@@ -73,8 +87,9 @@ def forward(preset, config, alpha, n_per_axis, n_steps, out):
 @click.option("--outdir", type=click.Path(), default=None)
 def reconstruct(preset, config, **kwargs):
     """Run one reconstruction experiment and write its CSV artifacts."""
-    cfg = _config(preset, config, _collect_overrides(**kwargs))
-    result = run_experiment(cfg)
+    with _usage_errors():
+        cfg = _config(preset, config, _collect_overrides(**kwargs))
+        result = run_experiment(cfg)
     if result.err is None or not result.converged:
         err = "n/a"
     else:

@@ -231,6 +231,9 @@ class ObservationMask:
         A node within 1e-12 of a box face counts as inside, so a face that
         falls on a grid line keeps its nodes despite the rounding of
         ``linspace`` coordinates (x = 0.30000000000000004 on 11 nodes).
+        Raises ``ValueError`` when no node is inside, or when the nodes inside
+        are all isolated, so that no grid cell lies in omega and the
+        quadrature over omega, hence the observation map, is zero.
         """
         coords = grid.coords
         ind = np.zeros(grid.n_nodes, dtype=bool)
@@ -242,7 +245,13 @@ class ObservationMask:
             ind |= inside
         if not ind.any():
             raise ValueError("observation subdomain contains no grid node")
-        return cls(grid, ind.astype(float))
+        mask = cls(grid, ind.astype(float))
+        if mask.quad_weights.sum() == 0.0:
+            raise ValueError(
+                f"observation subdomain contains no grid cell at spacing h = {grid.h:g}; "
+                "its isolated nodes carry zero quadrature weight"
+            )
+        return mask
 
     @property
     def n_active(self) -> int:

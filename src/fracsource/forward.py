@@ -12,6 +12,13 @@ n x n ``eigh`` (n nodes per axis, in the operator assembly) and one
 O(n_t^2 N) table; per solve it costs two batched n x n transforms along each
 axis.  :func:`solve_adjoint` is the exact transpose of that product.
 
+The thresholding iteration needs only A^T A and the misfit of the observation
+map A: f -> u(f)|_omega, and the time-weighted table X = W_t^1/2 R has low
+numerical rank r (8 of 41 rows on preset 5.3a).  :class:`NormalOperator`
+applies both through the factor X = a sb of :attr:`ProblemSpec.time_factor`
+(one QR and one small SVD per spec), which costs r batched transforms each
+way per application instead of a transform of the whole history.
+
 The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`) steps nodal
 values instead; it serves :func:`solve_homogeneous` and is the reference the
 modal solves are tested against.
@@ -38,7 +45,17 @@ from .discretization import (
 )
 from .fraccalc import FractionalOrder, l1_scale, l1_weights
 
-__all__ = ["ProblemSpec", "solve_forward", "solve_homogeneous", "solve_adjoint"]
+__all__ = [
+    "ProblemSpec",
+    "NormalOperator",
+    "solve_forward",
+    "solve_homogeneous",
+    "solve_adjoint",
+]
+
+# singular values of W_t^1/2 R at or below this fraction of the largest are
+# dropped from the time factor; they are below the rounding of the table
+_RANK_RTOL = 1e-15
 
 
 @dataclass(eq=False)
@@ -88,6 +105,21 @@ class ProblemSpec:
         lam = self.op.eigenvalues
         source = np.broadcast_to(self.mu[:, None], (self.mu.size, lam.size))
         return _step_l1(self, source, np.zeros(lam.size), lambda rhs: rhs / (beta + lam))
+
+    @cached_property
+    def time_factor(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """(a, sb) with W_t^1/2 R = a @ sb to rounding, W_t the trapezoid weights.
+
+        ``a`` holds the r leading left singular vectors of X = W_t^1/2 R (those
+        with singular value above 1e-15 of the largest), shape
+        (n_steps + 1, r), and ``sb = a^T X`` has shape (r, n_nodes).
+        """
+        x = np.sqrt(self.tgrid.quad_weights)[:, None] * self.response
+        # X^T = Q T, so X = T^T Q^T shares its left singular vectors with T^T
+        tri = np.linalg.qr(x.T, mode="r")
+        u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
+        a = u[:, s > _RANK_RTOL * s[0]]
+        return a, a.T @ x
 
     def lu_solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
         """One nodal step: solve (beta W + M) u = W rhs with the shared LU."""
@@ -141,14 +173,17 @@ def _along_axes(
     return x.reshape(values.shape)
 
 
-def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
-    """Solve d_t^alpha u + A u = f mu(t) with u(.,0) = 0, Neumann boundary."""
+def _to_modal(spec: ProblemSpec, f: Field) -> NDArray[np.float64]:
+    """f_hat = P^T W f, the modal coefficients of f since P^T W P = I."""
     if f.grid != spec.grid:
         raise ValueError("source field grid does not match the problem grid")
-    modes = spec.op.axis_modes
-    # P^T W f, since P^T W P = I
-    f_hat = _along_axes(spec.grid, modes.T * spec.grid.axis_weights, f.values)
-    u = _along_axes(spec.grid, modes, spec.response * f_hat)
+    return _along_axes(spec.grid, spec.op.axis_modes.T * spec.grid.axis_weights, f.values)
+
+
+def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
+    """Solve d_t^alpha u + A u = f mu(t) with u(.,0) = 0, Neumann boundary."""
+    f_hat = _to_modal(spec, f)
+    u = _along_axes(spec.grid, spec.op.axis_modes, spec.response * f_hat)
     return SpaceTimeField(spec.grid, spec.tgrid, u)
 
 
@@ -187,3 +222,58 @@ def solve_adjoint(
     r_hat = _along_axes(spec.grid, modes.T, mask.quad_weights * residual.values[1:])
     g_hat = spec.tgrid.quad_weights[1:] @ (spec.response[1:] * r_hat)
     return Field(spec.grid, _along_axes(spec.grid, modes, g_hat))
+
+
+class NormalOperator:
+    """A^T A and the misfit of A: f -> u(f)|_omega, in modal coordinates.
+
+    Sources are handled as f_hat = P^T W f, in which ||f|| is the Euclidean
+    norm.  With W_t^1/2 R = a sb (:attr:`ProblemSpec.time_factor`) and
+    u^n = P (R[n] * f_hat), the weighted history is W_t^1/2 u(f) = a v with
+    v_l = P (sb_l * f_hat), l < r.  Since a has orthonormal columns, the
+    space-time misfit against y = W_t^1/2 u_obs is
+    sum_l ||v_l - c_l||^2_omega + ||y - a c||^2_omega with c = a^T y, and
+    A^T of the weighted history a d is sum_l sb_l * P^T (W_omega d_l); so
+    A^T (A f - u_obs) is that map applied to d = v - c.  Each application
+    costs r batched transforms along every axis; the results match
+    :func:`solve_forward`, :func:`solve_adjoint` and
+    :func:`masked_inner_product` to rounding.
+    """
+
+    def __init__(self, spec: ProblemSpec, mask: ObservationMask) -> None:
+        if mask.grid != spec.grid:
+            raise ValueError("mask grid does not match the problem grid")
+        self.spec = spec
+        self.a, self.sb = spec.time_factor
+        self.weights = mask.quad_weights
+
+    def to_modal(self, f: Field) -> NDArray[np.float64]:
+        """f_hat = P^T W f."""
+        return _to_modal(self.spec, f)
+
+    def to_field(self, f_hat: NDArray[np.float64]) -> Field:
+        """f = P f_hat."""
+        grid = self.spec.grid
+        return Field(grid, _along_axes(grid, self.spec.op.axis_modes, f_hat))
+
+    def project(self, u_obs: SpaceTimeField) -> tuple[NDArray[np.float64], float]:
+        """(c, ||y - a c||^2_omega) for y = W_t^1/2 u_obs and c = a^T y."""
+        if u_obs.grid != self.spec.grid or u_obs.tgrid != self.spec.tgrid:
+            raise ValueError("observation grids do not match the problem spec")
+        y = np.sqrt(self.spec.tgrid.quad_weights)[:, None] * u_obs.values
+        c = self.a.T @ y
+        rest = y - self.a @ c
+        return c, self.misfit(rest)
+
+    def observe(self, f_hat: NDArray[np.float64]) -> NDArray[np.float64]:
+        """v with W_t^1/2 u(f) = a v; shape (r, n_nodes)."""
+        return _along_axes(self.spec.grid, self.spec.op.axis_modes, self.sb * f_hat)
+
+    def misfit(self, d: NDArray[np.float64]) -> float:
+        """sum_l ||d_l||^2_omega over the rows of ``d``."""
+        return float(np.sum(d * d, axis=0) @ self.weights)
+
+    def transpose(self, d: NDArray[np.float64]) -> NDArray[np.float64]:
+        """sum_l sb_l * P^T (W_omega d_l): modal A^T of the history a d."""
+        d_hat = _along_axes(self.spec.grid, self.spec.op.axis_modes.T, self.weights * d)
+        return np.sum(self.sb * d_hat, axis=0)

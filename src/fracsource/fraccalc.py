@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import gammaln, hyp1f1, rgamma
 
 __all__ = [
     "FractionalOrder",
@@ -65,8 +64,15 @@ def l1_scale(alpha: FractionalOrder, tau: float) -> float:
     return tau ** (-a) / math.gamma(2.0 - a)
 
 
+# scipy.special and scipy.integrate are imported inside the functions that use
+# them, which keeps both off the import path of the solvers: the L1 weights
+# and scale need only math.
+
+
 def _ml_taylor(alpha: float, beta: float, z: float) -> float:
     # Compensated (Kahan) summation of sum_k z^k / Gamma(alpha k + beta).
+    from scipy.special import rgamma
+
     s = 0.0
     c = 0.0
     zk = 1.0
@@ -87,6 +93,8 @@ def _ml_taylor(alpha: float, beta: float, z: float) -> float:
 def _ml_asymptotic(alpha: float, beta: float, z: float) -> float:
     # -sum_{k>=1} z^{-k} / Gamma(beta - alpha k), truncated at the minimum of
     # the non-oscillatory envelope x^{-k} Gamma(1 + alpha k - beta) / pi.
+    from scipy.special import gammaln, rgamma
+
     x = -z
     lx = math.log(x)
     total = 0.0
@@ -109,8 +117,6 @@ def _ml_asymptotic(alpha: float, beta: float, z: float) -> float:
 def _ml_spectral(alpha: float, beta: float, z: float) -> float:
     # Real-line spectral representation for 0 < alpha < 1, beta < 1 + alpha,
     # z < 0.  The substitution r = v^p removes the endpoint singularity.
-    # scipy.integrate is imported here, its only use, to keep it off the
-    # import path of the solvers.
     from scipy import integrate
 
     x = -z
@@ -163,6 +169,8 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    from scipy.special import hyp1f1, rgamma
+
     if z == 0.0:
         return float(rgamma(beta))
     if alpha == 1.0:
@@ -205,6 +213,8 @@ def rl_integral(alpha: float, g: NDArray[np.float64], t: NDArray[np.float64]) ->
     """
     if alpha <= 0.0:
         raise ValueError(f"integral order must be positive, got {alpha}")
+    from scipy.special import rgamma
+
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
     tau = _check_uniform(t)

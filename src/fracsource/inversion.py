@@ -4,6 +4,12 @@ The update f_{k+1} = (M f_k - int_0^T mu z(f_k) dt) / (M + rho) is the
 fixed-point form of the regularized normal equations; it converges whenever
 the tuning constant M dominates the squared operator norm of f -> u(f)|_omega,
 which :func:`estimate_m` approximates by power iteration.
+
+:func:`objective`, :func:`gradient` and :func:`estimate_m` use the full
+forward and adjoint solves.  :func:`iterate` applies the same maps at every
+step, so it uses :class:`NormalOperator`: the misfit and A^T A in modal
+coordinates, low rank in time, with f transformed once on entry and once on
+exit.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .discretization import (
     masked_inner_product,
     norm_l2,
 )
-from .forward import ProblemSpec, solve_adjoint, solve_forward
+from .forward import NormalOperator, ProblemSpec, solve_adjoint, solve_forward
 
 __all__ = [
     "ReconstructionConfig",
@@ -72,10 +78,6 @@ def _residual(spec: ProblemSpec, f: Field, u_obs: SpaceTimeField) -> SpaceTimeFi
     return SpaceTimeField(spec.grid, spec.tgrid, u.values - u_obs.values)
 
 
-def _misfit(residual: SpaceTimeField, mask: ObservationMask) -> float:
-    return masked_inner_product(residual, residual, mask)
-
-
 def objective(
     spec: ProblemSpec,
     f: Field,
@@ -85,7 +87,7 @@ def objective(
 ) -> float:
     """Phi(f) = ||u(f) - u_obs||^2 over omega x (0,T) plus rho ||f||^2."""
     residual = _residual(spec, f, u_obs)
-    return _misfit(residual, mask) + rho * inner_product(f, f)
+    return masked_inner_product(residual, residual, mask) + rho * inner_product(f, f)
 
 
 def gradient(
@@ -121,17 +123,31 @@ def iterate(
     through f_K.  When M is below half the squared operator norm the update
     map is expansive and the iterates grow geometrically; the loop then bails
     out once the objective has grown by 1e12 and reports ``converged=False``
-    rather than looping to the cap.
+    rather than looping to the cap.  The bail-out is tested before the update,
+    so a diverged run's K counts that check and is one more than the updates
+    made: it returns f_{K-1}, and the last two entries of ``phi_history``
+    both hold Phi(f_{K-1}).
+
+    The iterates stay in the modal coordinates of :class:`NormalOperator`,
+    so a step costs r transforms each way (r the rank of the time factor)
+    instead of a forward and an adjoint solve.
     """
     if cfg.f0.grid != spec.grid:
         raise ValueError("initial guess grid does not match the problem grid")
-    f = Field(spec.grid, cfg.f0.values.copy())
+    normal = NormalOperator(spec, mask)
+    c, const = normal.project(u_obs)
+
+    def phi(d: NDArray[np.float64], f_hat: NDArray[np.float64]) -> float:
+        return normal.misfit(d) + const + cfg.rho * float(f_hat @ f_hat)
+
+    f_hat = normal.to_modal(cfg.f0)
     phi_history: list[float] = []
     converged = diverged = False
     k = 0
     for k in range(1, cfg.max_iter + 1):
-        residual = _residual(spec, f, u_obs)
-        phi_history.append(_misfit(residual, mask) + cfg.rho * inner_product(f, f))
+        # W_t^1/2 (u(f_k) - u_obs) = a d - (y - a c) with y = W_t^1/2 u_obs
+        d = normal.observe(f_hat) - c
+        phi_history.append(phi(d, f_hat))
         if not math.isfinite(phi_history[-1]) or (
             phi_history[-1] > 1e12 * (phi_history[0] + 1.0)
         ):
@@ -142,25 +158,20 @@ def iterate(
             )
             diverged = True
             break
-        data_term = solve_adjoint(spec, residual, mask).values
-        f_next = Field(spec.grid, threshold_update(f.values, data_term, cfg.m, cfg.rho))
-        step = norm_l2(Field(spec.grid, f_next.values - f.values))
+        f_next = threshold_update(f_hat, normal.transpose(d), cfg.m, cfg.rho)
+        step = float(np.linalg.norm(f_next - f_hat))
         # stopping ratio ||f_{k+1}-f_k|| / ||f_k|| with a floor at f_k = 0
-        threshold = cfg.eps * max(norm_l2(f), _ZERO_NORM_FLOOR)
-        logger.info(
-            "k=%d phi=%.6e step_ratio=%.3e",
-            k - 1,
-            phi_history[-1],
-            step / max(norm_l2(f), _ZERO_NORM_FLOOR),
-        )
-        f = f_next
-        if step < threshold:
+        f_norm = max(float(np.linalg.norm(f_hat)), _ZERO_NORM_FLOOR)
+        logger.info("k=%d phi=%.6e step_ratio=%.3e", k - 1, phi_history[-1], step / f_norm)
+        f_hat = f_next
+        if step < cfg.eps * f_norm:
             converged = True
             break
-    # a diverged run stops before updating f, so its last phi is already Phi(f_K)
+    # a diverged run stops before updating f, so its last phi is already Phi(f)
     phi_history.append(
-        phi_history[-1] if diverged else objective(spec, f, u_obs, mask, cfg.rho)
+        phi_history[-1] if diverged else phi(normal.observe(f_hat) - c, f_hat)
     )
+    f = normal.to_field(f_hat)
     err = None
     if f_true is not None:
         err = norm_l2(Field(spec.grid, f.values - f_true.values)) / norm_l2(f_true)

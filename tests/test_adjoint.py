@@ -14,6 +14,7 @@ from fracsource import (
     solve_adjoint,
     solve_forward,
 )
+from fracsource.forward import NormalOperator
 
 from conftest import edge_mask, make_spec
 
@@ -31,6 +32,22 @@ def pairing_discrepancy(spec, mask, seed, n_pairs=10):
         rhs = inner_product(g, solve_adjoint(spec, r, mask))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return worst
+
+
+def dense_forward_map():
+    """Spec, mask and the dense matrix A of f -> u(f) on 11 nodes x 10 steps.
+
+    Column j of A is the flattened history of solve_forward for the unit
+    vector e_j.  The mask is [0, 0.35] u [0.65, 1]: chi is 1/2 on the last
+    node of each box, and a mask of isolated nodes would carry no weight.
+    """
+    grid = SpaceGrid(1, 11)
+    spec = make_spec(0.5, assemble_operator(grid), n_steps=10)
+    mask = ObservationMask.from_boxes(grid, [[[0.0, 0.35]], [[0.65, 1.0]]])
+    columns = [
+        solve_forward(spec, Field(grid, e)).values.ravel() for e in np.eye(grid.n_nodes)
+    ]
+    return spec, mask, np.column_stack(columns)
 
 
 class TestSolveAdjoint:
@@ -69,15 +86,8 @@ class TestSolveAdjoint:
         # A maps f to the full history u(f); A^T r = W^-1 A^T (W_t x W_omega) r
         # with W the spatial mass, W_t the trapezoid weights in time and
         # W_omega the mask quadrature weights of masked_inner_product
-        grid = SpaceGrid(1, 11)
-        spec = make_spec(0.5, assemble_operator(grid), n_steps=10)
-        # chi is 1/2 on the last node of each box; a mask that only holds
-        # isolated nodes would have zero weight and make the check vacuous
-        mask = ObservationMask.from_boxes(grid, [[[0.0, 0.35]], [[0.65, 1.0]]])
-        columns = [
-            solve_forward(spec, Field(grid, e)).values.ravel() for e in np.eye(grid.n_nodes)
-        ]
-        a = np.column_stack(columns)
+        spec, mask, a = dense_forward_map()
+        grid = spec.grid
         rng = np.random.default_rng(11)
         r = rng.standard_normal((spec.tgrid.n_steps + 1, grid.n_nodes))
         weights = np.outer(spec.tgrid.quad_weights, mask.quad_weights)
@@ -110,3 +120,47 @@ class TestAdjointPairing:
             mask = ObservationMask.from_boxes(grid, [[[0.0, 0.1]], [[0.9, 1.0]]])
             worst = pairing_discrepancy(spec, mask, seed=7, n_pairs=4)
             assert worst <= 1e-10
+
+
+class TestNormalOperator:
+    def test_matches_dense_normal_map_and_misfit(self):
+        # A^T A f = W^-1 A^T (W_t x W_omega) A f and the misfit is the
+        # masked space-time norm of A f - u_obs
+        spec, mask, a = dense_forward_map()
+        grid, tgrid = spec.grid, spec.tgrid
+        weights = np.outer(tgrid.quad_weights, mask.quad_weights).ravel()
+        rng = np.random.default_rng(12)
+        f = Field(grid, rng.standard_normal(grid.n_nodes))
+        u_obs = SpaceTimeField(
+            grid, tgrid, rng.standard_normal((tgrid.n_steps + 1, grid.n_nodes))
+        )
+        residual = a @ f.values - u_obs.values.ravel()
+        normal = NormalOperator(spec, mask)
+        f_hat = normal.to_modal(f)
+        assert_allclose(normal.to_field(f_hat).values, f.values, rtol=1e-12)
+        v = normal.observe(f_hat)
+        assert_allclose(
+            normal.to_field(normal.transpose(v)).values,
+            (a.T @ (weights * (a @ f.values))) / grid.quad_weights,
+            rtol=1e-12,
+        )
+        c, const = normal.project(u_obs)
+        assert_allclose(
+            normal.to_field(normal.transpose(v - c)).values,
+            (a.T @ (weights * residual)) / grid.quad_weights,
+            rtol=1e-12,
+        )
+        r = SpaceTimeField(grid, tgrid, residual.reshape(u_obs.values.shape))
+        assert_allclose(
+            normal.misfit(v - c) + const, masked_inner_product(r, r, mask), rtol=1e-12
+        )
+
+    def test_grid_mismatch(self, grid21, op21):
+        spec = make_spec(0.5, op21, n_steps=20)
+        with pytest.raises(ValueError):
+            NormalOperator(spec, edge_mask(SpaceGrid(1, 41)))
+        normal = NormalOperator(spec, edge_mask(grid21))
+        with pytest.raises(ValueError):
+            normal.project(SpaceTimeField.zeros(grid21, TimeGrid(1.0, 10)))
+        with pytest.raises(ValueError):
+            normal.to_modal(Field.constant(SpaceGrid(1, 11), 1.0))

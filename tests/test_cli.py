@@ -71,3 +71,19 @@ def test_verify_fast():
     assert result.exit_code == 0, result.output
     assert "[PASS]" in result.output
     assert "[FAIL]" not in result.output
+
+
+def test_invalid_config_is_an_error_not_a_traceback(tmp_path):
+    # on 11 nodes every node of 5.1a's omega is isolated: a zero-measure mask
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "5.1a", "n_per_axis": 11, "outdir": str(tmp_path)}))
+    runner = CliRunner()
+    for args, message in [
+        (["reconstruct", "--config", str(path)], "zero"),
+        (["reconstruct", "--preset", "5.1a", "--alpha", "1.5", "--outdir", str(tmp_path)], "fractional order"),
+    ]:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and message in result.output
+        assert "Traceback" not in result.output

@@ -160,6 +160,16 @@ class TestMask:
         with pytest.raises(ValueError):
             ObservationMask.from_boxes(g, [[[0.401, 0.449]]])
 
+    def test_isolated_nodes_rejected(self):
+        # edges_0.025 on 21 nodes keeps nodes 0 and 20 only: no cell of omega,
+        # zero quadrature weight, and an observation map that is zero
+        g = SpaceGrid(1, 21)
+        with pytest.raises(ValueError, match="h = 0.05"):
+            ObservationMask.from_boxes(g, [[[0.0, 0.025]], [[0.975, 1.0]]])
+        # a single grid line of a 2D grid holds no cell either
+        with pytest.raises(ValueError, match="h = 0.1"):
+            ObservationMask.from_boxes(SpaceGrid(2, 11), [[[0.0, 1.0], [0.5, 0.5]]])
+
     def test_quadrature_measure_exact(self):
         g = SpaceGrid(1, 41)
         mask = ObservationMask.from_boxes(g, [[[0.0, 0.05]], [[0.95, 1.0]]])

@@ -247,11 +247,14 @@ class TestRunners:
         assert fields[0] == "0.02"
         assert int(fields[-1]) == result.iterations
 
-    def test_run_table_smoke_writes_rows(self, tmp_path):
+    def test_run_table_smoke_writes_rows(self, tmp_path, caplog):
         path = run_table(1, seed=0, outdir=str(tmp_path), smoke=True)
         rows = open(path).read().splitlines()
         assert rows[0] == "delta,omega,err_percent,K,ref_err_percent,ref_K"
         assert len(rows) == 8
+        # omega (0,0.025)u(0.975,1) holds no grid cell on 21 nodes: not run
+        assert rows[7] == '0.02,"(0,0.025)u(0.975,1)",,,9.89,79'
+        assert any("(0,0.025)u(0.975,1)" in r.getMessage() for r in caplog.records)
 
     def test_reconstruction_reproducible(self):
         cfg = config_from_preset("5.1a", n_per_axis=21, n_steps=10, m=4.0, eps=1e-2)

@@ -4,7 +4,10 @@ module's private names."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,7 +28,6 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
 
 
-
 SRC = Path(fracsource.__file__).parent
 
 
@@ -41,3 +43,14 @@ def test_no_private_imports_across_modules():
         if alias.name.startswith("_")
     ]
     assert not private, f"private names imported across modules: {private}"
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # the solvers and the reconstruction need no special functions; only the
+    # Mittag-Leffler routines and the verify checks import scipy.special
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = "import sys, fracsource.cli; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from fracsource import (
     Field,
@@ -19,6 +20,7 @@ from fracsource import (
     solve_homogeneous,
 )
 from fracsource import forward
+from fracsource.experiments import build_problem, config_from_preset
 from fracsource.forward import _step_l1
 from fracsource.oracle import eigen_forward, modes_up_to
 
@@ -57,6 +59,15 @@ class TestProblemSpec:
         solve_forward(spec, f)
         solve_adjoint(spec, u, ObservationMask(grid, np.ones(grid.n_nodes)))
         assert calls == []
+
+    def test_time_factor_reconstructs_weighted_table(self):
+        spec, _, _ = build_problem(config_from_preset("5.3a"))
+        a, sb = spec.time_factor
+        x = np.sqrt(spec.tgrid.quad_weights)[:, None] * spec.response
+        assert a.shape[1] < spec.tgrid.n_steps + 1
+        assert_allclose(a.T @ a, np.eye(a.shape[1]), atol=1e-14)
+        assert np.linalg.norm(a @ sb - x) <= 1e-14 * np.linalg.norm(x)
+        assert spec.time_factor is spec.time_factor
 
 
 class TestSolveForward:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,8 +17,10 @@ from fracsource import (
     masked_inner_product,
     norm_l2,
     objective,
+    solve_adjoint,
     solve_forward,
 )
+from fracsource.experiments import build_problem, config_from_preset, synthesize_observation
 from fracsource.inversion import threshold_update
 
 from conftest import edge_mask, make_spec
@@ -174,6 +178,69 @@ class TestIterate:
         res = iterate(spec, u_obs, mask, cfg)
         assert not res.converged
         assert res.iterations < 1000
+
+
+def nodal_iterate(spec, u_obs, mask, cfg):
+    """The thresholding loop on nodal values with a full forward and adjoint
+    solve per step: the reference :func:`iterate` must reproduce.
+
+    Returns (f_K, K, converged, phi_history).
+    """
+    grid = spec.grid
+
+    def residual(f):
+        return SpaceTimeField(grid, spec.tgrid, solve_forward(spec, f).values - u_obs.values)
+
+    def phi(f, r):
+        return masked_inner_product(r, r, mask) + cfg.rho * inner_product(f, f)
+
+    f = Field(grid, cfg.f0.values.copy())
+    history = []
+    converged = diverged = False
+    for k in range(1, cfg.max_iter + 1):
+        r = residual(f)
+        history.append(phi(f, r))
+        if not math.isfinite(history[-1]) or history[-1] > 1e12 * (history[0] + 1.0):
+            diverged = True
+            break
+        data_term = solve_adjoint(spec, r, mask).values
+        f_next = Field(grid, threshold_update(f.values, data_term, cfg.m, cfg.rho))
+        step = norm_l2(Field(grid, f_next.values - f.values))
+        threshold = cfg.eps * max(norm_l2(f), 1e-14)
+        f = f_next
+        if step < threshold:
+            converged = True
+            break
+    history.append(history[-1] if diverged else phi(f, residual(f)))
+    return f, k, converged, history
+
+
+class TestIterateMatchesNodalLoop:
+    @pytest.mark.parametrize(
+        "preset, overrides, converges",
+        [
+            ("5.1a", {}, True),
+            ("5.1b", {}, False),
+            ("5.3a", {"n_per_axis": 21}, False),
+            ("5.3a", {"n_per_axis": 21, "m": 16.8}, True),
+        ],
+    )
+    def test_same_iterates(self, preset, overrides, converges):
+        cfg = config_from_preset(preset, **overrides)
+        spec, f_true, mask = build_problem(cfg)
+        u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
+        rcfg = ReconstructionConfig(
+            rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=Field.constant(spec.grid, cfg.f0)
+        )
+        f_ref, k_ref, converged_ref, phi_ref = nodal_iterate(spec, u_obs, mask, rcfg)
+        res = iterate(spec, u_obs, mask, rcfg)
+        assert converged_ref == converges
+        assert (res.iterations, res.converged) == (k_ref, converged_ref)
+        # a diverged run has grown by 1e12, which magnifies rounding
+        rtol = 1e-12 if converges else 1e-9
+        diff = norm_l2(Field(spec.grid, res.f_k.values - f_ref.values))
+        assert diff <= rtol * norm_l2(f_ref)
+        assert_allclose(res.phi_history, phi_ref, rtol=rtol)
 
 
 class TestEstimateM:
