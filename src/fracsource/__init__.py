@@ -23,9 +23,9 @@ from .fraccalc import (
     caputo_l1,
     l1_scale,
     l1_weights,
+    linear_convolution,
     mittag_leffler,
     rl_integral,
-    rl_integral_backward,
 )
 from .forward import ProblemSpec, solve_adjoint, solve_forward, solve_homogeneous
 from .inversion import (
@@ -50,8 +50,8 @@ __version__ = "0.1.0"
 __all__ = [
     "FractionalOrder",
     "mittag_leffler",
+    "linear_convolution",
     "rl_integral",
-    "rl_integral_backward",
     "caputo_l1",
     "l1_weights",
     "l1_scale",

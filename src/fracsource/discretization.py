@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -205,23 +206,14 @@ class ObservationMask:
     @property
     def quad_weights(self) -> NDArray[np.float64]:
         """Trapezoid weights of the cells contained in omega."""
-        n = self.grid.n_per_axis
-        h = self.grid.h
-        if self.grid.dim == 1:
-            ind = self.indicator
-            cells = ind[:-1] * ind[1:]
-            w = np.zeros(n)
-            w[:-1] += 0.5 * h * cells
-            w[1:] += 0.5 * h * cells
-            return w
-        ind = self.indicator.reshape(n, n)
-        cells = ind[:-1, :-1] * ind[1:, :-1] * ind[:-1, 1:] * ind[1:, 1:]
-        w = np.zeros((n, n))
-        quarter = 0.25 * h * h * cells
-        w[:-1, :-1] += quarter
-        w[1:, :-1] += quarter
-        w[:-1, 1:] += quarter
-        w[1:, 1:] += quarter
+        dim = self.grid.dim
+        ind = self.indicator.reshape((self.grid.n_per_axis,) * dim)
+        # each corner of a grid cell: the lower (:-1) or upper (1:) end per axis
+        corners = list(product((slice(None, -1), slice(1, None)), repeat=dim))
+        cells = np.prod([ind[corner] for corner in corners], axis=0)
+        w = np.zeros_like(ind)
+        for corner in corners:
+            w[corner] += (0.5 * self.grid.h) ** dim * cells
         return w.ravel()
 
     @classmethod
@@ -278,8 +270,10 @@ class EllipticOperator:
 
     Both K and W are tensor products of the 1D factors k1 and W1, so the
     W-orthonormal eigenbasis of W^-1 M is the tensor product of the columns
-    of ``axis_modes`` (the W1-orthonormal eigenvectors of k1 v = kappa W1 v,
-    with kappa in ``axis_eigenvalues``).
+    of ``axis_modes``: the W1-orthonormal eigenvectors of k1 v = kappa W1 v,
+    which are the DCT-I vectors c_k cos(pi i k / (n-1)) with c_k = 1 at
+    k = 0, n-1 and sqrt 2 otherwise, and kappa_k = (2/h^2)(1 - cos(k pi / (n-1)))
+    in ``axis_eigenvalues`` (Strang, SIAM Review 41, 1999).
     """
 
     grid: SpaceGrid
@@ -319,11 +313,12 @@ def assemble_operator(grid: SpaceGrid) -> EllipticOperator:
     h = grid.h
     k1 = _stiffness_1d(n, h)
     w1 = grid.axis_weights
-    # k1 v = kappa W1 v through the symmetric W1^-1/2 k1 W1^-1/2; scaling its
-    # orthonormal eigenvectors by W1^-1/2 makes them W1-orthonormal
-    s = 1.0 / np.sqrt(w1)
-    kappa, y = np.linalg.eigh(s[:, None] * k1.toarray() * s[None, :])
-    modes = s[:, None] * y
+    # k1 v = kappa W1 v is solved by the DCT-I vectors cos(pi i k / (n-1)); the
+    # trapezoid norm of mode k is 1 at k = 0, n-1 and 1/2 otherwise
+    k = np.arange(n)
+    kappa = (2.0 / h * np.sin(0.5 * np.pi * k / (n - 1))) ** 2
+    scale = np.where((k == 0) | (k == n - 1), 1.0, np.sqrt(2.0))
+    modes = scale * np.cos(np.pi / (n - 1) * (np.outer(k, k) % (2 * (n - 1))))
     if grid.dim == 1:
         mass = w1
         stiffness = k1

@@ -12,8 +12,9 @@ import csv
 import json
 import logging
 import math
+import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -188,6 +189,10 @@ def _omega_boxes_and_label(omega) -> tuple[list, str]:
     return list(omega), label
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One reconstruction run; fields mirror the published experiment settings.
@@ -215,6 +220,16 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "delta", "m", "eps", "T", "rho", "f0"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("dim", "n_per_axis", "n_steps", "max_iter", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("f_true", "outdir", "label"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         FractionalOrder(self.alpha)  # raises unless 0 < alpha < 1
         if self.delta < 0.0:
             raise ValueError("noise level delta must be >= 0")
@@ -223,9 +238,18 @@ class ExperimentConfig:
             if self.omega not in OMEGA_PRESETS:
                 raise ValueError(f"unknown omega preset {self.omega!r}")
         else:
+            seq = (list, tuple)
+            if not isinstance(self.omega, seq) or not all(
+                isinstance(box, seq)
+                and len(box) == self.dim
+                and all(isinstance(iv, seq) and len(iv) == 2 and all(map(_is_number, iv)) for iv in box)
+                for box in self.omega
+            ):
+                raise ValueError(
+                    "omega must be a preset name or a list of boxes, "
+                    "each a list of one [lo, hi] number pair per axis"
+                )
             for box in self.omega:
-                if len(box) != self.dim:
-                    raise ValueError("omega boxes must have one interval per axis")
                 for lo, hi in box:
                     if not 0.0 <= lo <= hi <= 1.0:
                         raise ValueError("omega boxes must lie within [0,1]^dim")
@@ -308,6 +332,11 @@ def config_from_file(path: str, **overrides) -> ExperimentConfig:
     """Load a flat JSON config; explicit keyword overrides win."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file must hold a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {"preset"} - {field.name for field in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     if "preset" in data:
         preset = data.pop("preset")
         data.update(overrides)

@@ -4,13 +4,14 @@ Each step solves (beta W + M) u^n = W rhs^n with beta = tau^-alpha/Gamma(2-alpha
 where M is the symmetric mass-weighted operator matrix and W the trapezoid mass.
 The step matrix is the same at every step and both M and W are tensor products
 of their 1D factors, so the scheme diagonalises in the W-orthonormal eigenbasis
-P of W^-1 M (fast diagonalisation; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
-In that basis every mode j follows a scalar L1 recursion driven by the same mu,
-so u^n = P (R[n] * P^T W f), where the response table R[n, j] is the recursion
-run once per :class:`ProblemSpec` with a unit source.  Per spec this costs one
-n x n ``eigh`` (n nodes per axis, in the operator assembly) and one
-O(n_t^2 N) table; per solve it costs two batched n x n transforms along each
-axis.  :func:`solve_adjoint` is the exact transpose of that product.
+P of W^-1 M (fast diagonalisation; Lynch, Rice & Thomas, Numer. Math. 6, 1964),
+whose 1D factor is the closed-form DCT-I basis of the operator assembly.  In
+that basis every mode j follows the scalar L1 recursion :func:`_step_l1`, so
+u^n = P (R[n] * P^T W f), where the response table R[n, j] is the recursion
+run once per :class:`ProblemSpec` with a unit source, and the homogeneous
+solve runs it from a unit initial value.  Per spec this costs one O(n_t^2 N)
+table; per solve it costs two batched n x n transforms along each axis (n
+nodes per axis).  :func:`solve_adjoint` is the exact transpose of that product.
 
 The thresholding iteration needs only A^T A and the misfit of the observation
 map A: f -> u(f)|_omega, and the time-weighted table X = W_t^1/2 R has low
@@ -19,16 +20,15 @@ applies both through the factor X = a sb of :attr:`ProblemSpec.time_factor`
 (one QR and one small SVD per spec), which costs r batched transforms each
 way per application instead of a transform of the whole history.
 
-The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`) steps nodal
-values instead; it serves :func:`solve_homogeneous` and is the reference the
-modal solves are tested against.
+The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`, factored by the
+module-level ``splu``) is reference code only: no solve here uses it, and the
+tests step nodal values with it to check the modal solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -84,7 +84,7 @@ class ProblemSpec:
 
     @cached_property
     def step_solver(self):
-        """LU factorization of beta W + M, shared by every step."""
+        """LU factorization of beta W + M, the nodal step the tests check the modal solves with."""
         beta = l1_scale(self.alpha, self.tgrid.tau)
         system = (sparse.diags(beta * self.op.mass) + self.op.weighted_matrix).tocsc()
         lu = splu(system)
@@ -98,13 +98,9 @@ class ProblemSpec:
     def response(self) -> NDArray[np.float64]:
         """R[n, j]: the L1 scheme's value of mode j at time node n for a unit source.
 
-        Mode j has eigenvalue lambda_j of W^-1 M, so each step divides by
-        beta + lambda_j; shape (n_steps + 1, n_nodes).
+        Shape (n_steps + 1, n_nodes); see :func:`_step_l1`.
         """
-        beta = l1_scale(self.alpha, self.tgrid.tau)
-        lam = self.op.eigenvalues
-        source = np.broadcast_to(self.mu[:, None], (self.mu.size, lam.size))
-        return _step_l1(self, source, np.zeros(lam.size), lambda rhs: rhs / (beta + lam))
+        return _step_l1(self, self.mu, 0.0)
 
     @cached_property
     def time_factor(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -121,32 +117,25 @@ class ProblemSpec:
         a = u[:, s > _RANK_RTOL * s[0]]
         return a, a.T @ x
 
-    def lu_solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
-        """One nodal step: solve (beta W + M) u = W rhs with the shared LU."""
-        return self.step_solver.solve(self.op.mass * rhs)
-
 
 def _step_l1(
-    spec: ProblemSpec,
-    source: NDArray[np.float64],
-    initial: NDArray[np.float64],
-    solve: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+    spec: ProblemSpec, source: NDArray[np.float64], initial: float
 ) -> NDArray[np.float64]:
-    """Run the implicit L1 scheme with per-step sources.
+    """Run the implicit L1 scheme on every mode of W^-1 M at once.
 
-    ``source[n]`` is the full right-hand side sample at time node n (only
-    n >= 1 enters the scheme); ``initial`` is u^0; ``solve`` maps a step's
-    right-hand side to u^n.  Returns the full history array of shape
-    (n_steps + 1, len(initial)).
+    Mode j has eigenvalue lambda_j, so each step divides by beta + lambda_j.
+    Every mode starts from ``initial`` and is driven by the temporal samples
+    ``source``, shape (n_steps + 1,), of which only n >= 1 enter the scheme.
+    Returns the history of shape (n_steps + 1, n_nodes).
     """
     n_steps = spec.tgrid.n_steps
-    n_nodes = initial.size
     beta = l1_scale(spec.alpha, spec.tgrid.tau)
+    lam = spec.op.eigenvalues
     b = spec.weights
 
-    u = np.empty((n_steps + 1, n_nodes))
+    u = np.empty((n_steps + 1, lam.size))
     u[0] = initial
-    diffs = np.empty((n_steps, n_nodes))  # diffs[k] = u^{k+1} - u^k
+    diffs = np.empty((n_steps, lam.size))  # diffs[k] = u^{k+1} - u^k
     for n in range(1, n_steps + 1):
         if n > 1:
             # sum_{k=1}^{n-1} b_k (u^{n-k} - u^{n-k-1}) = sum_j b_{n-1-j} diffs[j]
@@ -154,7 +143,7 @@ def _step_l1(
         else:
             hist = 0.0
         rhs = beta * (u[n - 1] - hist) + source[n]
-        u[n] = solve(rhs)
+        u[n] = rhs / (beta + lam)
         diffs[n - 1] = u[n] - u[n - 1]
     return u
 
@@ -176,7 +165,7 @@ def _along_axes(
 def _to_modal(spec: ProblemSpec, f: Field) -> NDArray[np.float64]:
     """f_hat = P^T W f, the modal coefficients of f since P^T W P = I."""
     if f.grid != spec.grid:
-        raise ValueError("source field grid does not match the problem grid")
+        raise ValueError("field grid does not match the problem grid")
     return _along_axes(spec.grid, spec.op.axis_modes.T * spec.grid.axis_weights, f.values)
 
 
@@ -188,11 +177,13 @@ def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
 
 
 def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:
-    """Solve d_t^alpha v + A v = 0 with v(.,0) = a, Neumann boundary."""
-    if a.grid != spec.grid:
-        raise ValueError("initial field grid does not match the problem grid")
-    source = np.zeros((spec.tgrid.n_steps + 1, spec.grid.n_nodes))
-    v = _step_l1(spec, source, a.values.copy(), spec.lu_solve)
+    """Solve d_t^alpha v + A v = 0 with v(.,0) = a, Neumann boundary.
+
+    v^n = P (H[n] * P^T W a), where H is the L1 recursion of every mode from
+    the initial value 1 without a source.
+    """
+    decay = _step_l1(spec, np.zeros_like(spec.mu), 1.0)
+    v = _along_axes(spec.grid, spec.op.axis_modes, decay * _to_modal(spec, a))
     return SpaceTimeField(spec.grid, spec.tgrid, v)
 
 

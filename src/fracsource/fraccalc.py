@@ -1,9 +1,10 @@
 """Scalar fractional-calculus kernels.
 
-Mittag-Leffler evaluation on the real line for alpha in (0, 1],
-Riemann-Liouville integrals (forward and backward) by product-trapezoid
-quadrature, the L1 discretization of the Caputo derivative, and the L1 weight
-sequence and scale shared with the time-stepping solvers.
+Mittag-Leffler evaluation on the real line for alpha in (0, 1], the
+product-trapezoid convolution of a kernel with a piecewise-linear function and
+the Riemann-Liouville integral built on it, the L1 discretization of the
+Caputo derivative, and the L1 weight sequence and scale shared with the
+time-stepping solvers.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from numpy.typing import NDArray
 __all__ = [
     "FractionalOrder",
     "mittag_leffler",
+    "linear_convolution",
     "rl_integral",
-    "rl_integral_backward",
     "caputo_l1",
     "l1_weights",
     "l1_scale",
@@ -31,6 +32,8 @@ _LN10 = math.log(10.0)
 # covered by the spectral integral representation.
 _TAYLOR_MAX_Y = 3.0 * _LN10
 _ASYMPTOTIC_MIN_Y = 32.0
+# output rows per block of linear_convolution's Toeplitz products
+_CONV_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -204,12 +207,43 @@ def _check_uniform(t: NDArray[np.float64]) -> float:
     return float(tau)
 
 
+def linear_convolution(
+    m0: NDArray[np.float64], m1: NDArray[np.float64], g: NDArray[np.float64], tau: float
+) -> NDArray[np.float64]:
+    """Product-trapezoid convolution int_0^{t_n} K(u) g(t_n - u) du at t_n = n tau.
+
+    ``g`` is interpolated piecewise linearly between its samples g[j] = g(t_j)
+    and integrated exactly against the kernel, which enters only through its
+    moment tables m0[k] = int_0^{t_k} K(u) du and m1[k] = int_0^{t_k} u K(u) du;
+    a weakly singular K is therefore handled exactly.  Axis 0 of ``g`` is time
+    and trailing axes are batched; the result has the shape of ``g``.
+    """
+    m0 = np.asarray(m0, dtype=float)
+    m1 = np.asarray(m1, dtype=float)
+    g = np.asarray(g, dtype=float)
+    n_nodes = g.shape[0]
+    if m0.shape != (n_nodes,) or m1.shape != (n_nodes,):
+        raise ValueError("kernel moments and g must be sampled on the same time nodes")
+    # on cell k, u in [t_{k-1}, t_k], g(t_n - u) = g_j + (g_{j+1} - g_j)(t_k - u)/tau
+    # with j = n - k; p_k and q_k integrate K and K(u)(t_k - u)/tau over the cell
+    p = np.diff(m0, prepend=m0[0])
+    q = np.arange(n_nodes) * p - np.diff(m1, prepend=m1[0]) / tau
+    flat = g.reshape(n_nodes, -1)
+    dg = np.diff(flat, axis=0)
+    out = np.zeros_like(flat)
+    # rows in blocks keep the lower-triangular Toeplitz factors small on long grids
+    for lo in range(1, n_nodes, _CONV_ROWS):
+        rows = np.arange(lo, min(lo + _CONV_ROWS, n_nodes))
+        lag = np.maximum(rows[:, None] - np.arange(n_nodes - 1), 0)
+        out[rows] = p[lag] @ flat[:-1] + q[lag] @ dg
+    return out.reshape(g.shape)
+
+
 def rl_integral(alpha: float, g: NDArray[np.float64], t: NDArray[np.float64]) -> NDArray[np.float64]:
     """Riemann-Liouville integral (J_{0+}^alpha g)(t_n) on a uniform grid.
 
-    Product-trapezoid rule: ``g`` is interpolated piecewise linearly and the
-    kernel (t - s)^(alpha-1) / Gamma(alpha) is integrated exactly against it,
-    which is O(tau^2) accurate for smooth g.
+    :func:`linear_convolution` with the kernel u^(alpha-1) / Gamma(alpha),
+    whose moments are powers of the nodes; O(tau^2) accurate for smooth g.
     """
     if alpha <= 0.0:
         raise ValueError(f"integral order must be positive, got {alpha}")
@@ -218,39 +252,11 @@ def rl_integral(alpha: float, g: NDArray[np.float64], t: NDArray[np.float64]) ->
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
     tau = _check_uniform(t)
-    n_nodes = t.size
-    if g.shape != (n_nodes,):
+    if g.shape != t.shape:
         raise ValueError("g must be a scalar function sampled on the time grid")
-
-    # Exact kernel moments over [t_k, t_{k+1}]: powers of the node offsets.
-    pa = t**alpha
-    pa1 = t ** (alpha + 1.0)
-    out = np.zeros_like(g)
-    inv_ga = rgamma(alpha)
-    for n in range(1, n_nodes):
-        # interval j in [0, n): u = t_n - s in [A, B] = [t_{n-j-1}, t_{n-j}]
-        j = np.arange(n)
-        A = t[n - j - 1]
-        B = t[n - j]
-        dpa = (pa[n - j] - pa[n - j - 1]) / alpha
-        dpa1 = (pa1[n - j] - pa1[n - j - 1]) / (alpha + 1.0)
-        gj = g[j]
-        gj1 = g[j + 1]
-        # g(t_n - u) = g_{j+1} + (g_j - g_{j+1}) (u - A) / tau on the interval
-        out[n] = inv_ga * np.sum(gj1 * dpa + (gj - gj1) / tau * (dpa1 - A * dpa))
-    return out
-
-
-def rl_integral_backward(
-    alpha: float, g: NDArray[np.float64], t: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Backward Riemann-Liouville integral (J_{T-}^alpha g)(t_n).
-
-    Implemented by time reflection of :func:`rl_integral`, so the identity
-    J_{T-}^alpha g (t) = J_{0+}^alpha (g o reflect) (T - t) holds bitwise.
-    """
-    g = np.asarray(g, dtype=float)
-    return rl_integral(alpha, g[::-1], np.asarray(t, dtype=float))[::-1]
+    m0 = t**alpha * rgamma(alpha + 1.0)
+    m1 = t ** (alpha + 1.0) * (rgamma(alpha) / (alpha + 1.0))
+    return linear_convolution(m0, m1, g, tau)
 
 
 def caputo_l1(

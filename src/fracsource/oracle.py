@@ -25,7 +25,7 @@ from .discretization import (
     inner_product,
     masked_inner_product,
 )
-from .fraccalc import FractionalOrder, mittag_leffler
+from .fraccalc import FractionalOrder, linear_convolution, mittag_leffler
 from .forward import ProblemSpec, solve_forward, solve_homogeneous
 
 __all__ = [
@@ -156,29 +156,16 @@ def _modal_profile(
     M1(x) = (x/lam) [E_{alpha,2}(-lam x^alpha) - E_{alpha,1}(-lam x^alpha)].
     """
     t = tgrid.nodes
-    tau = tgrid.tau
-    n_steps = tgrid.n_steps
-    m0 = np.zeros(n_steps + 1)
-    m1 = np.zeros(n_steps + 1)
-    for k in range(1, n_steps + 1):
+    m0 = np.zeros(t.size)
+    m1 = np.zeros(t.size)
+    for k in range(1, t.size):
         x = t[k]
         xa = x**alpha
         m0[k] = xa * mittag_leffler(alpha, alpha + 1.0, -lam * xa)
         m1[k] = (x / lam) * (
             mittag_leffler(alpha, 2.0, -lam * xa) - mittag_leffler(alpha, 1.0, -lam * xa)
         )
-    out = np.zeros(n_steps + 1)
-    for n in range(1, n_steps + 1):
-        j = np.arange(n)
-        A = t[n - j - 1]
-        B = t[n - j]
-        d0 = m0[n - j] - m0[n - j - 1]
-        d1 = m1[n - j] - m1[n - j - 1]
-        mu_j = mu_samples[j]
-        dmu = mu_samples[j + 1] - mu_samples[j]
-        # mu(t_n - u) = mu_j + dmu (B - u)/tau on u in [A, B]
-        out[n] = np.sum(mu_j * d0 + dmu / tau * (B * d0 - d1))
-    return out
+    return linear_convolution(m0, m1, mu_samples, tgrid.tau)
 
 
 def eigen_forward(
@@ -242,23 +229,10 @@ def duhamel_check(
     theta = duhamel_theta(alpha, mu)
 
     t = tg_fine.nodes
-    tau = tg_fine.tau
-    th0 = theta.moment0(t)
-    th1 = theta.moment1(t)
-    u_conv = np.zeros_like(u_direct.values)
-    for nc in range(1, tgrid.n_steps + 1):
-        n = nc * refine
-        j = np.arange(n)
-        B = t[n - j]
-        d0 = (th0[n - j] - th0[n - j - 1])[:, None]
-        d1 = (th1[n - j] - th1[n - j - 1])[:, None]
-        vj = v.values[j]
-        dv = v.values[j + 1] - v.values[j]
-        # v(t_n - u) = v_j + dv (B - u)/tau on u in [A, B]
-        u_conv[nc] = np.sum(vj * d0 + dv / tau * (B[:, None] * d0 - d1), axis=0)
+    u_conv = linear_convolution(theta.moment0(t), theta.moment1(t), v.values, tg_fine.tau)
 
     full = ObservationMask(grid, np.ones(grid.n_nodes))
-    diff = SpaceTimeField(grid, tgrid, u_direct.values - u_conv)
+    diff = SpaceTimeField(grid, tgrid, u_direct.values - u_conv[::refine])
     num = math.sqrt(max(masked_inner_product(diff, diff, full), 0.0))
     den = math.sqrt(max(masked_inner_product(u_direct, u_direct, full), 0.0))
     return num / den if den > 0.0 else 0.0

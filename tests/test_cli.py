@@ -74,14 +74,23 @@ def test_verify_fast():
 
 
 def test_invalid_config_is_an_error_not_a_traceback(tmp_path):
-    # on 11 nodes every node of 5.1a's omega is isolated: a zero-measure mask
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"preset": "5.1a", "n_per_axis": 11, "outdir": str(tmp_path)}))
+    cases = [
+        # on 11 nodes every node of 5.1a's omega is isolated: a zero-measure mask
+        ({"preset": "5.1a", "n_per_axis": 11}, "zero"),
+        ({"preset": "5.1a", "foo": 1}, "foo"),
+        ({"preset": "5.1a", "alpha": "0.3"}, "alpha must be a finite number"),
+        ({"preset": "5.1a", "omega": 5}, "omega must be"),
+        ([1, 2], "JSON object"),
+    ]
+    runs = [(["reconstruct", "--preset", "5.1a", "--alpha", "1.5", "--outdir", str(tmp_path)], "fractional order")]
+    for i, (payload, message) in enumerate(cases):
+        if isinstance(payload, dict):
+            payload["outdir"] = str(tmp_path)
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(payload))
+        runs.append((["reconstruct", "--config", str(path)], message))
     runner = CliRunner()
-    for args, message in [
-        (["reconstruct", "--config", str(path)], "zero"),
-        (["reconstruct", "--preset", "5.1a", "--alpha", "1.5", "--outdir", str(tmp_path)], "fractional order"),
-    ]:
+    for args, message in runs:
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)

@@ -101,6 +101,19 @@ class TestOperator:
         )[0]
         assert smallest >= 0.99
 
+    @pytest.mark.parametrize("n", [3, 11, 41])
+    def test_closed_form_basis_matches_eigh(self, n):
+        # k1 v = kappa W1 v through the symmetric W1^-1/2 k1 W1^-1/2
+        op = assemble_operator(SpaceGrid(1, n))
+        s = 1.0 / np.sqrt(op.mass)
+        kappa, y = np.linalg.eigh(s[:, None] * op.stiffness.toarray() * s[None, :])
+        modes = s[:, None] * y
+        assert np.max(np.abs(op.axis_eigenvalues - kappa)) <= 1e-14 * kappa[-1]
+        signs = np.sign(np.sum(modes * op.axis_modes, axis=0))
+        assert np.max(np.abs(op.axis_modes - signs * modes)) <= 1e-12
+        gram = op.axis_modes.T @ (op.mass[:, None] * op.axis_modes)
+        assert np.max(np.abs(gram - np.eye(n))) <= 1e-14
+
 
 class TestInnerProducts:
     def test_unit_measure(self):

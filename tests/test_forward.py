@@ -21,10 +21,24 @@ from fracsource import (
 )
 from fracsource import forward
 from fracsource.experiments import build_problem, config_from_preset
-from fracsource.forward import _step_l1
+from fracsource.fraccalc import l1_scale
 from fracsource.oracle import eigen_forward, modes_up_to
 
 from conftest import MU_STD, cos_field, make_spec
+
+
+def nodal_l1(spec: ProblemSpec, source, initial):
+    """Reference nodal L1 stepping, one sparse LU solve of (beta W + M) u^n = W rhs^n per step."""
+    beta = l1_scale(spec.alpha, spec.tgrid.tau)
+    b = spec.weights
+    u = np.empty((spec.tgrid.n_steps + 1, initial.size))
+    u[0] = initial
+    for n in range(1, len(u)):
+        # history sum_{k=1}^{n-1} b_k (u^{n-k} - u^{n-k-1})
+        hist = b[1:n][::-1] @ np.diff(u[:n], axis=0)
+        rhs = beta * (u[n - 1] - hist) + source[n]
+        u[n] = spec.step_solver.solve(spec.op.mass * rhs)
+    return u
 
 
 def rel_l2_q(a: SpaceTimeField, b: SpaceTimeField) -> float:
@@ -92,15 +106,27 @@ class TestSolveForward:
         with pytest.raises(ValueError):
             solve_forward(spec, Field.constant(SpaceGrid(1, 21), 1.0))
 
-    @pytest.mark.parametrize("dim, n, n_steps", [(1, 41, 40), (2, 41, 40), (2, 21, 400)])
-    def test_matches_lu_stepping(self, dim, n, n_steps):
-        # the modal solve is the nodal LU scheme in another basis
+    @pytest.mark.parametrize(
+        "dim, n, n_steps, homogeneous",
+        [
+            pytest.param(1, 41, 40, False, id="1-41-40"),
+            pytest.param(2, 41, 40, False, id="2-41-40"),
+            pytest.param(2, 21, 400, False, id="2-21-400"),
+            pytest.param(2, 21, 40, True, id="2-21-40-homogeneous"),
+        ],
+    )
+    def test_matches_lu_stepping(self, dim, n, n_steps, homogeneous):
+        # the modal solves are the nodal LU scheme in another basis
         grid = SpaceGrid(dim, n)
         spec = make_spec(0.5, assemble_operator(grid), n_steps=n_steps)
         f = Field(grid, np.random.default_rng(1).standard_normal(grid.n_nodes))
-        source = spec.mu[:, None] * f.values[None, :]
-        want = _step_l1(spec, source, np.zeros(grid.n_nodes), spec.lu_solve)
-        got = solve_forward(spec, f).values
+        if homogeneous:
+            want = nodal_l1(spec, np.zeros((n_steps + 1, grid.n_nodes)), f.values)
+            got = solve_homogeneous(spec, f).values
+        else:
+            source = spec.mu[:, None] * f.values[None, :]
+            want = nodal_l1(spec, source, np.zeros(grid.n_nodes))
+            got = solve_forward(spec, f).values
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])

@@ -10,9 +10,9 @@ from fracsource.fraccalc import (
     FractionalOrder,
     caputo_l1,
     l1_weights,
+    linear_convolution,
     mittag_leffler,
     rl_integral,
-    rl_integral_backward,
 )
 
 INV_GAMMA_1P5 = 1.1283791670955126  # 1/Gamma(1.5)
@@ -155,22 +155,20 @@ class TestRLIntegral:
         assert rel[400] < rel[100]
 
 
-class TestBackwardIntegral:
-    def test_zero_function(self):
-        t = np.linspace(0.0, 1.0, 41)
-        assert np.all(rl_integral_backward(0.5, np.zeros_like(t), t) == 0.0)
-
-    def test_reflection_identity_bitwise(self):
-        t = np.linspace(0.0, 1.0, 64)
-        g = t.copy()
-        back = rl_integral_backward(0.4, g, t)
-        forward_reflected = rl_integral(0.4, g[::-1], t)[::-1]
-        assert np.array_equal(back, forward_reflected)
-
-    def test_constant_at_origin(self):
-        t = np.linspace(0.0, 1.0, 101)
-        out = rl_integral_backward(0.5, np.ones_like(t), t)
-        assert abs(out[0] - INV_GAMMA_1P5) <= 1e-12
+class TestLinearConvolution:
+    def test_unit_kernel_is_batched_trapezoid_rule(self):
+        # K = 1: the convolution is the running trapezoid integral of g; 600
+        # nodes span several row blocks
+        t = np.linspace(0.0, 2.0, 600)
+        g = np.stack([np.sin(3.0 * t), t**2, np.ones_like(t)], axis=1).reshape(600, 3, 1)
+        out = linear_convolution(t, t**2 / 2.0, g, t[1])
+        cells = 0.5 * t[1] * (g[1:] + g[:-1])
+        want = np.concatenate([np.zeros((1, 3, 1)), np.cumsum(cells, axis=0)])
+        assert out.shape == g.shape
+        assert_allclose(out, want, rtol=1e-12, atol=1e-13)
+        assert_allclose(out[:, 1, 0], linear_convolution(t, t**2 / 2.0, t**2, t[1]), rtol=1e-15)
+        with pytest.raises(ValueError):
+            linear_convolution(t[:-1], t[:-1] ** 2 / 2.0, g, t[1])
 
 
 class TestCaputoL1:
