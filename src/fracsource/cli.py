@@ -40,12 +40,12 @@ def main(verbose: bool) -> None:
 
 @contextmanager
 def _usage_errors():
-    """Report a ValueError from config validation or problem building as a
-    one-line error with exit status 1, not a traceback; status 2 stays
-    reserved for a diverged reconstruction."""
+    """Report a ValueError from config validation or problem building, or an
+    OSError from writing the output, as a one-line error with exit status 1,
+    not a traceback; status 2 stays reserved for a diverged reconstruction."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
 
 
@@ -69,8 +69,7 @@ def forward(preset, config, alpha, n_per_axis, n_steps, out):
     with _usage_errors():
         cfg = _config(preset, config, _collect_overrides(alpha=alpha, n_per_axis=n_per_axis, n_steps=n_steps))
         spec, f_true = build_forward_problem(cfg)
-    u = solve_forward(spec, f_true)
-    u.to_csv(out)
+        solve_forward(spec, f_true).to_csv(out)
     click.echo(f"wrote {out}")
 
 
@@ -108,7 +107,8 @@ def reconstruct(preset, config, **kwargs):
 @click.option("--smoke", is_flag=True, help="Reduced 21-nodes-per-axis profile.")
 def table(table_id, seed, outdir, smoke):
     """Run every row of a published table and write one summary CSV."""
-    path = run_table(int(table_id), seed=seed, outdir=outdir, smoke=smoke)
+    with _usage_errors():
+        path = run_table(int(table_id), seed=seed, outdir=outdir, smoke=smoke)
     click.echo(f"wrote {path}")
 
 

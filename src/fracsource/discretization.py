@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "TimeGrid",
@@ -251,6 +254,8 @@ class ObservationMask:
 
 
 def _stiffness_1d(n: int, h: float) -> sparse.csr_matrix:
+    from scipy import sparse
+
     # Tridiagonal (1/h) * [-1, 2, -1] with halved diagonal at the Neumann ends;
     # identical to the mass-weighted mirror-ghost finite-difference Laplacian.
     main = np.full(n, 2.0 / h)
@@ -266,7 +271,10 @@ class EllipticOperator:
     ``stiffness`` is the symmetric mass-weighted Laplacian part (row sums are
     exactly zero, so the action preserves constants bitwise); adding the
     diagonal of trapezoid weights gives ``weighted_matrix``, the full
-    symmetric form M = W A.  The operator action is W^-1 (K v) + v.
+    symmetric form M = W A.  The operator action is W^-1 (K v) + v.  Both
+    are scipy sparse matrices assembled on first use: the solves work in the
+    modal basis below and never need them, so building an operator imports
+    no scipy.
 
     Both K and W are tensor products of the 1D factors k1 and W1, so the
     W-orthonormal eigenbasis of W^-1 M is the tensor product of the columns
@@ -277,13 +285,25 @@ class EllipticOperator:
     """
 
     grid: SpaceGrid
-    stiffness: sparse.csr_matrix
     mass: NDArray[np.float64]
     axis_eigenvalues: NDArray[np.float64]
     axis_modes: NDArray[np.float64]
 
+    @cached_property
+    def stiffness(self) -> sparse.csr_matrix:
+        """K = kron(k1, W1) + kron(W1, k1) in 2D, k1 in 1D."""
+        from scipy import sparse
+
+        k1 = _stiffness_1d(self.grid.n_per_axis, self.grid.h)
+        if self.grid.dim == 1:
+            return k1
+        W1 = sparse.diags(self.grid.axis_weights)
+        return (sparse.kron(k1, W1) + sparse.kron(W1, k1)).tocsr()
+
     @property
     def weighted_matrix(self) -> sparse.csr_matrix:
+        from scipy import sparse
+
         return (self.stiffness + sparse.diags(self.mass)).tocsr()
 
     def apply(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -311,7 +331,6 @@ def assemble_operator(grid: SpaceGrid) -> EllipticOperator:
     """Assemble -Laplace + 1 with homogeneous Neumann boundary conditions."""
     n = grid.n_per_axis
     h = grid.h
-    k1 = _stiffness_1d(n, h)
     w1 = grid.axis_weights
     # k1 v = kappa W1 v is solved by the DCT-I vectors cos(pi i k / (n-1)); the
     # trapezoid norm of mode k is 1 at k = 0, n-1 and 1/2 otherwise
@@ -319,16 +338,8 @@ def assemble_operator(grid: SpaceGrid) -> EllipticOperator:
     kappa = (2.0 / h * np.sin(0.5 * np.pi * k / (n - 1))) ** 2
     scale = np.where((k == 0) | (k == n - 1), 1.0, np.sqrt(2.0))
     modes = scale * np.cos(np.pi / (n - 1) * (np.outer(k, k) % (2 * (n - 1))))
-    if grid.dim == 1:
-        mass = w1
-        stiffness = k1
-    else:
-        W1 = sparse.diags(w1)
-        mass = np.outer(w1, w1).ravel()
-        stiffness = (sparse.kron(k1, W1) + sparse.kron(W1, k1)).tocsr()
-    return EllipticOperator(
-        grid=grid, stiffness=stiffness, mass=mass, axis_eigenvalues=kappa, axis_modes=modes
-    )
+    mass = w1 if grid.dim == 1 else np.outer(w1, w1).ravel()
+    return EllipticOperator(grid=grid, mass=mass, axis_eigenvalues=kappa, axis_modes=modes)
 
 
 def inner_product(a: Field, b: Field) -> float:

@@ -22,7 +22,9 @@ way per application instead of a transform of the whole history.
 
 The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`, factored by the
 module-level ``splu``) is reference code only: no solve here uses it, and the
-tests step nodal values with it to check the modal solves.
+tests step nodal values with it to check the modal solves.  It is the only
+user of scipy here and imports it when first accessed, so importing this
+module and running the modal solves load no scipy.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .discretization import (
     EllipticOperator,
@@ -85,6 +85,8 @@ class ProblemSpec:
     @cached_property
     def step_solver(self):
         """LU factorization of beta W + M, the nodal step the tests check the modal solves with."""
+        from scipy import sparse
+
         beta = l1_scale(self.alpha, self.tgrid.tau)
         system = (sparse.diags(beta * self.op.mass) + self.op.weighted_matrix).tocsc()
         lu = splu(system)
@@ -116,6 +118,17 @@ class ProblemSpec:
         u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
         a = u[:, s > _RANK_RTOL * s[0]]
         return a, a.T @ x
+
+
+def splu(matrix):
+    """SuperLU factor of the sparse ``matrix``; imports scipy only when called.
+
+    :attr:`ProblemSpec.step_solver` calls it through this module's global
+    name, so wrapping ``forward.splu`` sees every factorization.
+    """
+    from scipy.sparse import linalg
+
+    return linalg.splu(matrix)
 
 
 def _step_l1(

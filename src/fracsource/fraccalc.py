@@ -208,7 +208,12 @@ def _check_uniform(t: NDArray[np.float64]) -> float:
 
 
 def linear_convolution(
-    m0: NDArray[np.float64], m1: NDArray[np.float64], g: NDArray[np.float64], tau: float
+    m0: NDArray[np.float64],
+    m1: NDArray[np.float64],
+    g: NDArray[np.float64],
+    tau: float,
+    *,
+    stride: int = 1,
 ) -> NDArray[np.float64]:
     """Product-trapezoid convolution int_0^{t_n} K(u) g(t_n - u) du at t_n = n tau.
 
@@ -216,7 +221,9 @@ def linear_convolution(
     and integrated exactly against the kernel, which enters only through its
     moment tables m0[k] = int_0^{t_k} K(u) du and m1[k] = int_0^{t_k} u K(u) du;
     a weakly singular K is therefore handled exactly.  Axis 0 of ``g`` is time
-    and trailing axes are batched; the result has the shape of ``g``.
+    and trailing axes are batched.  Only the rows n = 0, stride, 2 stride, ...
+    are computed and returned, so with the default stride 1 the result has the
+    shape of ``g``.
     """
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
@@ -224,19 +231,23 @@ def linear_convolution(
     n_nodes = g.shape[0]
     if m0.shape != (n_nodes,) or m1.shape != (n_nodes,):
         raise ValueError("kernel moments and g must be sampled on the same time nodes")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     # on cell k, u in [t_{k-1}, t_k], g(t_n - u) = g_j + (g_{j+1} - g_j)(t_k - u)/tau
     # with j = n - k; p_k and q_k integrate K and K(u)(t_k - u)/tau over the cell
     p = np.diff(m0, prepend=m0[0])
     q = np.arange(n_nodes) * p - np.diff(m1, prepend=m1[0]) / tau
     flat = g.reshape(n_nodes, -1)
     dg = np.diff(flat, axis=0)
-    out = np.zeros_like(flat)
-    # rows in blocks keep the lower-triangular Toeplitz factors small on long grids
-    for lo in range(1, n_nodes, _CONV_ROWS):
-        rows = np.arange(lo, min(lo + _CONV_ROWS, n_nodes))
+    kept = np.arange(0, n_nodes, stride)
+    out = np.zeros((kept.size, flat.shape[1]))
+    # rows in blocks keep the lower-triangular Toeplitz factors small on long
+    # grids; row 0 is the empty integral
+    for lo in range(1, kept.size, _CONV_ROWS):
+        rows = kept[lo : lo + _CONV_ROWS]
         lag = np.maximum(rows[:, None] - np.arange(n_nodes - 1), 0)
-        out[rows] = p[lag] @ flat[:-1] + q[lag] @ dg
-    return out.reshape(g.shape)
+        out[lo : lo + rows.size] = p[lag] @ flat[:-1] + q[lag] @ dg
+    return out.reshape(kept.shape + g.shape[1:])
 
 
 def rl_integral(alpha: float, g: NDArray[np.float64], t: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -229,10 +229,12 @@ def duhamel_check(
     theta = duhamel_theta(alpha, mu)
 
     t = tg_fine.nodes
-    u_conv = linear_convolution(theta.moment0(t), theta.moment1(t), v.values, tg_fine.tau)
+    u_conv = linear_convolution(
+        theta.moment0(t), theta.moment1(t), v.values, tg_fine.tau, stride=refine
+    )
 
     full = ObservationMask(grid, np.ones(grid.n_nodes))
-    diff = SpaceTimeField(grid, tgrid, u_direct.values - u_conv[::refine])
+    diff = SpaceTimeField(grid, tgrid, u_direct.values - u_conv)
     num = math.sqrt(max(masked_inner_product(diff, diff, full), 0.0))
     den = math.sqrt(max(masked_inner_product(u_direct, u_direct, full), 0.0))
     return num / den if den > 0.0 else 0.0

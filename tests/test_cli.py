@@ -89,6 +89,14 @@ def test_invalid_config_is_an_error_not_a_traceback(tmp_path):
         path = tmp_path / f"cfg{i}.json"
         path.write_text(json.dumps(payload))
         runs.append((["reconstruct", "--config", str(path)], message))
+    # a regular file where the output directory should be: every write fails
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    runs += [
+        (["reconstruct", "--preset", "5.1a", "--outdir", str(blocker / "x")], str(blocker)),
+        (["table", "--id", "2", "--smoke", "--outdir", str(blocker / "x")], str(blocker)),
+        (["forward", "--preset", "5.1a", "--out", str(blocker / "x" / "u.csv")], str(blocker)),
+    ]
     runner = CliRunner()
     for args, message in runs:
         result = runner.invoke(main, args)

@@ -54,3 +54,33 @@ def test_cli_import_leaves_scipy_special_unloaded():
     )
     code = "import sys, fracsource.cli; sys.exit('scipy.special' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_reconstruction_path_loads_no_scipy(tmp_path):
+    # the modal solves, the norm estimate and the CSV output need numpy only;
+    # scipy.sparse is for the nodal reference LU and the operator's sparse form
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = f"""
+import sys
+import fracsource.cli
+from fracsource.experiments import build_problem, config_from_preset, run_experiment
+from fracsource.inversion import estimate_m
+
+for preset in ("5.1a", "5.3a"):
+    cfg = config_from_preset(preset, n_per_axis=21, outdir={str(tmp_path)!r}, label=preset)
+    spec, _, mask = build_problem(cfg)
+    estimate_m(spec, mask, iters=3)
+    run_experiment(cfg)
+print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"scipy modules loaded: {proc.stdout}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"{preset}_{kind}.csv"
+        for preset in ("5.1a", "5.3a")
+        for kind in ("iterations", "profile", "summary")
+    ]

@@ -60,6 +60,26 @@ class TestProblemSpec:
         spec = make_spec(0.5, op41)
         assert spec.step_solver is spec.step_solver
 
+    def test_step_solver_factors_through_module_splu(self, op21, monkeypatch):
+        # wrapping forward.splu must see the factorization: tracing counts it there
+        calls = []
+        original = forward.splu
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(forward, "splu", counting)
+        spec = make_spec(0.5, op21)
+        lu = spec.step_solver
+        assert spec.step_solver is lu
+        assert calls == [(21, 21)]
+        beta = l1_scale(spec.alpha, spec.tgrid.tau)
+        system = beta * np.diag(op21.mass) + op21.weighted_matrix.toarray()
+        rhs = np.random.default_rng(0).standard_normal(21)
+        dense = np.linalg.solve(system, rhs)
+        assert np.linalg.norm(lu.solve(rhs) - dense) <= 1e-12 * np.linalg.norm(dense)
+
     def test_modal_data_cached(self, monkeypatch):
         grid = SpaceGrid(2, 11)
         spec = make_spec(0.5, assemble_operator(grid), n_steps=10)

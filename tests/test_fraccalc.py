@@ -170,6 +170,21 @@ class TestLinearConvolution:
         with pytest.raises(ValueError):
             linear_convolution(t[:-1], t[:-1] ** 2 / 2.0, g, t[1])
 
+    @pytest.mark.parametrize("stride", [1, 3, 7, 32])
+    def test_stride_returns_every_stride_th_row(self, stride):
+        # weakly singular K(u) = u^-1/2 / Gamma(1/2); 1000 nodes, so stride 3
+        # still spans two row blocks and stride 7 does not divide the grid
+        t = np.linspace(0.0, 1.0, 1000)
+        m0 = t**0.5 / math.gamma(1.5)
+        m1 = t**1.5 / (1.5 * math.gamma(0.5))
+        g = np.stack([np.cos(5.0 * t), np.exp(-t)], axis=1)
+        full = linear_convolution(m0, m1, g, t[1])
+        out = linear_convolution(m0, m1, g, t[1], stride=stride)
+        assert out.shape == full[::stride].shape
+        assert np.max(np.abs(out - full[::stride])) <= 1e-15 * np.max(np.abs(full))
+        with pytest.raises(ValueError):
+            linear_convolution(m0, m1, g, t[1], stride=0)
+
 
 class TestCaputoL1:
     def test_constants_annihilated_exactly(self):
