@@ -1,7 +1,7 @@
 """Command-line interface: forward solves, reconstructions, tables, verification.
 
-All numeric CSV output is written with ``repr`` formatting, so identical
-configurations and seeds reproduce byte-identical files.
+Every CSV is written by :mod:`fracsource.experiments` in ``repr`` format,
+so identical configurations and seeds reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .experiments import (
     build_forward_problem,
     run_experiment,
     run_table,
+    write_forward_csv,
 )
 from .forward import solve_forward
 from .verification import run_all_checks
@@ -69,7 +70,7 @@ def forward(preset, config, alpha, n_per_axis, n_steps, out):
     with _usage_errors():
         cfg = _config(preset, config, _collect_overrides(alpha=alpha, n_per_axis=n_per_axis, n_steps=n_steps))
         spec, f_true = build_forward_problem(cfg)
-        solve_forward(spec, f_true).to_csv(out)
+        write_forward_csv(out, solve_forward(spec, f_true))
     click.echo(f"wrote {out}")
 
 

@@ -9,7 +9,6 @@ based gradient relies on.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -142,15 +141,6 @@ class Field:
     def constant(cls, grid: SpaceGrid, value: float) -> "Field":
         return cls(grid, np.full(grid.n_nodes, float(value)))
 
-    def to_csv(self, path) -> None:
-        """One row per node: coordinates then value."""
-        coords = self.grid.coords
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i + 1}" for i in range(self.grid.dim)] + ["value"])
-            for row, v in zip(coords, self.values):
-                writer.writerow([repr(float(c)) for c in row] + [repr(float(v))])
-
 
 @dataclass
 class SpaceTimeField:
@@ -169,21 +159,6 @@ class SpaceTimeField:
     @classmethod
     def zeros(cls, grid: SpaceGrid, tgrid: TimeGrid) -> "SpaceTimeField":
         return cls(grid, tgrid, np.zeros((tgrid.n_steps + 1, grid.n_nodes)))
-
-    def to_csv(self, path) -> None:
-        """One row per (time node, space node): t, coordinates, value."""
-        coords = self.grid.coords
-        times = self.tgrid.nodes
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t"] + [f"x{i + 1}" for i in range(self.grid.dim)] + ["value"]
-            )
-            for n, t in enumerate(times):
-                for row, v in zip(coords, self.values[n]):
-                    writer.writerow(
-                        [repr(float(t))] + [repr(float(c)) for c in row] + [repr(float(v))]
-                    )
 
 
 @dataclass

@@ -39,6 +39,7 @@ __all__ = [
     "synthesize_observation",
     "run_experiment",
     "run_table",
+    "write_forward_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -234,25 +235,26 @@ class ExperimentConfig:
         if self.delta < 0.0:
             raise ValueError("noise level delta must be >= 0")
         _resolve_f_true(self.f_true, self.dim)  # raises on bad preset/expression
-        if isinstance(self.omega, str):
-            if self.omega not in OMEGA_PRESETS:
-                raise ValueError(f"unknown omega preset {self.omega!r}")
-        else:
-            seq = (list, tuple)
-            if not isinstance(self.omega, seq) or not all(
-                isinstance(box, seq)
-                and len(box) == self.dim
-                and all(isinstance(iv, seq) and len(iv) == 2 and all(map(_is_number, iv)) for iv in box)
-                for box in self.omega
-            ):
-                raise ValueError(
-                    "omega must be a preset name or a list of boxes, "
-                    "each a list of one [lo, hi] number pair per axis"
-                )
-            for box in self.omega:
-                for lo, hi in box:
-                    if not 0.0 <= lo <= hi <= 1.0:
-                        raise ValueError("omega boxes must lie within [0,1]^dim")
+        preset = isinstance(self.omega, str)
+        if preset and self.omega not in OMEGA_PRESETS:
+            raise ValueError(f"unknown omega preset {self.omega!r}")
+        boxes = OMEGA_PRESETS[self.omega]["boxes"] if preset else self.omega
+        seq = (list, tuple)
+        if not isinstance(boxes, seq) or not all(
+            isinstance(box, seq)
+            and len(box) == self.dim
+            and all(isinstance(iv, seq) and len(iv) == 2 and all(map(_is_number, iv)) for iv in box)
+            for box in boxes
+        ):
+            raise ValueError(
+                f"omega preset {self.omega!r} does not have {self.dim}-D boxes" if preset
+                else "omega must be a preset name or a list of boxes, "
+                "each a list of one [lo, hi] number pair per axis"
+            )
+        for box in boxes:
+            for lo, hi in box:
+                if not 0.0 <= lo <= hi <= 1.0:
+                    raise ValueError("omega boxes must lie within [0,1]^dim")
         for name in ("rho", "m", "eps", "T"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -321,6 +323,8 @@ def table_base_config(table_id: int, smoke: bool = False) -> ExperimentConfig:
 
 
 def config_from_preset(name: str, **overrides) -> ExperimentConfig:
+    if not isinstance(name, str):
+        raise ValueError(f"preset must be a string, got {name!r}")
     if name not in EXPERIMENT_PRESETS:
         raise ValueError(
             f"unknown preset {name!r}; available: {sorted(EXPERIMENT_PRESETS)}"
@@ -410,8 +414,8 @@ def _reconstruct(
     return result, f_true, f0
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """The one CSV writer: a header row, then ``rows``, with CRLF line ends."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -420,6 +424,26 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _reprs(values) -> list[str]:
+    """``_fmt`` of every value, formatted a column at a time."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _axes(grid: SpaceGrid) -> list[str]:
+    return [f"x{i + 1}" for i in range(grid.dim)]
+
+
+def write_forward_csv(path: str, u: SpaceTimeField) -> None:
+    """Dump ``u`` with one row per (time node, space node): t, x1[, x2], value."""
+    n_times = u.tgrid.n_steps + 1
+    columns = [
+        np.repeat(u.tgrid.nodes, u.grid.n_nodes),
+        *np.tile(u.grid.coords, (n_times, 1)).T,
+        u.values,
+    ]
+    _write_csv(path, ["t", *_axes(u.grid), "value"], zip(*map(_reprs, columns)))
 
 
 def _err_cell(result: ReconstructionResult) -> str:
@@ -437,23 +461,19 @@ def run_experiment(cfg: ExperimentConfig) -> ReconstructionResult:
     (k, phi) and ``<label>_summary.csv`` with the fixed column order
     (delta, omega, err_percent, K).
     """
+    os.makedirs(cfg.outdir or ".", exist_ok=True)
     result, f_true, _ = run_reconstruction(cfg)
     grid = f_true.grid
     tag = cfg.label or "run"
-
-    profile_rows = [
-        [_fmt(c) for c in coord] + [_fmt(ft), _fmt(fk)]
-        for coord, ft, fk in zip(grid.coords, f_true.values, result.f_k.values)
-    ]
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_profile.csv"),
-        [f"x{i + 1}" for i in range(grid.dim)] + ["f_true", "f_k"],
-        profile_rows,
+        [*_axes(grid), "f_true", "f_k"],
+        zip(*map(_reprs, [*grid.coords.T, f_true.values, result.f_k.values])),
     )
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_iterations.csv"),
         ["k", "phi"],
-        [[k, _fmt(phi)] for k, phi in enumerate(result.phi_history)],
+        enumerate(_reprs(result.phi_history)),
     )
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_summary.csv"),
@@ -479,6 +499,8 @@ def run_table(
     Returns the CSV path.
     """
     base = table_base_config(table_id, smoke=smoke)
+    os.makedirs(outdir or ".", exist_ok=True)
+    spec, f_true = build_forward_problem(base)
     rows = []
     for delta, omega, ref_err, ref_k in TABLE_ROWS[table_id]:
         eps = base.eps
@@ -487,12 +509,12 @@ def run_table(
         cfg = replace(base, delta=delta, omega=omega, eps=eps, seed=seed)
         label = OMEGA_PRESETS[omega]["label"]
         try:
-            problem = build_problem(cfg)
+            mask = build_mask(cfg, spec.grid)
         except ValueError as exc:
             logger.warning("table %d row %s: not run: %s", table_id, label, exc)
             rows.append([_fmt(delta), label, "", "", _fmt(ref_err), ref_k])
             continue
-        result, _, _ = _reconstruct(cfg, *problem)
+        result, _, _ = _reconstruct(cfg, spec, f_true, mask)
         rows.append([
             _fmt(delta),
             label,

@@ -57,8 +57,8 @@ class ReconstructionConfig:
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        if self.rho <= 0.0 or self.m <= 0.0 or self.eps <= 0.0:
-            raise ValueError("rho, M and eps must be positive")
+        if not all(0.0 < value < math.inf for value in (self.rho, self.m, self.eps)):
+            raise ValueError("rho, M and eps must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

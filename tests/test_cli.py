@@ -73,13 +73,14 @@ def test_verify_fast():
     assert "[FAIL]" not in result.output
 
 
-def test_invalid_config_is_an_error_not_a_traceback(tmp_path):
+def test_invalid_config_is_an_error_not_a_traceback(tmp_path, caplog):
     cases = [
         # on 11 nodes every node of 5.1a's omega is isolated: a zero-measure mask
         ({"preset": "5.1a", "n_per_axis": 11}, "zero"),
         ({"preset": "5.1a", "foo": 1}, "foo"),
         ({"preset": "5.1a", "alpha": "0.3"}, "alpha must be a finite number"),
         ({"preset": "5.1a", "omega": 5}, "omega must be"),
+        ({"preset": ["5.1a"]}, "preset must be a string"),
         ([1, 2], "JSON object"),
     ]
     runs = [(["reconstruct", "--preset", "5.1a", "--alpha", "1.5", "--outdir", str(tmp_path)], "fractional order")]
@@ -104,3 +105,5 @@ def test_invalid_config_is_an_error_not_a_traceback(tmp_path):
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output and message in result.output
         assert "Traceback" not in result.output
+    # the output directory is made before anything is built, so no run iterates
+    assert not any("diverged" in r.getMessage() for r in caplog.records)

@@ -221,16 +221,3 @@ class TestMaskedInnerProduct:
         ramp = SpaceTimeField(g, tg, np.repeat(tg.nodes[:, None], g.n_nodes, axis=1))
         val = masked_inner_product(ramp, ramp, mask)
         assert abs(val - 1.0 / 3.0) <= 1e-3  # O(tau^2)
-
-
-class TestCSV:
-    def test_field_round_trip(self, tmp_path):
-        g = SpaceGrid(2, 5)
-        f = Field.from_function(g, lambda x1, x2: x1 + 2.0 * x2)
-        path = tmp_path / "field.csv"
-        f.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "x1,x2,value"
-        assert len(rows) == 26
-        got = np.array([float(r.rsplit(",", 1)[1]) for r in rows[1:]])
-        assert np.array_equal(got, f.values)

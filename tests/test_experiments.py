@@ -1,14 +1,17 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracsource import solve_forward
+from fracsource import experiments, solve_forward
+from fracsource.discretization import SpaceGrid, SpaceTimeField, TimeGrid
 from fracsource.experiments import (
     EXPERIMENT_PRESETS,
     ExperimentConfig,
     OMEGA_PRESETS,
+    TABLE_ROWS,
     build_problem,
     config_from_file,
     config_from_preset,
@@ -18,6 +21,7 @@ from fracsource.experiments import (
     splitmix64,
     synthesize_observation,
     table_base_config,
+    write_forward_csv,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -107,6 +111,11 @@ class TestConfig:
             config_from_preset("5.1a", omega=[[[0.0, 1.5]]])
         with pytest.raises(ValueError):
             config_from_preset("5.3a", omega=[[[0.0, 0.1]]])  # 1 interval, dim 2
+        # a preset's boxes get the same checks as literal ones
+        with pytest.raises(ValueError, match="1-D"):
+            config_from_preset("5.1a", omega="frame_0.1_0.9")
+        with pytest.raises(ValueError, match="2-D"):
+            config_from_preset("5.3a", omega="edges_0.05")
         with pytest.raises(ValueError):
             config_from_preset("5.1a", alpha=1.5)
 
@@ -256,9 +265,69 @@ class TestRunners:
         assert rows[7] == '0.02,"(0,0.025)u(0.975,1)",,,9.89,79'
         assert any("(0,0.025)u(0.975,1)" in r.getMessage() for r in caplog.records)
 
+    def test_run_table_builds_one_forward_problem(self, tmp_path, monkeypatch):
+        calls = []
+        build = experiments.build_forward_problem
+
+        def counting(cfg):
+            calls.append(cfg)
+            return build(cfg)
+
+        monkeypatch.setattr(experiments, "build_forward_problem", counting)
+        path = run_table(2, seed=0, outdir=str(tmp_path), smoke=True)
+        assert len(calls) == 1
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["omega"] for r in rows] == [OMEGA_PRESETS[o]["label"] for _, o, _, _ in TABLE_ROWS[2]]
+        assert all(r["K"] for r in rows)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda outdir: run_table(2, outdir=outdir, smoke=True),
+            lambda outdir: run_experiment(config_from_preset("5.1a", outdir=outdir)),
+        ],
+        ids=["table", "experiment"],
+    )
+    def test_unwritable_outdir_fails_before_iterating(self, tmp_path, monkeypatch, run):
+        def fail(*args, **kwargs):
+            raise AssertionError("iterate ran before the output directory was made")
+
+        monkeypatch.setattr(experiments, "iterate", fail)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(OSError):
+            run(str(blocker / "x"))
+
     def test_reconstruction_reproducible(self):
         cfg = config_from_preset("5.1a", n_per_axis=21, n_steps=10, m=4.0, eps=1e-2)
         r1, _, _ = run_reconstruction(cfg)
         r2, _, _ = run_reconstruction(cfg)
         assert np.array_equal(r1.f_k.values, r2.f_k.values)
         assert r1.iterations == r2.iterations
+
+
+class TestCSV:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_forward_csv_cells_are_reprs(self, tmp_path, dim):
+        grid, tgrid = SpaceGrid(dim, 4), TimeGrid(0.3, 3)
+        rng = np.random.default_rng(dim)
+        values = rng.standard_normal((4, grid.n_nodes)) * 10.0 ** rng.integers(-300, 300, (4, grid.n_nodes))
+        values[0, 0] = -0.0
+        u = SpaceTimeField(grid, tgrid, values)
+        path = tmp_path / "u.csv"
+        write_forward_csv(str(path), u)
+        text = path.read_bytes().decode()
+        lines = text.split("\r\n")
+        assert lines.pop() == ""  # every line, the last one too, ends in CRLF
+        assert "\n" not in "".join(lines)
+        assert lines[0] == ",".join(["t", "x1", "x2"][: dim + 1] + ["value"])
+        expected = [
+            [repr(float(t)), *(repr(float(c)) for c in grid.coords[i]), repr(float(values[n, i]))]
+            for n, t in enumerate(tgrid.nodes)
+            for i in range(grid.n_nodes)
+        ]
+        cells = [line.split(",") for line in lines[1:]]
+        assert cells == expected
+        got = np.array([float(row[-1]) for row in cells]).reshape(values.shape)
+        assert got.tobytes() == values.tobytes()  # exact, signed zero included

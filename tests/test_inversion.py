@@ -89,6 +89,10 @@ class TestReconstructionConfig:
             dict(rho=0.0, m=1.0, eps=1e-3),
             dict(rho=1e-5, m=-1.0, eps=1e-3),
             dict(rho=1e-5, m=1.0, eps=0.0),
+            dict(rho=math.nan, m=1.0, eps=1e-3),
+            dict(rho=1e-5, m=math.nan, eps=1e-3),
+            dict(rho=1e-5, m=math.inf, eps=1e-3),
+            dict(rho=1e-5, m=1.0, eps=math.nan),
         ):
             with pytest.raises(ValueError):
                 ReconstructionConfig(f0=f0, max_iter=10, **bad)
