@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import inspect
 import json
 import logging
 import math
@@ -176,7 +177,11 @@ def _expr_function(expr: str, dim: int) -> Callable:
 
 def _resolve_f_true(name: str, dim: int) -> Callable:
     if name in F_TRUE_PRESETS:
-        return F_TRUE_PRESETS[name]
+        fn = F_TRUE_PRESETS[name]
+        preset_dim = len(inspect.signature(fn).parameters)  # one argument per axis
+        if preset_dim != dim:
+            raise ValueError(f"f_true preset {name!r} is {preset_dim}-D, but dim is {dim}")
+        return fn
     return _expr_function(name, dim)
 
 
@@ -231,6 +236,11 @@ class ExperimentConfig:
         for name in ("f_true", "outdir", "label"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        # the label prefixes file names inside outdir, so it may not name a path
+        if self.label in (".", "..") or any(
+            sep and sep in self.label for sep in ("/", os.sep, os.altsep)
+        ):
+            raise ValueError(f"label must be a plain file-name stem, got {self.label!r}")
         FractionalOrder(self.alpha)  # raises unless 0 < alpha < 1
         if self.delta < 0.0:
             raise ValueError("noise level delta must be >= 0")
@@ -431,19 +441,34 @@ def _reprs(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
+def _node_reprs(grid: SpaceGrid, tgrid: TimeGrid | None = None) -> list:
+    """The [t,] x1[, x2] columns of one row per (time node,) space node, formatted.
+
+    Rows run over the time nodes slowest, then over ``grid.coords``, whose
+    columns copy the axis nodes; so each axis is formatted once and its
+    strings repeated, with the same text as ``_reprs`` of the full columns.
+    """
+    axes = ([tgrid.nodes] if tgrid is not None else []) + [grid.axis_nodes] * grid.dim
+    n_rows = math.prod(map(len, axes))
+    columns, inner = [], n_rows
+    for nodes in axes:
+        inner //= len(nodes)
+        strings = np.repeat(np.array(_reprs(nodes), dtype=object), inner)
+        columns.append(np.tile(strings, n_rows // strings.size))
+    return columns
+
+
 def _axes(grid: SpaceGrid) -> list[str]:
     return [f"x{i + 1}" for i in range(grid.dim)]
 
 
 def write_forward_csv(path: str, u: SpaceTimeField) -> None:
     """Dump ``u`` with one row per (time node, space node): t, x1[, x2], value."""
-    n_times = u.tgrid.n_steps + 1
-    columns = [
-        np.repeat(u.tgrid.nodes, u.grid.n_nodes),
-        *np.tile(u.grid.coords, (n_times, 1)).T,
-        u.values,
-    ]
-    _write_csv(path, ["t", *_axes(u.grid), "value"], zip(*map(_reprs, columns)))
+    _write_csv(
+        path,
+        ["t", *_axes(u.grid), "value"],
+        zip(*_node_reprs(u.grid, u.tgrid), _reprs(u.values)),
+    )
 
 
 def _err_cell(result: ReconstructionResult) -> str:
@@ -468,7 +493,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReconstructionResult:
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_profile.csv"),
         [*_axes(grid), "f_true", "f_k"],
-        zip(*map(_reprs, [*grid.coords.T, f_true.values, result.f_k.values])),
+        zip(*_node_reprs(grid), _reprs(f_true.values), _reprs(result.f_k.values)),
     )
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_iterations.csv"),

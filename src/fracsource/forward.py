@@ -8,17 +8,21 @@ P of W^-1 M (fast diagonalisation; Lynch, Rice & Thomas, Numer. Math. 6, 1964),
 whose 1D factor is the closed-form DCT-I basis of the operator assembly.  In
 that basis every mode j follows the scalar L1 recursion :func:`_step_l1`, so
 u^n = P (R[n] * P^T W f), where the response table R[n, j] is the recursion
-run once per :class:`ProblemSpec` with a unit source, and the homogeneous
-solve runs it from a unit initial value.  Per spec this costs one O(n_t^2 N)
-table; per solve it costs two batched n x n transforms along each axis (n
-nodes per axis).  :func:`solve_adjoint` is the exact transpose of that product.
+run with a unit source, and the homogeneous solve runs it from a unit
+initial value.  A mode enters the recursion only through its eigenvalue, so
+it runs once per distinct eigenvalue (845 of the 1681 modes of the 41^2
+grid) and is gathered to every mode.
 
-The thresholding iteration needs only A^T A and the misfit of the observation
-map A: f -> u(f)|_omega, and the time-weighted table X = W_t^1/2 R has low
-numerical rank r (8 of 41 rows on preset 5.3a).  :class:`NormalOperator`
-applies both through the factor X = a sb of :attr:`ProblemSpec.time_factor`
-(one QR and one small SVD per spec), which costs r batched transforms each
-way per application instead of a transform of the whole history.
+The time-weighted table X = W_t^1/2 R has low numerical rank r (8 of 41 rows
+on preset 5.3a), and every solve goes through its factor X = a sb,
+:attr:`ProblemSpec.time_factor` (one QR and one small SVD per spec).  Per
+spec this costs one O(n_t^2 D) table over the D distinct eigenvalues; per
+solve it costs r + 1 batched n x n transforms along each axis (n nodes per
+axis), r for the time modes and one for f or for the result, and one
+product with the n_t x r matrix a.  :func:`solve_adjoint` is the exact
+transpose of :func:`solve_forward`, and :class:`NormalOperator` applies
+A^T A and the misfit of the observation map A: f -> u(f)|_omega with the
+same factor, which the thresholding iteration needs.
 
 The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`, factored by the
 module-level ``splu``) is reference code only: no solve here uses it, and the
@@ -97,27 +101,35 @@ class ProblemSpec:
         return lu
 
     @cached_property
-    def response(self) -> NDArray[np.float64]:
-        """R[n, j]: the L1 scheme's value of mode j at time node n for a unit source.
+    def distinct_eigenvalues(self) -> tuple[NDArray[np.float64], NDArray, NDArray]:
+        """(lam, inverse, counts) of ``np.unique`` over ``op.eigenvalues``.
 
-        Shape (n_steps + 1, n_nodes); see :func:`_step_l1`.
+        The modal L1 recursion depends on a mode only through its eigenvalue,
+        so it runs on ``lam`` and ``[:, inverse]`` gathers it to every mode;
+        on the 41^2 grid 845 of the 1681 eigenvalues are distinct, since
+        lambda_ik = lambda_ki and some sums kappa_i + kappa_k coincide.
         """
-        return _step_l1(self, self.mu, 0.0)
+        return np.unique(self.op.eigenvalues, return_inverse=True, return_counts=True)
 
     @cached_property
     def time_factor(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """(a, sb) with W_t^1/2 R = a @ sb to rounding, W_t the trapezoid weights.
 
-        ``a`` holds the r leading left singular vectors of X = W_t^1/2 R (those
-        with singular value above 1e-15 of the largest), shape
-        (n_steps + 1, r), and ``sb = a^T X`` has shape (r, n_nodes).
+        R[n, j] is the L1 scheme's value of mode j at time node n for a unit
+        source (:func:`_step_l1`).  ``a`` holds the r leading left singular
+        vectors of X = W_t^1/2 R (those with singular value above 1e-15 of
+        the largest), shape (n_steps + 1, r), and ``sb = a^T X`` has shape
+        (r, n_nodes).  Both are computed from the distinct eigenvalues only.
         """
-        x = np.sqrt(self.tgrid.quad_weights)[:, None] * self.response
-        # X^T = Q T, so X = T^T Q^T shares its left singular vectors with T^T
-        tri = np.linalg.qr(x.T, mode="r")
+        lam, inverse, counts = self.distinct_eigenvalues
+        x = np.sqrt(self.tgrid.quad_weights)[:, None] * _step_l1(self, lam, self.mu, 0.0)
+        # X = x[:, inverse] has Gram matrix X X^T = (x sqrt(counts)) (x sqrt(counts))^T,
+        # and (x sqrt(counts))^T = Q T, so X shares its left singular vectors with T^T
+        tri = np.linalg.qr((np.sqrt(counts) * x).T, mode="r")
         u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
         a = u[:, s > _RANK_RTOL * s[0]]
-        return a, a.T @ x
+        # unlike [:, inverse], take returns sb C-contiguous, which the transforms run faster on
+        return a, np.take(a.T @ x, inverse, axis=1)
 
 
 def splu(matrix):
@@ -132,18 +144,20 @@ def splu(matrix):
 
 
 def _step_l1(
-    spec: ProblemSpec, source: NDArray[np.float64], initial: float
+    spec: ProblemSpec,
+    lam: NDArray[np.float64],
+    source: NDArray[np.float64],
+    initial: float,
 ) -> NDArray[np.float64]:
-    """Run the implicit L1 scheme on every mode of W^-1 M at once.
+    """Run the implicit L1 scheme on modes of W^-1 M with eigenvalues ``lam`` at once.
 
-    Mode j has eigenvalue lambda_j, so each step divides by beta + lambda_j.
+    The mode with eigenvalue lambda divides each step by beta + lambda.
     Every mode starts from ``initial`` and is driven by the temporal samples
     ``source``, shape (n_steps + 1,), of which only n >= 1 enter the scheme.
-    Returns the history of shape (n_steps + 1, n_nodes).
+    Returns the history of shape (n_steps + 1, lam.size).
     """
     n_steps = spec.tgrid.n_steps
     beta = l1_scale(spec.alpha, spec.tgrid.tau)
-    lam = spec.op.eigenvalues
     b = spec.weights
 
     u = np.empty((n_steps + 1, lam.size))
@@ -183,19 +197,29 @@ def _to_modal(spec: ProblemSpec, f: Field) -> NDArray[np.float64]:
 
 
 def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
-    """Solve d_t^alpha u + A u = f mu(t) with u(.,0) = 0, Neumann boundary."""
-    f_hat = _to_modal(spec, f)
-    u = _along_axes(spec.grid, spec.op.axis_modes, spec.response * f_hat)
+    """Solve d_t^alpha u + A u = f mu(t) with u(.,0) = 0, Neumann boundary.
+
+    u^n = P (R[n] * P^T W f) with W_t^1/2 R = a sb (:attr:`ProblemSpec.time_factor`),
+    so u^n = w_n^-1/2 sum_l a[n, l] P (sb_l * P^T W f) for n >= 1, w_n the
+    trapezoid weights in time: r + 1 batched transforms along each axis and
+    one (n_steps x r) (r x n_nodes) product.
+    """
+    a, sb = spec.time_factor
+    v = _along_axes(spec.grid, spec.op.axis_modes, sb * _to_modal(spec, f))
+    u = np.empty((spec.tgrid.n_steps + 1, spec.grid.n_nodes))
+    u[0] = 0.0
+    np.matmul(a[1:] / np.sqrt(spec.tgrid.quad_weights[1:, None]), v, out=u[1:])
     return SpaceTimeField(spec.grid, spec.tgrid, u)
 
 
 def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:
     """Solve d_t^alpha v + A v = 0 with v(.,0) = a, Neumann boundary.
 
-    v^n = P (H[n] * P^T W a), where H is the L1 recursion of every mode from
-    the initial value 1 without a source.
+    v^n = P (H[n] * P^T W a), where H is the L1 recursion from the initial
+    value 1 without a source, run once per distinct eigenvalue.
     """
-    decay = _step_l1(spec, np.zeros_like(spec.mu), 1.0)
+    lam, inverse, _ = spec.distinct_eigenvalues
+    decay = _step_l1(spec, lam, np.zeros_like(spec.mu), 1.0)[:, inverse]
     v = _along_axes(spec.grid, spec.op.axis_modes, decay * _to_modal(spec, a))
     return SpaceTimeField(spec.grid, spec.tgrid, v)
 
@@ -210,22 +234,21 @@ def solve_adjoint(
     pairing of :func:`masked_inner_product`.  ``residual`` is sampled on the
     full space-time grid; values outside omega are ignored.
 
-    With u^n = P (R[n] * P^T W f) the pairing is
-    sum_n w_n <u^n, r^n>_omega = (P^T W f) . g_hat, where
-    g_hat = sum_{n>=1} w_n R[n] * P^T (W_omega r^n), w_n are the trapezoid
-    weights in time and W_omega the omega quadrature weights; hence
-    A^T r = P g_hat, which makes <A f, r> = <f, A^T r> hold to rounding.
+    With u^n = w_n^-1/2 sum_l a[n, l] P (sb_l * f_hat) from
+    :func:`solve_forward` and f_hat = P^T W f, the pairing is
+    sum_{n>=1} w_n <u^n, r^n>_omega = sum_l <P (sb_l * f_hat), d_l>_omega
+    with d = (W_t^1/2 a)^T r over n >= 1, which is f_hat . g_hat for
+    g_hat = sum_l sb_l * P^T (W_omega d_l), :meth:`NormalOperator.transpose`;
+    hence A^T r = P g_hat, which makes <A f, r> = <f, A^T r> hold to rounding.
     The t = 0 sample pairs with u(., 0) = 0 and never enters.  Costs one
-    batched transform of the residual along each axis and one of g_hat.
+    (r x n_steps) (n_steps x n_nodes) product, r batched transforms along
+    each axis and one of g_hat.
     """
     if residual.grid != spec.grid or residual.tgrid != spec.tgrid:
         raise ValueError("residual grids do not match the problem spec")
-    if mask.grid != spec.grid:
-        raise ValueError("mask grid does not match the problem grid")
-    modes = spec.op.axis_modes
-    r_hat = _along_axes(spec.grid, modes.T, mask.quad_weights * residual.values[1:])
-    g_hat = spec.tgrid.quad_weights[1:] @ (spec.response[1:] * r_hat)
-    return Field(spec.grid, _along_axes(spec.grid, modes, g_hat))
+    normal = NormalOperator(spec, mask)
+    weighted_a = np.sqrt(spec.tgrid.quad_weights[1:, None]) * normal.a[1:]
+    return normal.to_field(normal.transpose(weighted_a.T @ residual.values[1:]))
 
 
 class NormalOperator:

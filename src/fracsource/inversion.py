@@ -5,11 +5,12 @@ fixed-point form of the regularized normal equations; it converges whenever
 the tuning constant M dominates the squared operator norm of f -> u(f)|_omega,
 which :func:`estimate_m` approximates by power iteration.
 
-:func:`objective`, :func:`gradient` and :func:`estimate_m` use the full
-forward and adjoint solves.  :func:`iterate` applies the same maps at every
-step, so it uses :class:`NormalOperator`: the misfit and A^T A in modal
-coordinates, low rank in time, with f transformed once on entry and once on
-exit.
+:func:`objective`, :func:`gradient` and :func:`estimate_m` use the forward
+and adjoint solves, which go through the rank-r time factor of the spec and
+cost r + 1 batched transforms each.  :func:`iterate` applies the same maps at
+every step, so it uses :class:`NormalOperator` with that factor: the misfit
+and A^T A in modal coordinates, with f transformed once on entry and once on
+exit and no space-time history formed.
 """
 
 from __future__ import annotations

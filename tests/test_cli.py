@@ -81,6 +81,9 @@ def test_invalid_config_is_an_error_not_a_traceback(tmp_path, caplog):
         ({"preset": "5.1a", "alpha": "0.3"}, "alpha must be a finite number"),
         ({"preset": "5.1a", "omega": 5}, "omega must be"),
         ({"preset": ["5.1a"]}, "preset must be a string"),
+        ({"preset": "5.1a", "dim": 2, "omega": "frame_0.1_0.9"}, "is 1-D, but dim is 2"),
+        ({"preset": "5.3a", "dim": 1, "omega": "edges_0.05"}, "is 2-D, but dim is 1"),
+        ({"preset": "5.1a", "label": str(tmp_path / "escaped")}, "plain file-name stem"),
         ([1, 2], "JSON object"),
     ]
     runs = [(["reconstruct", "--preset", "5.1a", "--alpha", "1.5", "--outdir", str(tmp_path)], "fractional order")]

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ class TestConfig:
             config_from_preset("5.3a", omega="edges_0.05")
         with pytest.raises(ValueError):
             config_from_preset("5.1a", alpha=1.5)
+        # an f_true preset of the other dimension
+        with pytest.raises(ValueError, match="'sin_plus_linear' is 1-D, but dim is 2"):
+            config_from_preset("5.1a", dim=2, omega="frame_0.1_0.9")
+        with pytest.raises(ValueError, match="'plane_2d' is 2-D, but dim is 1"):
+            config_from_preset("5.3a", dim=1, omega="edges_0.05")
+        # a label is a file-name stem inside outdir, never a path
+        for label in ("/abs/dir/escaped", "sub/run", f"sub{os.sep}run", ".", ".."):
+            with pytest.raises(ValueError, match="plain file-name stem"):
+                config_from_preset("5.1a", label=label)
+        if os.altsep:
+            with pytest.raises(ValueError, match="plain file-name stem"):
+                config_from_preset("5.1a", label=f"sub{os.altsep}run")
+        assert config_from_preset("5.1a", label="run.v2").label == "run.v2"
 
     def test_f_true_expression(self):
         cfg = config_from_preset("5.1a", f_true="sin(pi*x1) + x1 - 3", n_steps=10)
@@ -331,3 +345,17 @@ class TestCSV:
         assert cells == expected
         got = np.array([float(row[-1]) for row in cells]).reshape(values.shape)
         assert got.tobytes() == values.tobytes()  # exact, signed zero included
+
+    @pytest.mark.parametrize("preset, n", [("5.1a", 21), ("5.3a", 11)])
+    def test_profile_cells_are_reprs(self, tmp_path, preset, n):
+        # the coordinate columns are formatted once per axis node and repeated
+        cfg = config_from_preset(preset, n_per_axis=n, n_steps=4, max_iter=2, outdir=str(tmp_path))
+        result = run_experiment(cfg)
+        _, f_true, _ = build_problem(cfg)
+        with open(tmp_path / f"{cfg.label}_profile.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        expected = [
+            [*(repr(float(c)) for c in coords), repr(float(ft)), repr(float(fk))]
+            for coords, ft, fk in zip(f_true.grid.coords, f_true.values, result.f_k.values)
+        ]
+        assert rows[1:] == expected
