@@ -37,6 +37,14 @@ Box = Sequence[Sequence[float]]  # one (lo, hi) pair per axis
 _BOX_TOL = 1e-12
 
 
+def _trapezoid(n: int, h: float) -> NDArray[np.float64]:
+    """Trapezoid weights of ``n`` equispaced nodes at spacing ``h``."""
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of n_steps steps on [0, T]."""
@@ -59,10 +67,7 @@ class TimeGrid:
     @property
     def quad_weights(self) -> NDArray[np.float64]:
         """Trapezoid weights on the time nodes."""
-        w = np.full(self.n_steps + 1, self.tau)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return _trapezoid(self.n_steps + 1, self.tau)
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,7 @@ class SpaceGrid:
     @property
     def axis_weights(self) -> NDArray[np.float64]:
         """Trapezoid weights along one axis."""
-        w = np.full(self.n_per_axis, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return _trapezoid(self.n_per_axis, self.h)
 
     @property
     def quad_weights(self) -> NDArray[np.float64]:
@@ -161,29 +163,32 @@ class SpaceTimeField:
         return cls(grid, tgrid, np.zeros((tgrid.n_steps + 1, grid.n_nodes)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservationMask:
     """0/1 indicator of the observation subdomain omega on the grid nodes.
 
     Quadrature over omega aggregates the grid cells whose corners are all
     masked (trapezoid rule per cell), so box-boundary nodes carry half weight
     and the discrete measure of omega is exact; isolated masked nodes carry no
-    quadrature weight.
+    quadrature weight.  The mask keeps a read-only copy of the indicator, so
+    its weights are computed once.
     """
 
     grid: SpaceGrid
     indicator: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        self.indicator = np.asarray(self.indicator, dtype=float)
-        if self.indicator.shape != (self.grid.n_nodes,):
+        indicator = np.array(self.indicator, dtype=float)
+        if indicator.shape != (self.grid.n_nodes,):
             raise ValueError("indicator must have one entry per node")
-        if not np.all((self.indicator == 0.0) | (self.indicator == 1.0)):
+        if not np.all((indicator == 0.0) | (indicator == 1.0)):
             raise ValueError("indicator entries must be exactly 0 or 1")
+        indicator.flags.writeable = False
+        object.__setattr__(self, "indicator", indicator)
 
-    @property
+    @cached_property
     def quad_weights(self) -> NDArray[np.float64]:
-        """Trapezoid weights of the cells contained in omega."""
+        """Trapezoid weights of the cells contained in omega (read-only)."""
         dim = self.grid.dim
         ind = self.indicator.reshape((self.grid.n_per_axis,) * dim)
         # each corner of a grid cell: the lower (:-1) or upper (1:) end per axis
@@ -192,7 +197,9 @@ class ObservationMask:
         w = np.zeros_like(ind)
         for corner in corners:
             w[corner] += (0.5 * self.grid.h) ** dim * cells
-        return w.ravel()
+        w = w.ravel()
+        w.flags.writeable = False
+        return w
 
     @classmethod
     def from_boxes(cls, grid: SpaceGrid, boxes: Iterable[Box]) -> "ObservationMask":
@@ -260,9 +267,13 @@ class EllipticOperator:
     """
 
     grid: SpaceGrid
-    mass: NDArray[np.float64]
     axis_eigenvalues: NDArray[np.float64]
     axis_modes: NDArray[np.float64]
+
+    @property
+    def mass(self) -> NDArray[np.float64]:
+        """W, the grid's trapezoid weights."""
+        return self.grid.quad_weights
 
     @cached_property
     def stiffness(self) -> sparse.csr_matrix:
@@ -306,15 +317,13 @@ def assemble_operator(grid: SpaceGrid) -> EllipticOperator:
     """Assemble -Laplace + 1 with homogeneous Neumann boundary conditions."""
     n = grid.n_per_axis
     h = grid.h
-    w1 = grid.axis_weights
     # k1 v = kappa W1 v is solved by the DCT-I vectors cos(pi i k / (n-1)); the
     # trapezoid norm of mode k is 1 at k = 0, n-1 and 1/2 otherwise
     k = np.arange(n)
     kappa = (2.0 / h * np.sin(0.5 * np.pi * k / (n - 1))) ** 2
     scale = np.where((k == 0) | (k == n - 1), 1.0, np.sqrt(2.0))
     modes = scale * np.cos(np.pi / (n - 1) * (np.outer(k, k) % (2 * (n - 1))))
-    mass = w1 if grid.dim == 1 else np.outer(w1, w1).ravel()
-    return EllipticOperator(grid=grid, mass=mass, axis_eigenvalues=kappa, axis_modes=modes)
+    return EllipticOperator(grid=grid, axis_eigenvalues=kappa, axis_modes=modes)
 
 
 def inner_product(a: Field, b: Field) -> float:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import ast
 import csv
-import inspect
 import json
 import logging
 import math
 import numbers
 import os
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -65,37 +65,14 @@ def splitmix64(seed: int, n: int) -> NDArray[np.uint64]:
     return z ^ (z >> np.uint64(31))
 
 
-def _f_51a(x):
-    return np.sin(np.pi * x) + x - 3.0
-
-
-def _f_51b(x):
-    return np.sin(np.pi * x) - 1.5
-
-
-def _f_52(x):
-    return -np.sin(np.pi * x / 2.0) - x**2 + 3.0
-
-
-def _f_53a(x1, x2):
-    return x1 + x2 + 1.0
-
-
-def _f_53b(x1, x2):
-    return np.cos(np.pi * x1) * np.cos(np.pi * x2) + 2.0
-
-
-def _f_54(x1, x2):
-    return np.exp((x1 + x2) / 2.0) + 1.0
-
-
-F_TRUE_PRESETS: dict[str, Callable] = {
-    "sin_plus_linear": _f_51a,
-    "sin_minus_3_2": _f_51b,
-    "half_sine_quadratic": _f_52,
-    "plane_2d": _f_53a,
-    "cosine_bump_2d": _f_53b,
-    "exp_ridge_2d": _f_54,
+# f_true presets: name -> (dim, expression), evaluated by _expr_function
+F_TRUE_PRESETS: dict[str, tuple[int, str]] = {
+    "sin_plus_linear": (1, "sin(pi * x1) + x1 - 3.0"),
+    "sin_minus_3_2": (1, "sin(pi * x1) - 1.5"),
+    "half_sine_quadratic": (1, "-sin(pi * x1 / 2.0) - x1**2 + 3.0"),
+    "plane_2d": (2, "x1 + x2 + 1.0"),
+    "cosine_bump_2d": (2, "cos(pi * x1) * cos(pi * x2) + 2.0"),
+    "exp_ridge_2d": (2, "exp((x1 + x2) / 2.0) + 1.0"),
 }
 
 
@@ -160,6 +137,9 @@ def _check_expr(node: ast.AST, names: set) -> None:
     raise ValueError(f"f_true expression may not contain {ast.unparse(node)!r}")
 
 
+# every config, including each replace() of a table row, resolves its f_true,
+# so each distinct expression is parsed, checked and compiled once
+@lru_cache(maxsize=64)
 def _expr_function(expr: str, dim: int) -> Callable:
     """Compile an f_true expression over sin, cos, exp, pi and x1[, x2]."""
     tree = ast.parse(expr, "<f_true>", "eval")
@@ -177,16 +157,17 @@ def _expr_function(expr: str, dim: int) -> Callable:
 
 def _resolve_f_true(name: str, dim: int) -> Callable:
     if name in F_TRUE_PRESETS:
-        fn = F_TRUE_PRESETS[name]
-        preset_dim = len(inspect.signature(fn).parameters)  # one argument per axis
+        preset_dim, expr = F_TRUE_PRESETS[name]
         if preset_dim != dim:
             raise ValueError(f"f_true preset {name!r} is {preset_dim}-D, but dim is {dim}")
-        return fn
+        return _expr_function(expr, dim)
     return _expr_function(name, dim)
 
 
 def _omega_boxes_and_label(omega) -> tuple[list, str]:
     if isinstance(omega, str):
+        if omega not in OMEGA_PRESETS:
+            raise ValueError(f"unknown omega preset {omega!r}")
         preset = OMEGA_PRESETS[omega]
         return preset["boxes"], preset["label"]
     label = "u".join(
@@ -242,13 +223,14 @@ class ExperimentConfig:
         ):
             raise ValueError(f"label must be a plain file-name stem, got {self.label!r}")
         FractionalOrder(self.alpha)  # raises unless 0 < alpha < 1
+        SpaceGrid(self.dim, self.n_per_axis)  # raises unless dim is 1 or 2 and n_per_axis >= 3
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if self.delta < 0.0:
             raise ValueError("noise level delta must be >= 0")
         _resolve_f_true(self.f_true, self.dim)  # raises on bad preset/expression
         preset = isinstance(self.omega, str)
-        if preset and self.omega not in OMEGA_PRESETS:
-            raise ValueError(f"unknown omega preset {self.omega!r}")
-        boxes = OMEGA_PRESETS[self.omega]["boxes"] if preset else self.omega
+        boxes = _omega_boxes_and_label(self.omega)[0] if preset else self.omega
         seq = (list, tuple)
         if not isinstance(boxes, seq) or not all(
             isinstance(box, seq)
@@ -268,6 +250,7 @@ class ExperimentConfig:
         for name in ("rho", "m", "eps", "T"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        TimeGrid(self.T, self.n_steps)  # raises unless n_steps >= 1
 
 
 # Published experiment settings: example id -> configuration.
@@ -532,7 +515,7 @@ def run_table(
         if table_id == 2:
             eps = delta / 5.0
         cfg = replace(base, delta=delta, omega=omega, eps=eps, seed=seed)
-        label = OMEGA_PRESETS[omega]["label"]
+        label = _omega_boxes_and_label(omega)[1]
         try:
             mask = build_mask(cfg, spec.grid)
         except ValueError as exc:

@@ -15,14 +15,17 @@ grid) and is gathered to every mode.
 
 The time-weighted table X = W_t^1/2 R has low numerical rank r (8 of 41 rows
 on preset 5.3a), and every solve goes through its factor X = a sb,
-:attr:`ProblemSpec.time_factor` (one QR and one small SVD per spec).  Per
+:attr:`ProblemSpec.time_factor` (one QR and one small SVD per spec).  The
+spec states the mask-free half of the observation map A: f -> u(f)|_omega
+once: :meth:`ProblemSpec.to_modal` (f_hat = P^T W f),
+:meth:`ProblemSpec.to_nodal` (P) and :meth:`ProblemSpec.observe` (v with
+W_t^1/2 u(f) = a v); :class:`NormalOperator` adds the omega-weighted half,
+the misfit and the transpose, which the thresholding iteration needs.  Per
 spec this costs one O(n_t^2 D) table over the D distinct eigenvalues; per
 solve it costs r + 1 batched n x n transforms along each axis (n nodes per
 axis), r for the time modes and one for f or for the result, and one
 product with the n_t x r matrix a.  :func:`solve_adjoint` is the exact
-transpose of :func:`solve_forward`, and :class:`NormalOperator` applies
-A^T A and the misfit of the observation map A: f -> u(f)|_omega with the
-same factor, which the thresholding iteration needs.
+transpose of :func:`solve_forward`.
 
 The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`, factored by the
 module-level ``splu``) is reference code only: no solve here uses it, and the
@@ -116,20 +119,36 @@ class ProblemSpec:
         """(a, sb) with W_t^1/2 R = a @ sb to rounding, W_t the trapezoid weights.
 
         R[n, j] is the L1 scheme's value of mode j at time node n for a unit
-        source (:func:`_step_l1`).  ``a`` holds the r leading left singular
-        vectors of X = W_t^1/2 R (those with singular value above 1e-15 of
-        the largest), shape (n_steps + 1, r), and ``sb = a^T X`` has shape
-        (r, n_nodes).  Both are computed from the distinct eigenvalues only.
+        source (:func:`_step_l1`); R[0] = 0 is the initial value u^0 = 0.
+        ``a`` has shape (n_steps + 1, r): row 0 is exactly zero and rows
+        n >= 1 hold the r leading left singular vectors of those rows of
+        X = W_t^1/2 R (singular value above 1e-15 of the largest).
+        ``sb = a^T X`` has shape (r, n_nodes).  Both are computed from the
+        distinct eigenvalues only.
         """
         lam, inverse, counts = self.distinct_eigenvalues
-        x = np.sqrt(self.tgrid.quad_weights)[:, None] * _step_l1(self, lam, self.mu, 0.0)
+        x = np.sqrt(self.tgrid.quad_weights[1:, None]) * _step_l1(self, lam, self.mu, 0.0)[1:]
         # X = x[:, inverse] has Gram matrix X X^T = (x sqrt(counts)) (x sqrt(counts))^T,
         # and (x sqrt(counts))^T = Q T, so X shares its left singular vectors with T^T
         tri = np.linalg.qr((np.sqrt(counts) * x).T, mode="r")
         u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
         a = u[:, s > _RANK_RTOL * s[0]]
         # unlike [:, inverse], take returns sb C-contiguous, which the transforms run faster on
-        return a, np.take(a.T @ x, inverse, axis=1)
+        return np.vstack([np.zeros((1, a.shape[1])), a]), np.take(a.T @ x, inverse, axis=1)
+
+    def to_modal(self, f: Field) -> NDArray[np.float64]:
+        """f_hat = P^T W f, the modal coefficients of f since P^T W P = I."""
+        if f.grid != self.grid:
+            raise ValueError("field grid does not match the problem grid")
+        return _along_axes(self.grid, self.op.axis_modes.T * self.grid.axis_weights, f.values)
+
+    def to_nodal(self, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
+        """P coeffs: nodal values of modal coefficients; leading axes are batched."""
+        return _along_axes(self.grid, self.op.axis_modes, coeffs)
+
+    def observe(self, f_hat: NDArray[np.float64]) -> NDArray[np.float64]:
+        """v with W_t^1/2 u(f) = a v for f_hat = P^T W f; shape (r, n_nodes)."""
+        return self.to_nodal(self.time_factor[1] * f_hat)
 
 
 def splu(matrix):
@@ -189,27 +208,16 @@ def _along_axes(
     return x.reshape(values.shape)
 
 
-def _to_modal(spec: ProblemSpec, f: Field) -> NDArray[np.float64]:
-    """f_hat = P^T W f, the modal coefficients of f since P^T W P = I."""
-    if f.grid != spec.grid:
-        raise ValueError("field grid does not match the problem grid")
-    return _along_axes(spec.grid, spec.op.axis_modes.T * spec.grid.axis_weights, f.values)
-
-
 def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
     """Solve d_t^alpha u + A u = f mu(t) with u(.,0) = 0, Neumann boundary.
 
     u^n = P (R[n] * P^T W f) with W_t^1/2 R = a sb (:attr:`ProblemSpec.time_factor`),
-    so u^n = w_n^-1/2 sum_l a[n, l] P (sb_l * P^T W f) for n >= 1, w_n the
-    trapezoid weights in time: r + 1 batched transforms along each axis and
-    one (n_steps x r) (r x n_nodes) product.
+    so u = W_t^-1/2 a v with v = :meth:`ProblemSpec.observe` of f_hat = P^T W f:
+    r + 1 batched transforms along each axis and one (n_steps + 1 x r)
+    (r x n_nodes) product.  Row 0 of ``a`` is zero, so u^0 is +0.0 exactly.
     """
-    a, sb = spec.time_factor
-    v = _along_axes(spec.grid, spec.op.axis_modes, sb * _to_modal(spec, f))
-    u = np.empty((spec.tgrid.n_steps + 1, spec.grid.n_nodes))
-    u[0] = 0.0
-    np.matmul(a[1:] / np.sqrt(spec.tgrid.quad_weights[1:, None]), v, out=u[1:])
-    return SpaceTimeField(spec.grid, spec.tgrid, u)
+    a = spec.time_factor[0] / np.sqrt(spec.tgrid.quad_weights[:, None])
+    return SpaceTimeField(spec.grid, spec.tgrid, a @ spec.observe(spec.to_modal(f)))
 
 
 def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:
@@ -220,8 +228,7 @@ def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:
     """
     lam, inverse, _ = spec.distinct_eigenvalues
     decay = _step_l1(spec, lam, np.zeros_like(spec.mu), 1.0)[:, inverse]
-    v = _along_axes(spec.grid, spec.op.axis_modes, decay * _to_modal(spec, a))
-    return SpaceTimeField(spec.grid, spec.tgrid, v)
+    return SpaceTimeField(spec.grid, spec.tgrid, spec.to_nodal(decay * spec.to_modal(a)))
 
 
 def solve_adjoint(
@@ -231,39 +238,44 @@ def solve_adjoint(
 
     A: f -> u(f)|_omega is :func:`solve_forward` observed on omega; the transpose
     is taken in the mass-weighted L2(Omega) product and the trapezoid-in-time
-    pairing of :func:`masked_inner_product`.  ``residual`` is sampled on the
-    full space-time grid; values outside omega are ignored.
-
-    With u^n = w_n^-1/2 sum_l a[n, l] P (sb_l * f_hat) from
-    :func:`solve_forward` and f_hat = P^T W f, the pairing is
-    sum_{n>=1} w_n <u^n, r^n>_omega = sum_l <P (sb_l * f_hat), d_l>_omega
-    with d = (W_t^1/2 a)^T r over n >= 1, which is f_hat . g_hat for
-    g_hat = sum_l sb_l * P^T (W_omega d_l), :meth:`NormalOperator.transpose`;
-    hence A^T r = P g_hat, which makes <A f, r> = <f, A^T r> hold to rounding.
-    The t = 0 sample pairs with u(., 0) = 0 and never enters.  Costs one
-    (r x n_steps) (n_steps x n_nodes) product, r batched transforms along
-    each axis and one of g_hat.
+    pairing of :func:`masked_inner_product`, and is derived in
+    :class:`NormalOperator`: A^T r = P g_hat with g_hat the
+    :meth:`NormalOperator.transpose` of d = (W_t^1/2 a)^T r.  ``residual`` is
+    sampled on the full space-time grid; values outside omega are ignored,
+    and the t = 0 sample meets the zero row 0 of ``a`` and never enters.
+    Costs one (r x n_steps + 1) (n_steps + 1 x n_nodes) product, r batched
+    transforms along each axis and one of g_hat.
     """
     if residual.grid != spec.grid or residual.tgrid != spec.tgrid:
         raise ValueError("residual grids do not match the problem spec")
-    normal = NormalOperator(spec, mask)
-    weighted_a = np.sqrt(spec.tgrid.quad_weights[1:, None]) * normal.a[1:]
-    return normal.to_field(normal.transpose(weighted_a.T @ residual.values[1:]))
+    weighted_a = np.sqrt(spec.tgrid.quad_weights[:, None]) * spec.time_factor[0]
+    d = weighted_a.T @ residual.values
+    return Field(spec.grid, spec.to_nodal(NormalOperator(spec, mask).transpose(d)))
 
 
 class NormalOperator:
-    """A^T A and the misfit of A: f -> u(f)|_omega, in modal coordinates.
+    """The omega-weighted half of A: f -> u(f)|_omega and of its transpose.
 
-    Sources are handled as f_hat = P^T W f, in which ||f|| is the Euclidean
-    norm.  With W_t^1/2 R = a sb (:attr:`ProblemSpec.time_factor`) and
-    u^n = P (R[n] * f_hat), the weighted history is W_t^1/2 u(f) = a v with
-    v_l = P (sb_l * f_hat), l < r.  Since a has orthonormal columns, the
-    space-time misfit against y = W_t^1/2 u_obs is
-    sum_l ||v_l - c_l||^2_omega + ||y - a c||^2_omega with c = a^T y, and
-    A^T of the weighted history a d is sum_l sb_l * P^T (W_omega d_l); so
-    A^T (A f - u_obs) is that map applied to d = v - c.  Each application
-    costs r batched transforms along every axis; the results match
-    :func:`solve_forward`, :func:`solve_adjoint` and
+    Sources are handled as f_hat = P^T W f (:meth:`ProblemSpec.to_modal`),
+    in which ||f|| is the Euclidean norm, and with W_t^1/2 R = a sb
+    (:attr:`ProblemSpec.time_factor`) the weighted history is
+    W_t^1/2 u(f) = a v with v_l = P (sb_l * f_hat), l < r
+    (:meth:`ProblemSpec.observe`).
+
+    Transpose: for r on the space-time grid, the pairing of
+    :func:`masked_inner_product` is
+    sum_n w_n <u^n, r^n>_omega = sum_l <P (sb_l * f_hat), d_l>_omega with
+    d = (W_t^1/2 a)^T r, and <P c, d_l>_omega = c . P^T (W_omega d_l), so it
+    equals f_hat . g_hat with g_hat = sum_l sb_l * P^T (W_omega d_l),
+    :meth:`transpose`.  Since <f, P g_hat> = f_hat . g_hat in the
+    mass-weighted product, A^T r = P g_hat (:func:`solve_adjoint`), and
+    <A f, r> = <f, A^T r> holds to rounding.  For A^T A f, d = v.
+
+    Misfit: since a has orthonormal columns, the space-time misfit against
+    y = W_t^1/2 u_obs is sum_l ||v_l - c_l||^2_omega + ||y - a c||^2_omega
+    with c = a^T y (:meth:`project`), and A^T (A f - u_obs) is the transpose
+    of d = v - c.  Each application costs r batched transforms along every
+    axis; the results match :func:`solve_forward`, :func:`solve_adjoint` and
     :func:`masked_inner_product` to rounding.
     """
 
@@ -271,30 +283,16 @@ class NormalOperator:
         if mask.grid != spec.grid:
             raise ValueError("mask grid does not match the problem grid")
         self.spec = spec
-        self.a, self.sb = spec.time_factor
         self.weights = mask.quad_weights
-
-    def to_modal(self, f: Field) -> NDArray[np.float64]:
-        """f_hat = P^T W f."""
-        return _to_modal(self.spec, f)
-
-    def to_field(self, f_hat: NDArray[np.float64]) -> Field:
-        """f = P f_hat."""
-        grid = self.spec.grid
-        return Field(grid, _along_axes(grid, self.spec.op.axis_modes, f_hat))
 
     def project(self, u_obs: SpaceTimeField) -> tuple[NDArray[np.float64], float]:
         """(c, ||y - a c||^2_omega) for y = W_t^1/2 u_obs and c = a^T y."""
         if u_obs.grid != self.spec.grid or u_obs.tgrid != self.spec.tgrid:
             raise ValueError("observation grids do not match the problem spec")
+        a = self.spec.time_factor[0]
         y = np.sqrt(self.spec.tgrid.quad_weights)[:, None] * u_obs.values
-        c = self.a.T @ y
-        rest = y - self.a @ c
-        return c, self.misfit(rest)
-
-    def observe(self, f_hat: NDArray[np.float64]) -> NDArray[np.float64]:
-        """v with W_t^1/2 u(f) = a v; shape (r, n_nodes)."""
-        return _along_axes(self.spec.grid, self.spec.op.axis_modes, self.sb * f_hat)
+        c = a.T @ y
+        return c, self.misfit(y - a @ c)
 
     def misfit(self, d: NDArray[np.float64]) -> float:
         """sum_l ||d_l||^2_omega over the rows of ``d``."""
@@ -303,4 +301,4 @@ class NormalOperator:
     def transpose(self, d: NDArray[np.float64]) -> NDArray[np.float64]:
         """sum_l sb_l * P^T (W_omega d_l): modal A^T of the history a d."""
         d_hat = _along_axes(self.spec.grid, self.spec.op.axis_modes.T, self.weights * d)
-        return np.sum(self.sb * d_hat, axis=0)
+        return np.sum(self.spec.time_factor[1] * d_hat, axis=0)

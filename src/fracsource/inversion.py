@@ -8,9 +8,10 @@ which :func:`estimate_m` approximates by power iteration.
 :func:`objective`, :func:`gradient` and :func:`estimate_m` use the forward
 and adjoint solves, which go through the rank-r time factor of the spec and
 cost r + 1 batched transforms each.  :func:`iterate` applies the same maps at
-every step, so it uses :class:`NormalOperator` with that factor: the misfit
-and A^T A in modal coordinates, with f transformed once on entry and once on
-exit and no space-time history formed.
+every step, so it runs in modal coordinates on the spec's maps
+(:meth:`ProblemSpec.observe`) and :class:`NormalOperator`'s misfit and
+transpose, with f transformed once on entry and once on exit and no
+space-time history formed.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def iterate(
     made: it returns f_{K-1}, and the last two entries of ``phi_history``
     both hold Phi(f_{K-1}).
 
-    The iterates stay in the modal coordinates of :class:`NormalOperator`,
+    The iterates stay in the modal coordinates f_hat = P^T W f,
     so a step costs r transforms each way (r the rank of the time factor)
     instead of a forward and an adjoint solve.
     """
@@ -141,13 +142,13 @@ def iterate(
     def phi(d: NDArray[np.float64], f_hat: NDArray[np.float64]) -> float:
         return normal.misfit(d) + const + cfg.rho * float(f_hat @ f_hat)
 
-    f_hat = normal.to_modal(cfg.f0)
+    f_hat = spec.to_modal(cfg.f0)
     phi_history: list[float] = []
     converged = diverged = False
     k = 0
     for k in range(1, cfg.max_iter + 1):
         # W_t^1/2 (u(f_k) - u_obs) = a d - (y - a c) with y = W_t^1/2 u_obs
-        d = normal.observe(f_hat) - c
+        d = spec.observe(f_hat) - c
         phi_history.append(phi(d, f_hat))
         if not math.isfinite(phi_history[-1]) or (
             phi_history[-1] > 1e12 * (phi_history[0] + 1.0)
@@ -170,9 +171,9 @@ def iterate(
             break
     # a diverged run stops before updating f, so its last phi is already Phi(f)
     phi_history.append(
-        phi_history[-1] if diverged else phi(normal.observe(f_hat) - c, f_hat)
+        phi_history[-1] if diverged else phi(spec.observe(f_hat) - c, f_hat)
     )
-    f = normal.to_field(f_hat)
+    f = Field(spec.grid, spec.to_nodal(f_hat))
     err = None
     if f_true is not None:
         err = norm_l2(Field(spec.grid, f.values - f_true.values)) / norm_l2(f_true)

@@ -124,8 +124,8 @@ class TestAdjointPairing:
 
 class TestNormalOperator:
     def test_matches_dense_normal_map_and_misfit(self):
-        # A^T A f = W^-1 A^T (W_t x W_omega) A f and the misfit is the
-        # masked space-time norm of A f - u_obs
+        # with the spec's modal maps, A^T A f = W^-1 A^T (W_t x W_omega) A f
+        # and the misfit is the masked space-time norm of A f - u_obs
         spec, mask, a = dense_forward_map()
         grid, tgrid = spec.grid, spec.tgrid
         weights = np.outer(tgrid.quad_weights, mask.quad_weights).ravel()
@@ -136,17 +136,17 @@ class TestNormalOperator:
         )
         residual = a @ f.values - u_obs.values.ravel()
         normal = NormalOperator(spec, mask)
-        f_hat = normal.to_modal(f)
-        assert_allclose(normal.to_field(f_hat).values, f.values, rtol=1e-12)
-        v = normal.observe(f_hat)
+        f_hat = spec.to_modal(f)
+        assert_allclose(spec.to_nodal(f_hat), f.values, rtol=1e-12)
+        v = spec.observe(f_hat)
         assert_allclose(
-            normal.to_field(normal.transpose(v)).values,
+            spec.to_nodal(normal.transpose(v)),
             (a.T @ (weights * (a @ f.values))) / grid.quad_weights,
             rtol=1e-12,
         )
         c, const = normal.project(u_obs)
         assert_allclose(
-            normal.to_field(normal.transpose(v - c)).values,
+            spec.to_nodal(normal.transpose(v - c)),
             (a.T @ (weights * residual)) / grid.quad_weights,
             rtol=1e-12,
         )
@@ -163,4 +163,4 @@ class TestNormalOperator:
         with pytest.raises(ValueError):
             normal.project(SpaceTimeField.zeros(grid21, TimeGrid(1.0, 10)))
         with pytest.raises(ValueError):
-            normal.to_modal(Field.constant(SpaceGrid(1, 11), 1.0))
+            spec.to_modal(Field.constant(SpaceGrid(1, 11), 1.0))

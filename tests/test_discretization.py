@@ -198,6 +198,18 @@ class TestMask:
         with pytest.raises(ValueError):
             ObservationMask(g, np.full(11, 0.5))
 
+    def test_weights_built_once_on_a_frozen_copy(self):
+        g = SpaceGrid(2, 11)
+        passed = np.ones(g.n_nodes)
+        mask = ObservationMask(g, passed)
+        assert mask.quad_weights is mask.quad_weights
+        with pytest.raises(ValueError):
+            mask.indicator[0] = 0.0
+        with pytest.raises(ValueError):
+            mask.quad_weights[0] = 0.0
+        passed[0] = 0.0  # the caller's array stays writable and apart from the mask
+        assert mask.indicator[0] == 1.0
+
 
 class TestMaskedInnerProduct:
     def test_full_mask_unit(self):

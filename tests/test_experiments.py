@@ -101,7 +101,7 @@ class TestConfig:
         assert cfg.rho == 1e-5
         assert cfg.f0 == 2.0
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             config_from_preset("5.1a", delta=-0.1)
         with pytest.raises(ValueError):
@@ -132,6 +132,12 @@ class TestConfig:
             with pytest.raises(ValueError, match="plain file-name stem"):
                 config_from_preset("5.1a", label=f"sub{os.altsep}run")
         assert config_from_preset("5.1a", label="run.v2").label == "run.v2"
+        # configs that cannot run fail when built, before any output directory
+        outdir = tmp_path / "out"
+        for bad in ({"max_iter": 0}, {"dim": 3}, {"n_per_axis": 2}, {"n_steps": 0}):
+            with pytest.raises(ValueError):
+                run_experiment(config_from_preset("5.1a", outdir=str(outdir), **bad))
+        assert not outdir.exists()
 
     def test_f_true_expression(self):
         cfg = config_from_preset("5.1a", f_true="sin(pi*x1) + x1 - 3", n_steps=10)

@@ -1,9 +1,11 @@
 """Every name a fracsource module exports must resolve, so a deletion cannot
-leave a dangling entry in an ``__all__`` list, and no module imports another
-module's private names."""
+leave a dangling entry in an ``__all__`` list, no module imports another
+module's private names, and every attribute the benchmark's tracer wraps
+exists."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -84,3 +86,37 @@ print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("sc
         for preset in ("5.1a", "5.3a")
         for kind in ("iterations", "profile", "summary")
     ]
+
+
+def _load_benchmark_tracer():
+    """perfbench/spans.py, loaded from its file without changing it."""
+    path = SRC.parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_benchmark_patch_points_resolve_and_trace(tmp_path):
+    # the benchmark's tracer wraps these module attributes; a refactor that
+    # renames one, or stops the traced solves from reaching the reference LU,
+    # breaks `perfbench/run.py --trace 1`
+    from fracsource import experiments, inversion
+
+    tracer = _load_benchmark_tracer()()
+    missing = [
+        f"{module.__name__}.{attr}"
+        for module, attr, _, _ in tracer.patches()
+        if not hasattr(module, attr)
+    ]
+    assert not missing, f"benchmark patch points missing: {missing}"
+    cfg = experiments.config_from_preset(
+        "5.3a", n_per_axis=11, n_steps=10, m=16.8, outdir=str(tmp_path)
+    )
+    with tracer.traced_op(0):
+        spec, _, mask = experiments.build_problem(cfg)
+        inversion.estimate_m(spec, mask, iters=5)
+        experiments.run_experiment(cfg)
+    metrics = tracer.op_metrics(0)
+    assert metrics["forward.factor_calls"] >= 1
+    assert metrics["inversion.estimate_m_calls"] == 1

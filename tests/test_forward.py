@@ -135,6 +135,8 @@ class TestProblemSpec:
             assert np.linalg.norm(a @ sb - x) <= 1e-14 * np.linalg.norm(x)
             assert sb.flags.c_contiguous
             assert spec.time_factor is spec.time_factor
+            # u^0 = 0 is built into the factor, not patched into the solves
+            assert np.all(a[0] == 0.0)
 
 
 class TestSolveForward:
@@ -158,6 +160,15 @@ class TestSolveForward:
         spec = make_spec(0.5, op41)
         with pytest.raises(ValueError):
             solve_forward(spec, Field.constant(SpaceGrid(1, 21), 1.0))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_initial_row_is_positive_zero(self, dim):
+        # the forward CSV writes repr, so a -0.0 in u^0 would change its bytes
+        grid = SpaceGrid(dim, 11)
+        spec = make_spec(0.5, assemble_operator(grid), n_steps=10)
+        f = Field(grid, np.random.default_rng(4).standard_normal(grid.n_nodes))
+        u0 = solve_forward(spec, f).values[0]
+        assert np.all(u0 == 0.0) and not np.any(np.signbit(u0))
 
     @pytest.mark.parametrize(
         "dim, n, n_steps, homogeneous",
