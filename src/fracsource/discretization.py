@@ -1,4 +1,4 @@
-"""Grids, fields, observation masks and the discrete operator -Laplace + 1.
+"""Grids, fields, observation masks, the discrete operator -Laplace + 1 and seeded draws.
 
 The spatial operator uses second-order finite differences on [0,1]^d with a
 mirror-ghost Neumann closure.  Boundary rows are weighted by the trapezoid
@@ -31,10 +31,39 @@ __all__ = [
     "inner_product",
     "norm_l2",
     "masked_inner_product",
+    "splitmix64",
+    "splitmix64_uniform",
 ]
 
 Box = Sequence[Sequence[float]]  # one (lo, hi) pair per axis
 _BOX_TOL = 1e-12
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed: int, n: int) -> NDArray[np.uint64]:
+    """First ``n`` outputs of the SplitMix64 generator (public domain; Steele, Lea & Flood 2014).
+
+    Output k >= 1 mixes the state seed + k * 0x9E3779B97F4A7C15 mod 2^64:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB; return z ^ (z >> 31).
+    The state has this closed form, so all draws are computed at once.
+    """
+    k = np.arange(1, n + 1, dtype=np.uint64)
+    z = np.uint64(seed & _MASK64) + k * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def splitmix64_uniform(seed: int, n: int) -> NDArray[np.float64]:
+    """The first ``n`` :func:`splitmix64` draws as uniforms in [-1, 1).
+
+    Each draw keeps its top 53 bits, divided by 2^53 and mapped by 2u - 1.
+    The observation noise and the norm estimate's start vector both come
+    from here, so no reconstruction step needs ``numpy.random``.
+    """
+    uniform = (splitmix64(seed, n) >> np.uint64(11)).astype(float) * 2.0**-53
+    return 2.0 * uniform - 1.0
 
 
 def _trapezoid(n: int, h: float) -> NDArray[np.float64]:

@@ -19,9 +19,17 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.typing import NDArray
 
-from .discretization import Field, ObservationMask, SpaceGrid, SpaceTimeField, TimeGrid, assemble_operator
+from .discretization import (
+    Field,
+    ObservationMask,
+    SpaceGrid,
+    SpaceTimeField,
+    TimeGrid,
+    assemble_operator,
+    splitmix64,
+    splitmix64_uniform,
+)
 from .forward import ProblemSpec, solve_forward
 from .fraccalc import FractionalOrder
 from .inversion import ReconstructionConfig, ReconstructionResult, iterate
@@ -46,24 +54,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MU = PolynomialMu((1.0, 0.0, 10.0 * math.pi))
-
-_MASK64 = (1 << 64) - 1
-
-
-def splitmix64(seed: int, n: int) -> NDArray[np.uint64]:
-    """First ``n`` outputs of the SplitMix64 generator (public domain; Steele, Lea & Flood 2014).
-
-    Output k >= 1 mixes the state seed + k * 0x9E3779B97F4A7C15 mod 2^64:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB; return z ^ (z >> 31).
-    The state has this closed form, so all draws are computed at once.
-    """
-    k = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + k * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
 
 # f_true presets: name -> (dim, expression), evaluated by _expr_function
 F_TRUE_PRESETS: dict[str, tuple[int, str]] = {
@@ -374,17 +364,16 @@ def synthesize_observation(
 ) -> SpaceTimeField:
     """Noisy observation u_obs = (1 + delta rand(-1,1)) u(f_true) on omega, 0 outside.
 
-    Draws come from :func:`splitmix64`, each the top 53 bits over 2^53 mapped
-    to [-1, 1); the order is masked nodes by ascending flat index, and for
-    each node all time nodes 0..n_steps, so a fixed seed reproduces the
-    observation bitwise.
+    Draws come from :func:`splitmix64_uniform`, each the top 53 bits of a
+    :func:`splitmix64` output over 2^53 mapped to [-1, 1); the order is
+    masked nodes by ascending flat index, and for each node all time nodes
+    0..n_steps, so a fixed seed reproduces the observation bitwise.
     """
     u = solve_forward(spec, f_true)
     obs = np.zeros_like(u.values)
     active = np.flatnonzero(mask.indicator)
     n_times = spec.tgrid.n_steps + 1
-    uniform = (splitmix64(seed, active.size * n_times) >> np.uint64(11)).astype(float) * 2.0**-53
-    r = (2.0 * uniform - 1.0).reshape(active.size, n_times).T
+    r = splitmix64_uniform(seed, active.size * n_times).reshape(active.size, n_times).T
     obs[:, active] = (1.0 + delta * r) * u.values[:, active]
     return SpaceTimeField(spec.grid, spec.tgrid, obs)
 

@@ -34,16 +34,18 @@ def pairing_discrepancy(spec, mask, seed, n_pairs=10):
     return worst
 
 
-def dense_forward_map():
-    """Spec, mask and the dense matrix A of f -> u(f) on 11 nodes x 10 steps.
+def dense_forward_map(dim=1, n_per_axis=11):
+    """Spec, mask and the dense matrix A of f -> u(f) on n_per_axis^dim nodes x 10 steps.
 
     Column j of A is the flattened history of solve_forward for the unit
-    vector e_j.  The mask is [0, 0.35] u [0.65, 1]: chi is 1/2 on the last
-    node of each box, and a mask of isolated nodes would carry no weight.
+    vector e_j.  The mask is the bands x1 in [0, 0.35] u [0.65, 1]: on 11
+    nodes chi is 1/2 on the last node of each band, and a mask of isolated
+    nodes would carry no weight.
     """
-    grid = SpaceGrid(1, 11)
+    grid = SpaceGrid(dim, n_per_axis)
     spec = make_spec(0.5, assemble_operator(grid), n_steps=10)
-    mask = ObservationMask.from_boxes(grid, [[[0.0, 0.35]], [[0.65, 1.0]]])
+    rest = [[0.0, 1.0]] * (dim - 1)
+    mask = ObservationMask.from_boxes(grid, [[[0.0, 0.35], *rest], [[0.65, 1.0], *rest]])
     columns = [
         solve_forward(spec, Field(grid, e)).values.ravel() for e in np.eye(grid.n_nodes)
     ]

@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracsource import experiments, solve_forward
-from fracsource.discretization import SpaceGrid, SpaceTimeField, TimeGrid
+from fracsource import discretization
+from fracsource.discretization import SpaceGrid, SpaceTimeField, TimeGrid, splitmix64_uniform
 from fracsource.experiments import (
     EXPERIMENT_PRESETS,
     ExperimentConfig,
@@ -76,6 +77,16 @@ class TestSplitMix64:
         assert u.tolist() == expected
         assert np.array_equal(splitmix64(123, 1000), splitmix64(123, 1000))
         assert np.all((0.0 <= u) & (u < 1.0))
+
+    def test_one_generator_below_noise_and_estimate(self):
+        # the noise and the norm estimate's start vector share the generator
+        # and its [-1, 1) mapping, which lives below both in discretization
+        assert experiments.splitmix64 is discretization.splitmix64
+        rng = SplitMix64(2**63 + 5)
+        expected = [2.0 * rng.uniform() - 1.0 for _ in range(1000)]
+        r = splitmix64_uniform(2**63 + 5, 1000)
+        assert r.tolist() == expected
+        assert np.all((-1.0 <= r) & (r < 1.0))
 
     def test_observation_matches_scalar_draw_order(self):
         # masked nodes by ascending flat index, all time nodes per node

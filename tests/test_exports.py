@@ -47,13 +47,19 @@ def test_no_private_imports_across_modules():
     assert not private, f"private names imported across modules: {private}"
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # the solvers and the reconstruction need no special functions; only the
-    # Mittag-Leffler routines and the verify checks import scipy.special
+def _subprocess_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # the solvers and the reconstruction need no special functions; only the
+    # Mittag-Leffler routines and the verify checks import scipy.special
+    env = _subprocess_env()
     code = "import sys, fracsource.cli; sys.exit('scipy.special' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -61,10 +67,7 @@ def test_cli_import_leaves_scipy_special_unloaded():
 def test_reconstruction_path_loads_no_scipy(tmp_path):
     # the modal solves, the norm estimate and the CSV output need numpy only;
     # scipy.sparse is for the nodal reference LU and the operator's sparse form
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env = _subprocess_env()
     code = f"""
 import sys
 import fracsource.cli
@@ -86,6 +89,25 @@ print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("sc
         for preset in ("5.1a", "5.3a")
         for kind in ("iterations", "profile", "summary")
     ]
+
+
+def test_reconstruction_path_leaves_numpy_random_unloaded(tmp_path):
+    # the norm estimate starts from the package's SplitMix64 draws, as the
+    # noise does, so a reconstruction never pays numpy.random's import
+    env = _subprocess_env()
+    code = f"""
+import sys
+import fracsource.cli
+from fracsource.experiments import build_problem, config_from_preset, run_experiment
+from fracsource.inversion import estimate_m
+
+cfg = config_from_preset("5.3a", n_per_axis=11, m=16.8, outdir={str(tmp_path)!r})
+spec, _, mask = build_problem(cfg)
+estimate_m(spec, mask, iters=60)
+run_experiment(cfg)
+sys.exit("numpy.random" in sys.modules)
+"""
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _load_benchmark_tracer():

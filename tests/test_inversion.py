@@ -20,10 +20,17 @@ from fracsource import (
     solve_adjoint,
     solve_forward,
 )
-from fracsource.experiments import build_problem, config_from_preset, synthesize_observation
+from fracsource import inversion
+from fracsource.experiments import (
+    build_problem,
+    config_from_preset,
+    run_reconstruction,
+    synthesize_observation,
+)
 from fracsource.inversion import threshold_update
 
 from conftest import edge_mask, make_spec
+from test_adjoint import dense_forward_map
 
 
 class TestObjective:
@@ -275,6 +282,71 @@ class TestEstimateM:
         spec = make_spec(0.5, op21, n_steps=20)
         with pytest.raises(ValueError):
             estimate_m(spec, edge_mask(grid21), iters=0)
+
+    @pytest.mark.parametrize("dim, n_per_axis", [(1, 11), (2, 7)])
+    def test_matches_dense_top_eigenvalue(self, dim, n_per_axis):
+        spec, mask, a = dense_forward_map(dim, n_per_axis)
+        assert estimate_m(spec, mask, iters=60) == pytest.approx(
+            dense_norm_sq(spec, mask, a), rel=1e-12, abs=0.0
+        )
+
+    def test_stops_early_on_53a(self, monkeypatch):
+        spec, _, mask = build_problem(config_from_preset("5.3a"))
+        calls = count_forward_solves(monkeypatch)
+        estimate_m(spec, mask, iters=60)
+        assert 1 <= len(calls) <= 10
+
+    @pytest.mark.parametrize("n_per_axis", [5, 11])
+    def test_more_steps_than_nodes_end_at_breakdown(self, n_per_axis, monkeypatch):
+        # the Krylov space cannot outgrow the n_nodes-dimensional space; on
+        # 5 nodes the top Ritz value needs all of it
+        spec, mask, a = dense_forward_map(1, n_per_axis)
+        calls = count_forward_solves(monkeypatch)
+        got = estimate_m(spec, mask, iters=50)
+        assert len(calls) <= n_per_axis
+        assert got == pytest.approx(dense_norm_sq(spec, mask, a), rel=1e-12, abs=0.0)
+
+
+def dense_norm_sq(spec, mask, a):
+    """Top eigenvalue of W^-1 A^T (W_t x W_omega) A, i.e. ||A||^2 in the mass-weighted product."""
+    weights = np.outer(spec.tgrid.quad_weights, mask.quad_weights).ravel()
+    scale = 1.0 / np.sqrt(spec.grid.quad_weights)
+    normal = scale[:, None] * (a.T @ (weights[:, None] * a)) * scale[None, :]
+    return float(np.linalg.eigvalsh(normal)[-1])
+
+
+def count_forward_solves(monkeypatch):
+    """Wrap the forward solve ``estimate_m`` calls; returns the list of calls."""
+    calls = []
+
+    def counted(spec, f):
+        calls.append(f)
+        return solve_forward(spec, f)
+
+    monkeypatch.setattr(inversion, "solve_forward", counted)
+    return calls
+
+
+class TestStatus:
+    @pytest.mark.parametrize(
+        "preset, overrides, status",
+        [
+            ("5.1a", {}, "converged"),
+            ("5.1a", {"max_iter": 5}, "max_iter"),
+            ("5.1b", {}, "diverged"),
+        ],
+    )
+    def test_why_the_run_stopped(self, preset, overrides, status):
+        result, _, _ = run_reconstruction(config_from_preset(preset, **overrides))
+        assert result.status == status
+        assert result.converged == (status == "converged")
+        assert len(result.phi_history) == result.iterations + 1
+        if status == "max_iter":
+            assert result.iterations == 5
+        if status == "diverged":
+            # K counts the bail-out check, one more than the updates made
+            assert result.iterations == 21
+            assert result.phi_history[-1] == result.phi_history[-2]
 
 
 class TestObjectiveMonotonicity:
