@@ -1,10 +1,10 @@
 """Grids, fields, observation masks, the discrete operator -Laplace + 1 and seeded draws.
 
-The spatial operator uses second-order finite differences on [0,1]^d with a
-mirror-ghost Neumann closure.  Boundary rows are weighted by the trapezoid
-mass so the stored matrix is symmetric and the operator action is self-adjoint
-with respect to :func:`inner_product`; this exact pairing is what the adjoint
-based gradient relies on.
+The spatial operator is the second-order finite-difference scheme on [0,1]^d
+with a mirror-ghost Neumann closure, weighted by the trapezoid mass so that it
+is self-adjoint with respect to :func:`inner_product`: the exact pairing the
+adjoint based gradient relies on.  It is stored as its closed-form eigenbasis
+and eigenvalues, all that the solves use, so this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -12,13 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "TimeGrid",
@@ -82,8 +79,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if self.T <= 0.0 or self.n_steps < 1:
-            raise ValueError("TimeGrid requires T > 0 and n_steps >= 1")
+        if not 0.0 < self.T < np.inf or self.n_steps < 1:
+            raise ValueError("TimeGrid requires a finite T > 0 and n_steps >= 1")
 
     @property
     def tau(self) -> float:
@@ -264,30 +261,14 @@ class ObservationMask:
         return int(self.indicator.sum())
 
 
-def _stiffness_1d(n: int, h: float) -> sparse.csr_matrix:
-    from scipy import sparse
-
-    # Tridiagonal (1/h) * [-1, 2, -1] with halved diagonal at the Neumann ends;
-    # identical to the mass-weighted mirror-ghost finite-difference Laplacian.
-    main = np.full(n, 2.0 / h)
-    main[0] = main[-1] = 1.0 / h
-    off = np.full(n - 1, -1.0 / h)
-    return sparse.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EllipticOperator:
-    """Discrete -Laplace + 1 with Neumann closure on a SpaceGrid.
+    """Discrete -Laplace + 1 with Neumann closure on a SpaceGrid, as its modal data.
 
-    ``stiffness`` is the symmetric mass-weighted Laplacian part (row sums are
-    exactly zero, so the action preserves constants bitwise); adding the
-    diagonal of trapezoid weights gives ``weighted_matrix``, the full
-    symmetric form M = W A.  The operator action is W^-1 (K v) + v.  Both
-    are scipy sparse matrices assembled on first use: the solves work in the
-    modal basis below and never need them, so building an operator imports
-    no scipy.
-
-    Both K and W are tensor products of the 1D factors k1 and W1, so the
+    The operator is W^-1 M, with W the trapezoid ``mass`` and M = K + W the
+    symmetric mass-weighted finite-difference matrix, which only the nodal
+    reference LU assembles (:attr:`fracsource.forward.ProblemSpec.step_solver`).
+    K and W are tensor products of their 1D factors k1 and W1, so the
     W-orthonormal eigenbasis of W^-1 M is the tensor product of the columns
     of ``axis_modes``: the W1-orthonormal eigenvectors of k1 v = kappa W1 v,
     which are the DCT-I vectors c_k cos(pi i k / (n-1)) with c_k = 1 at
@@ -303,32 +284,6 @@ class EllipticOperator:
     def mass(self) -> NDArray[np.float64]:
         """W, the grid's trapezoid weights."""
         return self.grid.quad_weights
-
-    @cached_property
-    def stiffness(self) -> sparse.csr_matrix:
-        """K = kron(k1, W1) + kron(W1, k1) in 2D, k1 in 1D."""
-        from scipy import sparse
-
-        k1 = _stiffness_1d(self.grid.n_per_axis, self.grid.h)
-        if self.grid.dim == 1:
-            return k1
-        W1 = sparse.diags(self.grid.axis_weights)
-        return (sparse.kron(k1, W1) + sparse.kron(W1, k1)).tocsr()
-
-    @property
-    def weighted_matrix(self) -> sparse.csr_matrix:
-        from scipy import sparse
-
-        return (self.stiffness + sparse.diags(self.mass)).tocsr()
-
-    def apply(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
-        return (self.stiffness @ values) / self.mass + values
-
-    def rayleigh(self, values: NDArray[np.float64]) -> float:
-        """Generalized Rayleigh quotient v.Mv / v.Wv of the operator."""
-        num = float(values @ (self.weighted_matrix @ values))
-        den = float(values @ (self.mass * values))
-        return num / den
 
     @property
     def eigenvalues(self) -> NDArray[np.float64]:

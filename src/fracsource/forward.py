@@ -29,9 +29,9 @@ transpose of :func:`solve_forward`.
 
 The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`, factored by the
 module-level ``splu``) is reference code only: no solve here uses it, and the
-tests step nodal values with it to check the modal solves.  It is the only
-user of scipy here and imports it when first accessed, so importing this
-module and running the modal solves load no scipy.
+tests step nodal values with it to check the modal solves.  It alone
+assembles the finite-difference stencil of M and imports scipy, when first
+accessed, so importing this module and running the modal solves load no scipy.
 """
 
 from __future__ import annotations
@@ -91,11 +91,24 @@ class ProblemSpec:
 
     @cached_property
     def step_solver(self):
-        """LU factorization of beta W + M, the nodal step the tests check the modal solves with."""
+        """LU factorization of beta W + M, the nodal step the tests check the modal solves with.
+
+        M = K + W; K is the mass-weighted Neumann stencil k1 = (1/h)[-1, 2, -1],
+        halved at the ends, in 1D and kron(k1, W1) + kron(W1, k1) in 2D.
+        """
         from scipy import sparse
 
+        n, h = self.grid.n_per_axis, self.grid.h
+        main = np.full(n, 2.0 / h)
+        main[0] = main[-1] = 1.0 / h
+        off = np.full(n - 1, -1.0 / h)
+        stiffness = sparse.diags([off, main, off], [-1, 0, 1], format="csr")
+        if self.grid.dim == 2:
+            w1 = sparse.diags(self.grid.axis_weights)
+            stiffness = sparse.kron(stiffness, w1) + sparse.kron(w1, stiffness)
+        mass = sparse.diags(self.op.mass)
         beta = l1_scale(self.alpha, self.tgrid.tau)
-        system = (sparse.diags(beta * self.op.mass) + self.op.weighted_matrix).tocsc()
+        system = (beta * mass + (stiffness + mass)).tocsc()
         lu = splu(system)
         # c0 = 1 makes the system matrix positive definite; a vanishing pivot
         # would mean the assembly is broken, so fail loudly.

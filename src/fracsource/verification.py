@@ -149,9 +149,11 @@ def check_adjoint_pairing() -> list[CheckResult]:
     return [CheckResult.upper("adjoint pairing discrepancy (10 random pairs, 21x21)", worst, 1e-2)]
 
 
-def run_all_checks(fast: bool = False) -> list[CheckResult]:
-    checks = check_mittag_leffler() + check_fractional_operators()
-    if not fast:
-        checks += check_forward_oracle() + check_duhamel()
-    checks += check_adjoint_pairing()
-    return checks
+def run_all_checks() -> list[CheckResult]:
+    return (
+        check_mittag_leffler()
+        + check_fractional_operators()
+        + check_forward_oracle()
+        + check_duhamel()
+        + check_adjoint_pairing()
+    )

@@ -42,6 +42,22 @@ def mu_std():
     return MU_STD
 
 
+def fd_stiffness(grid: SpaceGrid) -> np.ndarray:
+    """Dense K of the finite-difference scheme, M = K + W, stated apart from the package.
+
+    k1 = (1/h)[-1, 2, -1] with its end entries halved (mass-weighted
+    mirror-ghost Neumann closure); K = k1 in 1D and
+    kron(k1, W1) + kron(W1, k1) in 2D, W1 the 1D trapezoid weights.
+    """
+    n, h = grid.n_per_axis, grid.h
+    k1 = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h
+    k1[0, 0] = k1[-1, -1] = 1.0 / h
+    if grid.dim == 1:
+        return k1
+    w1 = np.diag(grid.axis_weights)
+    return np.kron(k1, w1) + np.kron(w1, k1)
+
+
 def make_spec(alpha: float, op, n_steps: int = 40, T: float = 1.0) -> ProblemSpec:
     tgrid = TimeGrid(T, n_steps)
     return ProblemSpec(FractionalOrder(alpha), tgrid, op, MU_STD.sample(tgrid))

@@ -28,7 +28,7 @@ def test_reconstruct_preset_with_overrides(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert (tmp_path / "5.1a_summary.csv").exists()
-    assert "err=" in result.output
+    assert "err=" in result.output and "status=converged" in result.output
 
 
 def test_reconstruct_from_config_file(tmp_path):
@@ -65,12 +65,26 @@ def test_table_smoke_deterministic(tmp_path):
     assert a == b
 
 
-def test_verify_fast():
+def test_verify():
     runner = CliRunner()
-    result = runner.invoke(main, ["verify", "--fast"])
+    result = runner.invoke(main, ["verify"])
     assert result.exit_code == 0, result.output
-    assert "[PASS]" in result.output
+    assert result.output.count("[PASS]") == 11
     assert "[FAIL]" not in result.output
+    assert result.output.splitlines()[-1] == "all 11 checks passed"
+
+
+def test_reconstruct_reports_why_a_run_stopped(tmp_path):
+    # a capped run and a diverged one both exit 2, but print different statuses
+    runner = CliRunner()
+    runs = [
+        (["--preset", "5.1a", "--max-iter", "5"], "K=5 err=n/a status=max_iter"),
+        (["--preset", "5.1b"], "K=21 err=n/a status=diverged"),
+    ]
+    for args, line in runs:
+        result = runner.invoke(main, ["reconstruct", *args, "--outdir", str(tmp_path)])
+        assert line in result.output, result.output
+        assert result.exit_code == 2
 
 
 def test_invalid_config_is_an_error_not_a_traceback(tmp_path, caplog):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.sparse.linalg import eigsh
 
 from fracsource.discretization import (
     Field,
@@ -18,6 +17,8 @@ from fracsource.discretization import (
     masked_inner_product,
     norm_l2,
 )
+
+from conftest import fd_stiffness
 
 
 class TestGrids:
@@ -38,8 +39,9 @@ class TestGrids:
             SpaceGrid(3, 11)
         with pytest.raises(ValueError):
             SpaceGrid(1, 2)
-        with pytest.raises(ValueError):
-            TimeGrid(0.0, 10)
+        for T in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TimeGrid(T, 10)
 
     def test_field_shape_check(self):
         g = SpaceGrid(1, 11)
@@ -47,72 +49,114 @@ class TestGrids:
             Field(g, np.zeros(10))
 
 
+def dense_modes(op):
+    """P, the tensor-product eigenbasis as a dense matrix, one mode per column."""
+    if op.grid.dim == 1:
+        return op.axis_modes
+    return np.kron(op.axis_modes, op.axis_modes)
+
+
+def modal_matrix(op):
+    """W^-1 M rebuilt from the modal data: P diag(eigenvalues) P^T W."""
+    p = dense_modes(op)
+    return p @ (op.eigenvalues[:, None] * p.T) * op.mass[None, :]
+
+
 class TestOperator:
+    """The closed-form modal data, and its tie to the finite-difference stencil."""
+
     def test_preserves_constants_1d_bitwise(self):
-        op = assemble_operator(SpaceGrid(1, 41))
-        out = op.apply(np.ones(41))
-        assert np.all(out == 1.0)
+        # the constant is mode 0 with eigenvalue exactly 1, and the stencil's rows sum to 0
+        grid = SpaceGrid(1, 41)
+        op = assemble_operator(grid)
+        assert op.axis_eigenvalues[0] == 0.0 and op.eigenvalues[0] == 1.0
+        assert np.all(op.axis_modes[:, 0] == 1.0)
+        assert np.all(fd_stiffness(grid) @ np.ones(41) == 0.0)
 
     def test_preserves_constants_2d(self):
-        op = assemble_operator(SpaceGrid(2, 21))
-        out = op.apply(np.ones(441))
-        assert_allclose(out, 1.0, atol=1e-13)
+        grid = SpaceGrid(2, 21)
+        op = assemble_operator(grid)
+        assert op.eigenvalues[0] == 1.0
+        assert np.all(dense_modes(op)[:, 0] == 1.0)
+        assert_allclose(fd_stiffness(grid) @ np.ones(441), 0.0, atol=1e-13)
+        assert_allclose(modal_matrix(op) @ np.ones(441), 1.0, atol=1e-13)
 
     def test_weighted_matrix_exactly_symmetric(self):
+        # M = K + W is symmetric, and so is its modal form W P diag(lambda) P^T W
         for grid in (SpaceGrid(1, 41), SpaceGrid(2, 17)):
-            m = assemble_operator(grid).weighted_matrix
-            assert abs(m - m.T).max() == 0.0
+            m = fd_stiffness(grid) + np.diag(grid.quad_weights)
+            assert np.all(m == m.T)
+            modal = grid.quad_weights[:, None] * modal_matrix(assemble_operator(grid))
+            assert np.max(np.abs(modal - modal.T)) <= 1e-13 * np.max(np.abs(m))
 
     def test_three_node_action_row_sums(self):
-        op = assemble_operator(SpaceGrid(1, 3))
-        action = np.linalg.solve(np.diag(op.mass), op.weighted_matrix.toarray())
+        grid = SpaceGrid(1, 3)
+        op = assemble_operator(grid)
+        action = (fd_stiffness(grid) + np.diag(op.mass)) / op.mass[:, None]
         assert_allclose(action.sum(axis=1), 1.0, atol=1e-14)
+        assert_allclose(modal_matrix(op), action, atol=1e-14)
 
     def test_cosine_eigenpair(self):
+        # mode k is sqrt 2 cos(k pi x) (cos(k pi x) at k = n - 1), eigenvalue (k pi)^2 + 1 to O(h^2)
         grid = SpaceGrid(1, 81)
         op = assemble_operator(grid)
-        v = np.cos(np.pi * grid.axis_nodes)
-        out = op.apply(v)
+        x = grid.axis_nodes
+        k = np.arange(81)
+        scale = np.where(k == 80, 1.0, np.sqrt(2.0))
+        expected = scale * np.cos(np.pi * np.outer(x, k))
+        assert np.max(np.abs(op.axis_modes[:, 1:] - expected[:, 1:])) <= 1e-12
         lam = np.pi**2 + 1.0
-        assert np.max(np.abs(out - lam * v)) / lam <= 2e-4  # O(h^2)
+        assert abs(op.eigenvalues[1] - lam) / lam <= 2e-4
 
     def test_rayleigh_quotient_convergence(self):
-        # discrete eigenvalues approach (k pi)^2 + 1 at second order
+        # kappa_k, the stencil's Rayleigh quotient of the sampled cos(k pi x),
+        # approaches (k pi)^2 at second order
         for k in (1, 2):
-            lam = (k * np.pi) ** 2 + 1.0
             errs = []
             for n in (21, 41, 81):
                 grid = SpaceGrid(1, n)
                 op = assemble_operator(grid)
                 v = np.cos(k * np.pi * grid.axis_nodes)
-                errs.append(abs(op.rayleigh(v) - lam))
+                rayleigh = v @ fd_stiffness(grid) @ v / (v @ (op.mass * v))
+                assert abs(rayleigh - op.axis_eigenvalues[k]) <= 1e-12 * rayleigh
+                errs.append(abs(op.axis_eigenvalues[k] - (k * np.pi) ** 2))
             orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
             assert min(orders) >= 1.9
 
     def test_positive_definite(self):
-        # smallest generalized Ritz value of (M, W) is >= 0.99 (exactly >= 1 here)
-        from scipy import sparse
-
-        op = assemble_operator(SpaceGrid(2, 15))
-        w = sparse.diags(op.mass).tocsc()
-        smallest = eigsh(
-            op.weighted_matrix.tocsc(), k=1, M=w, sigma=0.0, which="LM",
-            return_eigenvectors=False,
-        )[0]
-        assert smallest >= 0.99
+        # every eigenvalue is 1 + kappa_i + kappa_k >= 1, the smallest exactly 1,
+        # and so is the smallest of the stencil's W^-1/2 M W^-1/2
+        grid = SpaceGrid(2, 15)
+        op = assemble_operator(grid)
+        assert np.min(op.eigenvalues) == 1.0
+        s = 1.0 / np.sqrt(op.mass)
+        m = fd_stiffness(grid) + np.diag(op.mass)
+        assert abs(np.linalg.eigvalsh(s[:, None] * m * s[None, :])[0] - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 11, 41])
     def test_closed_form_basis_matches_eigh(self, n):
         # k1 v = kappa W1 v through the symmetric W1^-1/2 k1 W1^-1/2
-        op = assemble_operator(SpaceGrid(1, n))
+        grid = SpaceGrid(1, n)
+        op = assemble_operator(grid)
         s = 1.0 / np.sqrt(op.mass)
-        kappa, y = np.linalg.eigh(s[:, None] * op.stiffness.toarray() * s[None, :])
+        kappa, y = np.linalg.eigh(s[:, None] * fd_stiffness(grid) * s[None, :])
         modes = s[:, None] * y
         assert np.max(np.abs(op.axis_eigenvalues - kappa)) <= 1e-14 * kappa[-1]
         signs = np.sign(np.sum(modes * op.axis_modes, axis=0))
         assert np.max(np.abs(op.axis_modes - signs * modes)) <= 1e-12
         gram = op.axis_modes.T @ (op.mass[:, None] * op.axis_modes)
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 7, 11])
+    def test_closed_form_basis_diagonalises_2d_stencil(self, n):
+        # the 2D eigenvalues repeat, so the tensor basis is checked by
+        # P^T M P = diag(eigenvalues) and P^T W P = I rather than against eigh
+        grid = SpaceGrid(2, n)
+        op = assemble_operator(grid)
+        p = dense_modes(op)
+        m = fd_stiffness(grid) + np.diag(op.mass)
+        assert np.max(np.abs(p.T @ m @ p - np.diag(op.eigenvalues))) <= 1e-13 * op.eigenvalues.max()
+        assert np.max(np.abs(p.T @ (op.mass[:, None] * p) - np.eye(grid.n_nodes))) <= 1e-14
 
 
 class TestInnerProducts:

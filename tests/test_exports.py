@@ -64,9 +64,16 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_leaves_verification_unloaded():
+    # only the verify command needs the checks, and it imports them itself
+    env = _subprocess_env()
+    code = "import sys, fracsource.cli; sys.exit('fracsource.verification' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_reconstruction_path_loads_no_scipy(tmp_path):
     # the modal solves, the norm estimate and the CSV output need numpy only;
-    # scipy.sparse is for the nodal reference LU and the operator's sparse form
+    # scipy.sparse is for the nodal reference LU
     env = _subprocess_env()
     code = f"""
 import sys

@@ -24,7 +24,7 @@ from fracsource.experiments import build_problem, config_from_preset
 from fracsource.fraccalc import l1_scale
 from fracsource.oracle import eigen_forward, modes_up_to
 
-from conftest import MU_STD, cos_field, make_spec
+from conftest import MU_STD, cos_field, fd_stiffness, make_spec
 
 
 def l1_history(spec: ProblemSpec, source, initial, step):
@@ -80,19 +80,25 @@ class TestProblemSpec:
         original = forward.splu
 
         def counting(matrix):
-            calls.append(matrix.shape)
+            calls.append(matrix)
             return original(matrix)
 
         monkeypatch.setattr(forward, "splu", counting)
-        spec = make_spec(0.5, op21)
-        lu = spec.step_solver
-        assert spec.step_solver is lu
-        assert calls == [(21, 21)]
-        beta = l1_scale(spec.alpha, spec.tgrid.tau)
-        system = beta * np.diag(op21.mass) + op21.weighted_matrix.toarray()
-        rhs = np.random.default_rng(0).standard_normal(21)
-        dense = np.linalg.solve(system, rhs)
-        assert np.linalg.norm(lu.solve(rhs) - dense) <= 1e-12 * np.linalg.norm(dense)
+        for op in (op21, assemble_operator(SpaceGrid(2, 7))):
+            spec = make_spec(0.5, op)
+            lu = spec.step_solver
+            assert spec.step_solver is lu
+            n = op.grid.n_nodes
+            assert [m.shape for m in calls] == [(n, n)]
+            # the factored matrix is beta W + M of the finite-difference stencil, exactly symmetric
+            beta = l1_scale(spec.alpha, spec.tgrid.tau)
+            system = beta * np.diag(op.mass) + (fd_stiffness(op.grid) + np.diag(op.mass))
+            factored = calls.pop().toarray()
+            assert np.all(factored == factored.T)
+            assert np.max(np.abs(factored - system)) <= 1e-15 * np.max(np.abs(system))
+            rhs = np.random.default_rng(0).standard_normal(n)
+            dense = np.linalg.solve(system, rhs)
+            assert np.linalg.norm(lu.solve(rhs) - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_modal_data_cached(self, monkeypatch):
         # one L1 recursion per spec, over the distinct eigenvalues only
