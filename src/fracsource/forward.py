@@ -25,7 +25,11 @@ spec this costs one O(n_t^2 D) table over the D distinct eigenvalues; per
 solve it costs r + 1 batched n x n transforms along each axis (n nodes per
 axis), r for the time modes and one for f or for the result, and one
 product with the n_t x r matrix a.  :func:`solve_adjoint` is the exact
-transpose of :func:`solve_forward`.
+transpose of :func:`solve_forward`.  The normal map A^T A is quadratic in
+sb, so :class:`NormalOperator` applies it through only the leading q rows
+of sb above float64 rounding (4 of 8 on 5.3a) and folds the other rows'
+data terms into quantities computed once; everything linear in sb, the
+solves included, keeps all r rows.
 
 The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`, factored by the
 module-level ``splu``) is reference code only: no solve here uses it, and the
@@ -286,10 +290,25 @@ class NormalOperator:
 
     Misfit: since a has orthonormal columns, the space-time misfit against
     y = W_t^1/2 u_obs is sum_l ||v_l - c_l||^2_omega + ||y - a c||^2_omega
-    with c = a^T y (:meth:`project`), and A^T (A f - u_obs) is the transpose
-    of d = v - c.  Each application costs r batched transforms along every
-    axis; the results match :func:`solve_forward`, :func:`solve_adjoint` and
-    :func:`masked_inner_product` to rounding.
+    with c = a^T y, and A^T (A f - u_obs) is the transpose of d = v - c.
+
+    Rank cut: row l enters A^T A f as sb_l * P^T W_omega P (sb_l * f_hat),
+    quadratic in sb_l, and the rows of sb decay geometrically.  Past the
+    leading q rows (:attr:`rank`) every row has
+    max|sb_l|^2 <= eps max|sb_0|^2, eps the float64 machine epsilon, so its
+    term is below the rounding of row 0's and is dropped.  What the tail
+    rows l >= q add to the misfit and to A^T (A f - u_obs) is then
+    independent of f, apart from the cross term linear in sb_l:
+    sum_{l>=q} ||v_l - c_l||^2 = sum_{l>=q} ||c_l||^2 - 2 f_hat . t and
+    sum_{l>=q} sb_l * P^T W_omega (v_l - c_l) = -t, with
+    t = sum_{l>=q} sb_l * P^T (W_omega c_l) the transpose over the tail.
+    :meth:`project` returns c_q (the leading q rows of c), t and the
+    constant; with d_q = :meth:`observe` (f_hat) - c_q the misfit is
+    :meth:`misfit` (d_q) - 2 f_hat . t + const and A^T (A f - u_obs) is
+    :meth:`transpose` (d_q) - t.  An application costs q batched transforms
+    along every axis; the results match :func:`solve_forward`,
+    :func:`solve_adjoint` and :func:`masked_inner_product` to rounding.
+    Everything linear in sb (the solves, c and t) keeps all r rows.
     """
 
     def __init__(self, spec: ProblemSpec, mask: ObservationMask) -> None:
@@ -298,20 +317,52 @@ class NormalOperator:
         self.spec = spec
         self.weights = mask.quad_weights
 
-    def project(self, u_obs: SpaceTimeField) -> tuple[NDArray[np.float64], float]:
-        """(c, ||y - a c||^2_omega) for y = W_t^1/2 u_obs and c = a^T y."""
+    @cached_property
+    def rank(self) -> int:
+        """q: the leading rows of sb through the last with max|sb_l|^2 > eps max|sb_0|^2.
+
+        Every row past them is below that bound; q = 0 when sb has no rows
+        (mu = 0 makes r = 0).
+        """
+        peak = np.max(np.abs(self.spec.time_factor[1]), axis=1, initial=0.0) ** 2
+        above = np.flatnonzero(peak > np.finfo(float).eps * peak[:1])
+        return int(np.max(above, initial=-1)) + 1
+
+    def observe(self, f_hat: NDArray[np.float64]) -> NDArray[np.float64]:
+        """v_q, the leading q rows of :meth:`ProblemSpec.observe`."""
+        return self.spec.to_nodal(self.spec.time_factor[1][: self.rank] * f_hat)
+
+    def project(
+        self, u_obs: SpaceTimeField
+    ) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:
+        """(c_q, t, const) of y = W_t^1/2 u_obs, with c = a^T y over all r rows.
+
+        c_q = c[:q], t = sum_{l>=q} sb_l * P^T (W_omega c_l) and
+        const = ||y - a c||^2_omega + sum_{l>=q} ||c_l||^2_omega.
+        """
         if u_obs.grid != self.spec.grid or u_obs.tgrid != self.spec.tgrid:
             raise ValueError("observation grids do not match the problem spec")
-        a = self.spec.time_factor[0]
+        a, sb = self.spec.time_factor
         y = np.sqrt(self.spec.tgrid.quad_weights)[:, None] * u_obs.values
         c = a.T @ y
-        return c, self.misfit(y - a @ c)
+        q = self.rank
+        const = self.misfit(y - a @ c) + self.misfit(c[q:])
+        return c[:q], self._transpose(sb[q:], c[q:]), const
 
     def misfit(self, d: NDArray[np.float64]) -> float:
         """sum_l ||d_l||^2_omega over the rows of ``d``."""
         return float(np.sum(d * d, axis=0) @ self.weights)
 
     def transpose(self, d: NDArray[np.float64]) -> NDArray[np.float64]:
-        """sum_l sb_l * P^T (W_omega d_l): modal A^T of the history a d."""
+        """sum_l sb_l * P^T (W_omega d_l): modal A^T of the history a d.
+
+        ``d`` holds the leading rows of a history in the time factor: all r
+        for :func:`solve_adjoint`, q for the iteration.
+        """
+        return self._transpose(self.spec.time_factor[1][: len(d)], d)
+
+    def _transpose(
+        self, sb: NDArray[np.float64], d: NDArray[np.float64]
+    ) -> NDArray[np.float64]:
         d_hat = _along_axes(self.spec.grid, self.spec.op.axis_modes.T, self.weights * d)
-        return np.sum(self.spec.time_factor[1] * d_hat, axis=0)
+        return np.sum(sb * d_hat, axis=0)

@@ -1,8 +1,11 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracsource
 from fracsource import (
     Field,
     FractionalOrder,
@@ -69,3 +72,16 @@ def edge_mask(grid: SpaceGrid) -> ObservationMask:
 
 def cos_field(grid: SpaceGrid, k: int = 1) -> Field:
     return Field.from_function(grid, lambda x: np.cos(k * np.pi * x))
+
+
+def subprocess_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH.
+
+    A child Python finds the package under test with it, also when pytest
+    put ``src`` on its own ``sys.path`` only (``pythonpath`` in pyproject.toml).
+    """
+    env = dict(os.environ)
+    src = str(Path(fracsource.__file__).parent.parent)
+    rest = [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []
+    env["PYTHONPATH"] = os.pathsep.join([src, *rest])
+    return env

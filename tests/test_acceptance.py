@@ -48,7 +48,7 @@ from fracsource.experiments import (
     table_base_config,
 )
 
-from conftest import MU_STD, cos_field, edge_mask, make_spec
+from conftest import MU_STD, cos_field, edge_mask, make_spec, subprocess_env
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -388,7 +388,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "fracsource.cli", "table", "--id", "1",
              "--seed", "7", "--outdir", str(outdir)],
-            capture_output=True, text=True, timeout=600,
+            capture_output=True, text=True, timeout=600, env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
         outs.append((outdir / "table1_seed7.csv").read_bytes())

@@ -14,6 +14,7 @@ from fracsource import (
     solve_adjoint,
     solve_forward,
 )
+from fracsource.experiments import build_problem, config_from_preset, table_base_config
 from fracsource.forward import NormalOperator
 
 from conftest import edge_mask, make_spec
@@ -138,24 +139,60 @@ class TestNormalOperator:
         )
         residual = a @ f.values - u_obs.values.ravel()
         normal = NormalOperator(spec, mask)
+        # the dense map's time factor has 7 rows, of which A^T A keeps 4
+        assert (normal.rank, spec.time_factor[1].shape[0]) == (4, 7)
         f_hat = spec.to_modal(f)
         assert_allclose(spec.to_nodal(f_hat), f.values, rtol=1e-12)
-        v = spec.observe(f_hat)
+        v = normal.observe(f_hat)
         assert_allclose(
             spec.to_nodal(normal.transpose(v)),
             (a.T @ (weights * (a @ f.values))) / grid.quad_weights,
             rtol=1e-12,
         )
-        c, const = normal.project(u_obs)
+        c, t, const = normal.project(u_obs)
         assert_allclose(
-            spec.to_nodal(normal.transpose(v - c)),
+            spec.to_nodal(normal.transpose(v - c) - t),
             (a.T @ (weights * residual)) / grid.quad_weights,
             rtol=1e-12,
         )
         r = SpaceTimeField(grid, tgrid, residual.reshape(u_obs.values.shape))
         assert_allclose(
-            normal.misfit(v - c) + const, masked_inner_product(r, r, mask), rtol=1e-12
+            normal.misfit(v - c) - 2.0 * (f_hat @ t) + const,
+            masked_inner_product(r, r, mask),
+            rtol=1e-12,
         )
+
+    @pytest.mark.parametrize(
+        "config, q, r",
+        [(config_from_preset("5.3a"), 4, 8), (table_base_config(2), 7, 13)],
+        ids=["5.3a", "table2"],
+    )
+    def test_rank_cut_is_below_rounding(self, config, q, r):
+        # A^T A through the leading q rows of sb, with the tail's data terms
+        # folded into t and const, against the same maps over all r rows
+        spec, _, mask = build_problem(config)
+        normal = NormalOperator(spec, mask)
+        a, sb = spec.time_factor
+        assert (normal.rank, sb.shape[0]) == (q, r)
+        peak = np.max(np.abs(sb), axis=1) ** 2
+        assert np.all(peak[q:] <= np.finfo(float).eps * peak[0])
+        rng = np.random.default_rng(5)
+        shape = (spec.tgrid.n_steps + 1, spec.grid.n_nodes)
+        u_obs = SpaceTimeField(spec.grid, spec.tgrid, rng.standard_normal(shape))
+        y = np.sqrt(spec.tgrid.quad_weights)[:, None] * u_obs.values
+        c = a.T @ y
+        c_q, t, const = normal.project(u_obs)
+        for _ in range(3):
+            f_hat = rng.standard_normal(spec.grid.n_nodes)
+            v = normal.observe(f_hat)
+            full = normal.transpose(spec.observe(f_hat))
+            assert np.linalg.norm(normal.transpose(v) - full) <= 1e-14 * np.linalg.norm(full)
+            full = normal.transpose(spec.observe(f_hat) - c)
+            cut = normal.transpose(v - c_q) - t
+            assert np.linalg.norm(cut - full) <= 1e-14 * np.linalg.norm(full)
+            full = normal.misfit(spec.observe(f_hat) - c) + normal.misfit(y - a @ c)
+            cut = normal.misfit(v - c_q) - 2.0 * (f_hat @ t) + const
+            assert abs(cut - full) <= 1e-14 * full
 
     def test_grid_mismatch(self, grid21, op21):
         spec = make_spec(0.5, op21, n_steps=20)

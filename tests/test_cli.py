@@ -1,3 +1,4 @@
+import csv
 import json
 
 from click.testing import CliRunner
@@ -124,3 +125,18 @@ def test_invalid_config_is_an_error_not_a_traceback(tmp_path, caplog):
         assert "Traceback" not in result.output
     # the output directory is made before anything is built, so no run iterates
     assert not any("diverged" in r.getMessage() for r in caplog.records)
+
+
+def test_zero_source_reports_no_error_not_a_traceback(tmp_path):
+    # the relative error of a source that is identically zero is undefined
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"preset": "5.1a", "f_true": "0.0*x1", "max_iter": 5, "outdir": str(tmp_path)}
+    ))
+    result = CliRunner().invoke(main, ["reconstruct", "--config", str(path)])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 2
+    assert "K=5 err=n/a status=max_iter" in result.output, result.output
+    assert "Traceback" not in result.output
+    with open(tmp_path / "5.1a_summary.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header[2] == "err_percent" and row[2] == ""

@@ -6,7 +6,6 @@ exists."""
 import ast
 import importlib
 import importlib.util
-import os
 import pkgutil
 import subprocess
 import sys
@@ -15,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import fracsource
+
+from conftest import subprocess_env
 
 MODULES = ["fracsource"] + [
     f"fracsource.{info.name}" for info in pkgutil.iter_modules(fracsource.__path__)
@@ -47,26 +48,17 @@ def test_no_private_imports_across_modules():
     assert not private, f"private names imported across modules: {private}"
 
 
-def _subprocess_env() -> dict:
-    """The environment with this checkout's ``src`` first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    return env
-
-
 def test_cli_import_leaves_scipy_special_unloaded():
     # the solvers and the reconstruction need no special functions; only the
     # Mittag-Leffler routines and the verify checks import scipy.special
-    env = _subprocess_env()
+    env = subprocess_env()
     code = "import sys, fracsource.cli; sys.exit('scipy.special' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_import_leaves_verification_unloaded():
     # only the verify command needs the checks, and it imports them itself
-    env = _subprocess_env()
+    env = subprocess_env()
     code = "import sys, fracsource.cli; sys.exit('fracsource.verification' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -74,7 +66,7 @@ def test_cli_import_leaves_verification_unloaded():
 def test_reconstruction_path_loads_no_scipy(tmp_path):
     # the modal solves, the norm estimate and the CSV output need numpy only;
     # scipy.sparse is for the nodal reference LU
-    env = _subprocess_env()
+    env = subprocess_env()
     code = f"""
 import sys
 import fracsource.cli
@@ -101,7 +93,7 @@ print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("sc
 def test_reconstruction_path_leaves_numpy_random_unloaded(tmp_path):
     # the norm estimate starts from the package's SplitMix64 draws, as the
     # noise does, so a reconstruction never pays numpy.random's import
-    env = _subprocess_env()
+    env = subprocess_env()
     code = f"""
 import sys
 import fracsource.cli

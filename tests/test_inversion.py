@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fracsource.experiments import (
     config_from_preset,
     run_reconstruction,
     synthesize_observation,
+    table_base_config,
 )
 from fracsource.inversion import threshold_update
 
@@ -190,6 +192,18 @@ class TestIterate:
         assert not res.converged
         assert res.iterations < 1000
 
+    def test_zero_source_has_no_relative_error(self, grid21, op21):
+        # ||f_K - f_true|| / ||f_true|| is undefined for f_true = 0
+        spec = make_spec(0.5, op21, n_steps=20)
+        zero = Field.constant(grid21, 0.0)
+        cfg = ReconstructionConfig(
+            rho=1e-5, m=2.0, eps=1e-6, f0=Field.constant(grid21, 1.0), max_iter=5
+        )
+        u_obs = SpaceTimeField.zeros(grid21, spec.tgrid)
+        res = iterate(spec, u_obs, edge_mask(grid21), cfg, f_true=zero)
+        assert res.err is None
+        assert (res.iterations, res.status) == (5, "max_iter")
+
 
 def nodal_iterate(spec, u_obs, mask, cfg):
     """The thresholding loop on nodal values with a full forward and adjoint
@@ -234,10 +248,18 @@ class TestIterateMatchesNodalLoop:
             ("5.1b", {}, False),
             ("5.3a", {"n_per_axis": 21}, False),
             ("5.3a", {"n_per_axis": 21, "m": 16.8}, True),
+            # the widest rank cuts, q = 7 of 13 and 6 of 10; M = 4 is stable
+            # on the 21^2 grid (||A||^2 = 6.88), the pinned M = 2 diverges
+            ("table2", {"n_per_axis": 21, "m": 4.0}, True),
+            ("table2", {"n_per_axis": 21}, False),
+            ("table1", {}, True),
         ],
     )
     def test_same_iterates(self, preset, overrides, converges):
-        cfg = config_from_preset(preset, **overrides)
+        if preset.startswith("table"):
+            cfg = replace(table_base_config(int(preset[5:])), **overrides)
+        else:
+            cfg = config_from_preset(preset, **overrides)
         spec, f_true, mask = build_problem(cfg)
         u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
         rcfg = ReconstructionConfig(
