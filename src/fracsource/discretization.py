@@ -234,13 +234,18 @@ class ObservationMask:
         A node within 1e-12 of a box face counts as inside, so a face that
         falls on a grid line keeps its nodes despite the rounding of
         ``linspace`` coordinates (x = 0.30000000000000004 on 11 nodes).
-        Raises ``ValueError`` when no node is inside, or when the nodes inside
-        are all isolated, so that no grid cell lies in omega and the
-        quadrature over omega, hence the observation map, is zero.
+        Raises ``ValueError`` when a box does not give one (lo, hi) pair per
+        axis of the grid, when no node is inside, or when the nodes inside are
+        all isolated, so that no grid cell lies in omega and the quadrature
+        over omega, hence the observation map, is zero.
         """
         coords = grid.coords
         ind = np.zeros(grid.n_nodes, dtype=bool)
         for box in boxes:
+            if len(box) != grid.dim:
+                raise ValueError(
+                    f"a box needs one interval per axis of the {grid.dim}D grid, got {len(box)}"
+                )
             inside = np.ones(grid.n_nodes, dtype=bool)
             for axis, (lo, hi) in enumerate(box):
                 x = coords[:, axis]

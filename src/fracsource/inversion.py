@@ -156,6 +156,8 @@ def iterate(
     """
     if cfg.f0.grid != spec.grid:
         raise ValueError("initial guess grid does not match the problem grid")
+    if f_true is not None and f_true.grid != spec.grid:
+        raise ValueError("true source grid does not match the problem grid")
     normal = NormalOperator(spec, mask)
     c, t, const = normal.project(u_obs)
 

@@ -227,6 +227,14 @@ class TestMask:
         with pytest.raises(ValueError, match="h = 0.1"):
             ObservationMask.from_boxes(SpaceGrid(2, 11), [[[0.0, 1.0], [0.5, 0.5]]])
 
+    def test_box_axes_must_match_grid(self):
+        # a one-axis box on a 2D grid would select a band of whole grid lines,
+        # a two-axis box on a 1D grid would index a missing coordinate
+        with pytest.raises(ValueError, match="2D grid"):
+            ObservationMask.from_boxes(SpaceGrid(2, 11), [[[0.0, 0.2]]])
+        with pytest.raises(ValueError, match="1D grid"):
+            ObservationMask.from_boxes(SpaceGrid(1, 11), [[[0.0, 0.2], [0.0, 0.2]]])
+
     def test_quadrature_measure_exact(self):
         g = SpaceGrid(1, 41)
         mask = ObservationMask.from_boxes(g, [[[0.0, 0.05]], [[0.95, 1.0]]])

@@ -49,8 +49,9 @@ def test_no_private_imports_across_modules():
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # the solvers and the reconstruction need no special functions; only the
-    # Mittag-Leffler routines and the verify checks import scipy.special
+    # the solvers and the reconstruction need no special functions; only
+    # fraccalc's rgamma, in the Mittag-Leffler power series at z >= 0 and in
+    # rl_integral, imports scipy.special
     env = subprocess_env()
     code = "import sys, fracsource.cli; sys.exit('scipy.special' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -88,6 +89,29 @@ print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("sc
         for preset in ("5.1a", "5.3a")
         for kind in ("iterations", "profile", "summary")
     ]
+
+
+def test_oracle_path_loads_no_scipy():
+    # the Mittag-Leffler kernels of the oracles are a contour sum in numpy
+    env = subprocess_env()
+    code = """
+import math, sys
+import numpy as np
+from fracsource import Field, FractionalOrder, SpaceGrid, TimeGrid
+from fracsource.oracle import PolynomialMu, duhamel_check, eigen_forward, modes_up_to
+
+grid = SpaceGrid(1, 21)
+tgrid = TimeGrid(1.0, 20)
+alpha = FractionalOrder(0.5)
+mu = PolynomialMu((1.0, 0.0, 10.0 * math.pi))
+f = Field(grid, np.cos(math.pi * grid.coords[:, 0]))
+eigen_forward(alpha, modes_up_to(1, 2), f, mu.sample(tgrid), tgrid)
+duhamel_check(alpha, f, mu, tgrid, grid, refine=4)
+print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"scipy modules loaded: {proc.stdout}"
 
 
 def test_reconstruction_path_leaves_numpy_random_unloaded(tmp_path):

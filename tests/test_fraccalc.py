@@ -32,8 +32,9 @@ class TestMittagLeffler:
         assert abs(mittag_leffler(0.5, 1.0, -1.0) - E_HALF_AT_M1) <= 1e-13
 
     def test_erfc_identity_across_regimes(self):
-        # covers the Taylor, spectral-integral and asymptotic branches;
-        # erfcx(x) = exp(x^2) erfc(x) avoids the overflow of the raw product
+        # from |z| < 1 to |z|^(1/alpha) = 6400, where the power series would
+        # lose all digits to cancellation; erfcx(x) = exp(x^2) erfc(x) avoids
+        # the overflow of the raw product
         from scipy.special import erfcx
 
         for x in (0.5, 3.0, 7.0, 20.0, 80.0):
@@ -60,13 +61,13 @@ class TestMittagLeffler:
         st.floats(min_value=0.5, max_value=1.4),
         st.floats(min_value=-60.0, max_value=-0.1),
     )
-    # beta + alpha just below 1 + alpha puts the exponent 1/(1 + alpha - beta)
-    # of the spectral integral at 256, where it overflowed
+    # beta + alpha just below 1 + alpha: a real-line integral representation
+    # of E_{a,b+a} has the exponent 1/(1 + alpha - beta) = 256 there
     @example(0.75, 0.99609375, -5.0)
     @settings(max_examples=60, deadline=None)
     def test_beta_shift_identity(self, alpha, beta, z):
-        # E_{a,b}(z) = z E_{a,b+a}(z) + 1/Gamma(b) ties the Taylor, spectral
-        # and asymptotic regimes together
+        # E_{a,b}(z) = z E_{a,b+a}(z) + 1/Gamma(b) ties two contour sums with
+        # different beta to the closed-form 1/Gamma(b)
         from scipy.special import rgamma
 
         lhs = mittag_leffler(alpha, beta, z)
@@ -92,6 +93,35 @@ class TestMittagLeffler:
             with mp.workdps(40):
                 s = mp.nsum(lambda k: mp.mpf(z) ** k / mp.gamma(a * k + b), [0, mp.inf])
                 assert abs(float(row["value"]) - float(s)) <= 1e-15
+
+    def test_matches_mpmath_beyond_the_frozen_table(self):
+        # orders near 1 and beta up to 3.8, which ml_reference.csv does not
+        # hold, against the power series in mpmath at a working precision
+        # sized to its cancellation; where that would need thousands of
+        # digits (alpha = 0.3, z = -20: |z|^(1/alpha) ~ 2e4), against the
+        # algebraic asymptotic series, whose error is then below e^-1000
+        mp = pytest.importorskip("mpmath")
+        from make_ml_reference import ml_series
+
+        worst = 0.0
+        for a in (0.3, 0.8, 0.99):
+            for b in (a, 1.0, 2.0, 3.8):
+                for z in (-1e-8, -0.5, -3.0, -20.0):
+                    if abs(z) ** (1.0 / a) < 1000.0:
+                        ref = ml_series(a, b, z)
+                    else:
+                        with mp.workdps(40):
+                            ref = -mp.fsum(
+                                mp.mpf(z) ** -k * mp.rgamma(b - a * k) for k in range(1, 61)
+                            )
+                    worst = max(worst, abs(mittag_leffler(a, b, z) - float(ref)))
+        assert worst <= 1e-12
+
+    def test_alpha_one_matches_expm1_ratio(self):
+        # E_{1,2}(z) = (e^z - 1) / z: for alpha = 1 the contour encloses the
+        # pole s = z
+        for z in np.linspace(-50.0, -0.1, 200):
+            assert abs(mittag_leffler(1.0, 2.0, z) - math.expm1(z) / z) <= 1e-12
 
 
 class TestL1Weights:

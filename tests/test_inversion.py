@@ -204,6 +204,19 @@ class TestIterate:
         assert res.err is None
         assert (res.iterations, res.status) == (5, "max_iter")
 
+    def test_rejects_true_source_on_another_grid(self):
+        # a 1D grid with the node count of 41^2 would be compared node by node,
+        # and a coarser grid would fail in numpy only after the whole run
+        cfg = config_from_preset("5.3a", m=16.8)
+        spec, _, mask = build_problem(cfg)
+        u_obs = SpaceTimeField.zeros(spec.grid, spec.tgrid)
+        rcfg = ReconstructionConfig(
+            rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=Field.constant(spec.grid, cfg.f0)
+        )
+        for other in (SpaceGrid(1, 1681), SpaceGrid(2, 21)):
+            with pytest.raises(ValueError, match="true source grid"):
+                iterate(spec, u_obs, mask, rcfg, f_true=Field.constant(other, 1.0))
+
 
 def nodal_iterate(spec, u_obs, mask, cfg):
     """The thresholding loop on nodal values with a full forward and adjoint
