@@ -13,10 +13,10 @@ import json
 import logging
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -55,7 +55,7 @@ logger = logging.getLogger(__name__)
 
 MU = PolynomialMu((1.0, 0.0, 10.0 * math.pi))
 
-# f_true presets: name -> (dim, expression), evaluated by _expr_function
+# f_true presets: name -> (dim, expression), sampled by _sample_f_true
 F_TRUE_PRESETS: dict[str, tuple[int, str]] = {
     "sin_plus_linear": (1, "sin(pi * x1) + x1 - 3.0"),
     "sin_minus_3_2": (1, "sin(pi * x1) - 1.5"),
@@ -98,23 +98,32 @@ OMEGA_PRESETS: dict[str, dict] = {
 
 
 _EXPR_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_EXPR_NAMES = {**_EXPR_FUNCS, "pi": np.pi}
-_EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+_EXPR_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
+}
 
 
-def _check_expr(node: ast.AST, names: set) -> None:
-    """Accept only numbers, ``names``, sin/cos/exp calls, + - * / ** and unary +-."""
+def _eval_expr(node: ast.AST, names: dict):
+    """The value of an f_true syntax tree: numbers, ``names``, sin/cos/exp
+    of one argument, + - * / ** and unary +-; any other node raises.
+
+    Nothing is compiled.  Literals are float64, so a power overflows to inf
+    instead of growing an integer.
+    """
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return
+        return np.float64(node.value)
     if isinstance(node, ast.Name) and node.id in names:
-        return
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_OPS):
-        _check_expr(node.left, names)
-        _check_expr(node.right, names)
-        return
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _EXPR_OPS):
-        _check_expr(node.operand, names)
-        return
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_expr(node.left, names), _eval_expr(node.right, names))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_expr(node.operand, names))
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
@@ -122,36 +131,35 @@ def _check_expr(node: ast.AST, names: set) -> None:
         and len(node.args) == 1
         and not node.keywords
     ):
-        _check_expr(node.args[0], names)
-        return
+        return _EXPR_FUNCS[node.func.id](_eval_expr(node.args[0], names))
     raise ValueError(f"f_true expression may not contain {ast.unparse(node)!r}")
 
 
-# every config, including each replace() of a table row, resolves its f_true,
-# so each distinct expression is parsed, checked and compiled once
+# every config, including each replace() of a table row, samples its f_true,
+# so each distinct expression is parsed and evaluated once per grid
 @lru_cache(maxsize=64)
-def _expr_function(expr: str, dim: int) -> Callable:
-    """Compile an f_true expression over sin, cos, exp, pi and x1[, x2]."""
-    tree = ast.parse(expr, "<f_true>", "eval")
-    _check_expr(tree.body, {"pi", "x1"} if dim == 1 else {"pi", "x1", "x2"})
-    code = compile(tree, "<f_true>", "eval")
-
-    def fn(*coords):
-        scope = dict(_EXPR_NAMES)
-        scope.update({f"x{i + 1}": c for i, c in enumerate(coords)})
-        # the trailing zero term broadcasts constant expressions to arrays
-        return eval(code, {"__builtins__": {}}, scope) + 0.0 * coords[0]
-
-    return fn
-
-
-def _resolve_f_true(name: str, dim: int) -> Callable:
-    if name in F_TRUE_PRESETS:
-        preset_dim, expr = F_TRUE_PRESETS[name]
+def _sample_f_true(f_true: str, dim: int, n_per_axis: int) -> np.ndarray:
+    """A preset name or expression over sin, cos, exp, pi and x1[, x2],
+    sampled at the grid nodes; the array is read-only."""
+    expr = f_true
+    if f_true in F_TRUE_PRESETS:
+        preset_dim, expr = F_TRUE_PRESETS[f_true]
         if preset_dim != dim:
-            raise ValueError(f"f_true preset {name!r} is {preset_dim}-D, but dim is {dim}")
-        return _expr_function(expr, dim)
-    return _expr_function(name, dim)
+            raise ValueError(f"f_true preset {f_true!r} is {preset_dim}-D, but dim is {dim}")
+    coords = SpaceGrid(dim, n_per_axis).coords.T
+    names = {"pi": np.float64(np.pi), **{f"x{i + 1}": x for i, x in enumerate(coords)}}
+    quoted = repr(expr if len(expr) <= 60 else expr[:57] + "...")
+    try:
+        with np.errstate(all="ignore"):
+            # the trailing zero term broadcasts constant expressions to arrays
+            values = _eval_expr(ast.parse(expr, "<f_true>", "eval").body, names) + 0.0 * coords[0]
+    except (SyntaxError, RecursionError, MemoryError, ArithmeticError) as exc:
+        reason = exc.msg if isinstance(exc, SyntaxError) else type(exc).__name__
+        raise ValueError(f"f_true expression {quoted} cannot be evaluated: {reason}") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"f_true {quoted} is not finite at every grid node")
+    values.flags.writeable = False
+    return values
 
 
 def _omega_boxes_and_label(omega) -> tuple[list, str]:
@@ -218,7 +226,7 @@ class ExperimentConfig:
             raise ValueError("max_iter must be >= 1")
         if self.delta < 0.0:
             raise ValueError("noise level delta must be >= 0")
-        _resolve_f_true(self.f_true, self.dim)  # raises on bad preset/expression
+        _sample_f_true(self.f_true, self.dim, self.n_per_axis)  # raises on bad preset/expression
         preset = isinstance(self.omega, str)
         boxes = _omega_boxes_and_label(self.omega)[0] if preset else self.omega
         seq = (list, tuple)
@@ -345,7 +353,7 @@ def build_forward_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field]:
     spec = ProblemSpec(
         alpha=FractionalOrder(cfg.alpha), tgrid=tgrid, op=op, mu=MU.sample(tgrid)
     )
-    f_true = Field.from_function(grid, _resolve_f_true(cfg.f_true, cfg.dim))
+    f_true = Field(grid, _sample_f_true(cfg.f_true, cfg.dim, cfg.n_per_axis))
     return spec, f_true
 
 
@@ -458,8 +466,9 @@ def run_experiment(cfg: ExperimentConfig) -> ReconstructionResult:
     (k, phi) and ``<label>_summary.csv`` with the fixed column order
     (delta, omega, err_percent, K).
     """
+    problem = build_problem(cfg)
     os.makedirs(cfg.outdir or ".", exist_ok=True)
-    result, f_true, _ = run_reconstruction(cfg)
+    result, f_true, _ = _reconstruct(cfg, *problem)
     grid = f_true.grid
     tag = cfg.label or "run"
     _write_csv(

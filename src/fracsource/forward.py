@@ -10,8 +10,9 @@ that basis every mode j follows the scalar L1 recursion :func:`_step_l1`, so
 u^n = P (R[n] * P^T W f), where the response table R[n, j] is the recursion
 run with a unit source, and the homogeneous solve runs it from a unit
 initial value.  A mode enters the recursion only through its eigenvalue, so
-it runs once per distinct eigenvalue (845 of the 1681 modes of the 41^2
-grid) and is gathered to every mode.
+for the response table it runs once per distinct eigenvalue (845 of the
+1681 modes of the 41^2 grid, since lambda_ik = lambda_ki and some sums
+kappa_i + kappa_k coincide) and is gathered to every mode.
 
 The time-weighted table X = W_t^1/2 R has low numerical rank r (8 of 41 rows
 on preset 5.3a), and every solve goes through its factor X = a sb,
@@ -121,17 +122,6 @@ class ProblemSpec:
         return lu
 
     @cached_property
-    def distinct_eigenvalues(self) -> tuple[NDArray[np.float64], NDArray, NDArray]:
-        """(lam, inverse, counts) of ``np.unique`` over ``op.eigenvalues``.
-
-        The modal L1 recursion depends on a mode only through its eigenvalue,
-        so it runs on ``lam`` and ``[:, inverse]`` gathers it to every mode;
-        on the 41^2 grid 845 of the 1681 eigenvalues are distinct, since
-        lambda_ik = lambda_ki and some sums kappa_i + kappa_k coincide.
-        """
-        return np.unique(self.op.eigenvalues, return_inverse=True, return_counts=True)
-
-    @cached_property
     def time_factor(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """(a, sb) with W_t^1/2 R = a @ sb to rounding, W_t the trapezoid weights.
 
@@ -143,7 +133,7 @@ class ProblemSpec:
         ``sb = a^T X`` has shape (r, n_nodes).  Both are computed from the
         distinct eigenvalues only.
         """
-        lam, inverse, counts = self.distinct_eigenvalues
+        lam, inverse, counts = np.unique(self.op.eigenvalues, return_inverse=True, return_counts=True)
         x = np.sqrt(self.tgrid.quad_weights[1:, None]) * _step_l1(self, lam, self.mu, 0.0)[1:]
         # X = x[:, inverse] has Gram matrix X X^T = (x sqrt(counts)) (x sqrt(counts))^T,
         # and (x sqrt(counts))^T = Q T, so X shares its left singular vectors with T^T
@@ -241,10 +231,9 @@ def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:
     """Solve d_t^alpha v + A v = 0 with v(.,0) = a, Neumann boundary.
 
     v^n = P (H[n] * P^T W a), where H is the L1 recursion from the initial
-    value 1 without a source, run once per distinct eigenvalue.
+    value 1 without a source.
     """
-    lam, inverse, _ = spec.distinct_eigenvalues
-    decay = _step_l1(spec, lam, np.zeros_like(spec.mu), 1.0)[:, inverse]
+    decay = _step_l1(spec, spec.op.eigenvalues, np.zeros_like(spec.mu), 1.0)
     return SpaceTimeField(spec.grid, spec.tgrid, spec.to_nodal(decay * spec.to_modal(a)))
 
 

@@ -42,11 +42,15 @@ def ml_series(alpha: float, beta: float, z: float, extra_dps: int = 40):
 
 
 def ml_quad(alpha: float, beta: float, z: float, dps: int = 50):
-    """Spectral-integral route, beta-reduced below 1 + alpha."""
+    """Spectral-integral route for beta in {alpha, 1}.
+
+    The kernel below is that of those two beta only; at other beta it is
+    wrong (by 1.1e-3 at alpha = 0.302, beta = 1.291, z = -10.2), so they
+    are rejected.
+    """
+    if beta not in (alpha, 1.0):
+        raise ValueError(f"ml_quad holds for beta = alpha or 1 only, got alpha={alpha!r}, beta={beta!r}")
     with mp.workdps(dps):
-        if beta >= 1.0 + alpha:
-            inner = ml_quad(alpha, beta - alpha, z, dps=dps)
-            return (inner - mp.rgamma(beta - alpha)) / mp.mpf(z)
         a, b, zz = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
         s1 = mp.sinpi(1 - b)
         s2 = mp.sinpi(1 - b + a)

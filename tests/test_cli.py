@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
+import pytest
 from click.testing import CliRunner
 
+import fracsource
 from fracsource.cli import main
 
 
@@ -123,7 +128,7 @@ def test_invalid_config_is_an_error_not_a_traceback(tmp_path, caplog):
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output and message in result.output
         assert "Traceback" not in result.output
-    # the output directory is made before anything is built, so no run iterates
+    # every run above fails before it iterates
     assert not any("diverged" in r.getMessage() for r in caplog.records)
 
 
@@ -140,3 +145,55 @@ def test_zero_source_reports_no_error_not_a_traceback(tmp_path):
     with open(tmp_path / "5.1a_summary.csv", newline="") as fh:
         header, row = csv.reader(fh)
     assert header[2] == "err_percent" and row[2] == ""
+
+
+def _write_config(tmp_path, **fields):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "5.1a", "outdir": str(tmp_path / "out"), **fields}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # a config that fails only when its mask is built makes no outdir either
+        ({"omega": []}, "no grid node"),
+        ({"omega": [[[0.51, 0.52]]]}, "no grid node"),
+        # parse errors and deep trees
+        ({"f_true": "x1 +"}, "'x1 +' cannot be evaluated: invalid syntax"),
+        ({"f_true": "(" * 300 + "x1" + ")" * 300}, "too many nested parentheses"),
+        ({"f_true": "-" * 100_000 + "x1"}, "cannot be evaluated: MemoryError"),
+        ({"f_true": "-" * 5_000 + "x1"}, "cannot be evaluated: RecursionError"),
+        # samples that are not all finite, real or not real at all
+        ({"f_true": "exp(1000*x1)"}, "'exp(1000*x1)' is not finite"),
+        ({"f_true": "1/(x1-x1)"}, "is not finite"),
+        ({"f_true": "x1**-1"}, "is not finite"),
+        ({"f_true": "10**400*x1"}, "is not finite"),
+        ({"f_true": "(-8)**(1/3) + x1"}, "is not finite"),
+    ],
+    ids=[
+        "omega-empty", "omega-between-nodes", "syntax", "nested-parens",
+        "unary-minus-100000", "unary-minus-5000", "exp-overflow", "zero-division",
+        "pole", "power-overflow", "complex-power",
+    ],
+)
+def test_rejected_config_is_one_line_and_makes_no_outdir(tmp_path, fields, message):
+    result = CliRunner().invoke(main, ["reconstruct", "--config", _write_config(tmp_path, **fields)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1, result.output
+    assert message in result.output, result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_power_tower_is_rejected_at_once(tmp_path):
+    # 9**9**9**9 in integer arithmetic would not finish; in float64 it is inf.
+    # A child process with a timeout makes a regression fail instead of hang.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fracsource.__file__))}
+    result = subprocess.run(
+        [sys.executable, "-m", "fracsource.cli", "reconstruct",
+         "--config", _write_config(tmp_path, f_true="9**9**9**9 + x1")],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stderr == "Error: f_true '9**9**9**9 + x1' is not finite at every grid node\n"
+    assert not (tmp_path / "out").exists()

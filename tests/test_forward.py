@@ -102,27 +102,31 @@ class TestProblemSpec:
 
     def test_modal_data_cached(self, monkeypatch):
         # one L1 recursion per spec, over the distinct eigenvalues only
-        widths = []
-        original = forward._step_l1
+        widths, uniques = [], []
+        original, unique = forward._step_l1, np.unique
 
         def counting(spec, lam, *args):
             widths.append(lam.size)
             return original(spec, lam, *args)
 
+        def recording(*args, **kwargs):
+            uniques.append(unique(*args, **kwargs))
+            return uniques[-1]
+
         monkeypatch.setattr(forward, "_step_l1", counting)
+        monkeypatch.setattr(forward.np, "unique", recording)
         grid = SpaceGrid(2, 11)
         spec = make_spec(0.5, assemble_operator(grid), n_steps=10)
         f = Field.constant(grid, 1.0)
         u = solve_forward(spec, f)
-        lam, inverse, counts = spec.distinct_eigenvalues
-        assert spec.distinct_eigenvalues is spec.distinct_eigenvalues
+        [(lam, inverse, counts)] = uniques
         assert np.array_equal(lam[inverse], spec.op.eigenvalues)
         assert counts.sum() == grid.n_nodes and lam.size < grid.n_nodes
         assert widths == [lam.size]
-        # later solves on the spec reuse the factor: no L1 recursion runs
+        # later solves on the spec reuse the factor: no np.unique, no L1 recursion
         solve_forward(spec, f)
         solve_adjoint(spec, u, ObservationMask(grid, np.ones(grid.n_nodes)))
-        assert widths == [lam.size]
+        assert widths == [lam.size] and len(uniques) == 1
 
     def test_time_factor_reconstructs_weighted_table(self):
         # the factor built from the distinct eigenvalues spans what a factor

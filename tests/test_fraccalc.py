@@ -117,6 +117,15 @@ class TestMittagLeffler:
                     worst = max(worst, abs(mittag_leffler(a, b, z) - float(ref)))
         assert worst <= 1e-12
 
+    def test_quad_oracle_rejects_beta_off_its_kernel(self):
+        mp = pytest.importorskip("mpmath")
+        from make_ml_reference import ml_quad, ml_series
+
+        with pytest.raises(ValueError, match="beta = alpha or 1"):
+            ml_quad(0.302, 1.291, -10.2)
+        for beta in (0.302, 1.0):
+            assert mp.almosteq(ml_quad(0.302, beta, -2.0), ml_series(0.302, beta, -2.0), 1e-21)
+
     def test_alpha_one_matches_expm1_ratio(self):
         # E_{1,2}(z) = (e^z - 1) / z: for alpha = 1 the contour encloses the
         # pole s = z
