@@ -9,8 +9,9 @@ and eigenvalues, all that the solves use, so this module needs numpy only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -63,6 +64,10 @@ def splitmix64_uniform(seed: int, n: int) -> NDArray[np.float64]:
     return 2.0 * uniform - 1.0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _trapezoid(n: int, h: float) -> NDArray[np.float64]:
     """Trapezoid weights of ``n`` equispaced nodes at spacing ``h``."""
     w = np.full(n, h)
@@ -79,8 +84,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.T < np.inf or self.n_steps < 1:
-            raise ValueError("TimeGrid requires a finite T > 0 and n_steps >= 1")
+        if not 0.0 < self.T < np.inf or not _is_int(self.n_steps) or self.n_steps < 1:
+            raise ValueError("TimeGrid requires a finite T > 0 and an integer n_steps >= 1")
 
     @property
     def tau(self) -> float:
@@ -104,6 +109,8 @@ class SpaceGrid:
     n_per_axis: int
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.dim) and _is_int(self.n_per_axis)):
+            raise ValueError("dim and n_per_axis must be integers")
         if self.dim not in (1, 2):
             raise ValueError("only dim 1 and 2 are supported")
         if self.n_per_axis < 3:
@@ -123,12 +130,9 @@ class SpaceGrid:
 
     @property
     def coords(self) -> NDArray[np.float64]:
-        """Node coordinates, shape (n_nodes, dim); axis 0 varies slowest."""
-        x = self.axis_nodes
-        if self.dim == 1:
-            return x[:, None]
-        x1, x2 = np.meshgrid(x, x, indexing="ij")
-        return np.column_stack([x1.ravel(), x2.ravel()])
+        """Node coordinates, shape (n_nodes, dim): the product of the axis nodes, axis 0 slowest."""
+        axes = np.meshgrid(*[self.axis_nodes] * self.dim, indexing="ij")
+        return np.stack(axes, axis=-1).reshape(self.n_nodes, self.dim)
 
     @property
     def axis_weights(self) -> NDArray[np.float64]:
@@ -138,10 +142,7 @@ class SpaceGrid:
     @property
     def quad_weights(self) -> NDArray[np.float64]:
         """Flattened tensor-product trapezoid weights."""
-        w = self.axis_weights
-        if self.dim == 1:
-            return w
-        return np.outer(w, w).ravel()
+        return reduce(np.multiply.outer, [self.axis_weights] * self.dim).ravel()
 
 
 @dataclass
@@ -160,10 +161,7 @@ class Field:
 
     @classmethod
     def from_function(cls, grid: SpaceGrid, fn) -> "Field":
-        c = grid.coords
-        if grid.dim == 1:
-            return cls(grid, np.asarray(fn(c[:, 0]), dtype=float))
-        return cls(grid, np.asarray(fn(c[:, 0], c[:, 1]), dtype=float))
+        return cls(grid, np.asarray(fn(*grid.coords.T), dtype=float))
 
     @classmethod
     def constant(cls, grid: SpaceGrid, value: float) -> "Field":
@@ -296,10 +294,7 @@ class EllipticOperator:
 
         Ordered like the nodes: the first axis's mode index varies slowest.
         """
-        kappa = self.axis_eigenvalues
-        if self.grid.dim == 1:
-            return 1.0 + kappa
-        return (1.0 + kappa[:, None] + kappa[None, :]).ravel()
+        return reduce(np.add.outer, [self.axis_eigenvalues] * self.grid.dim, 1.0).ravel()
 
 
 def assemble_operator(grid: SpaceGrid) -> EllipticOperator:

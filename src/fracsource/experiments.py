@@ -17,6 +17,7 @@ import operator
 import os
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -109,6 +110,11 @@ _EXPR_OPS = {
 }
 
 
+def _quote(text: str) -> str:
+    """``text`` quoted for a one-line error, cut to 60 characters."""
+    return repr(text if len(text) <= 60 else text[:57] + "...")
+
+
 def _eval_expr(node: ast.AST, names: dict):
     """The value of an f_true syntax tree: numbers, ``names``, sin/cos/exp
     of one argument, + - * / ** and unary +-; any other node raises.
@@ -132,7 +138,7 @@ def _eval_expr(node: ast.AST, names: dict):
         and not node.keywords
     ):
         return _EXPR_FUNCS[node.func.id](_eval_expr(node.args[0], names))
-    raise ValueError(f"f_true expression may not contain {ast.unparse(node)!r}")
+    raise ValueError(f"f_true expression may not contain {_quote(ast.unparse(node))}")
 
 
 # every config, including each replace() of a table row, samples its f_true,
@@ -148,7 +154,7 @@ def _sample_f_true(f_true: str, dim: int, n_per_axis: int) -> np.ndarray:
             raise ValueError(f"f_true preset {f_true!r} is {preset_dim}-D, but dim is {dim}")
     coords = SpaceGrid(dim, n_per_axis).coords.T
     names = {"pi": np.float64(np.pi), **{f"x{i + 1}": x for i, x in enumerate(coords)}}
-    quoted = repr(expr if len(expr) <= 60 else expr[:57] + "...")
+    quoted = _quote(expr)
     try:
         with np.errstate(all="ignore"):
             # the trailing zero term broadcasts constant expressions to arrays
@@ -421,21 +427,14 @@ def _reprs(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def _node_reprs(grid: SpaceGrid, tgrid: TimeGrid | None = None) -> list:
-    """The [t,] x1[, x2] columns of one row per (time node,) space node, formatted.
+def _node_reprs(grid: SpaceGrid, tgrid: TimeGrid | None = None):
+    """The formatted [t,] x1[, x2] cells of each (time node,) space node, as row tuples.
 
-    Rows run over the time nodes slowest, then over ``grid.coords``, whose
-    columns copy the axis nodes; so each axis is formatted once and its
-    strings repeated, with the same text as ``_reprs`` of the full columns.
+    Each axis is formatted once and the rows are the product of the axes, the
+    time nodes slowest, then the space nodes in the order of ``grid.coords``.
     """
     axes = ([tgrid.nodes] if tgrid is not None else []) + [grid.axis_nodes] * grid.dim
-    n_rows = math.prod(map(len, axes))
-    columns, inner = [], n_rows
-    for nodes in axes:
-        inner //= len(nodes)
-        strings = np.repeat(np.array(_reprs(nodes), dtype=object), inner)
-        columns.append(np.tile(strings, n_rows // strings.size))
-    return columns
+    return product(*map(_reprs, axes))
 
 
 def _axes(grid: SpaceGrid) -> list[str]:
@@ -447,7 +446,7 @@ def write_forward_csv(path: str, u: SpaceTimeField) -> None:
     _write_csv(
         path,
         ["t", *_axes(u.grid), "value"],
-        zip(*_node_reprs(u.grid, u.tgrid), _reprs(u.values)),
+        map(operator.add, _node_reprs(u.grid, u.tgrid), zip(_reprs(u.values))),
     )
 
 
@@ -474,7 +473,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReconstructionResult:
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_profile.csv"),
         [*_axes(grid), "f_true", "f_k"],
-        zip(*_node_reprs(grid), _reprs(f_true.values), _reprs(result.f_k.values)),
+        map(operator.add, _node_reprs(grid), zip(_reprs(f_true.values), _reprs(result.f_k.values))),
     )
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_iterations.csv"),

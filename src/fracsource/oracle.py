@@ -66,10 +66,8 @@ class EigenMode:
 
 
 def modes_up_to(dim: int, n_max: int) -> list[EigenMode]:
-    """All modes with per-axis index <= n_max."""
-    if dim == 1:
-        return [EigenMode((n,)) for n in range(n_max + 1)]
-    return [EigenMode((n1, n2)) for n1, n2 in product(range(n_max + 1), repeat=2)]
+    """All modes with per-axis index <= n_max, ordered like the grid nodes."""
+    return [EigenMode(index) for index in product(range(n_max + 1), repeat=dim)]
 
 
 @dataclass(frozen=True)

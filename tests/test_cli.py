@@ -170,11 +170,13 @@ def _write_config(tmp_path, **fields):
         ({"f_true": "x1**-1"}, "is not finite"),
         ({"f_true": "10**400*x1"}, "is not finite"),
         ({"f_true": "(-8)**(1/3) + x1"}, "is not finite"),
+        # a rejected node is quoted cut short, like the expression above
+        ({"f_true": "abs(x1" + ",x1" * 10_000 + ")"}, "may not contain 'abs(x1, x1,"),
     ],
     ids=[
         "omega-empty", "omega-between-nodes", "syntax", "nested-parens",
         "unary-minus-100000", "unary-minus-5000", "exp-overflow", "zero-division",
-        "pole", "power-overflow", "complex-power",
+        "pole", "power-overflow", "complex-power", "long-rejected-node",
     ],
 )
 def test_rejected_config_is_one_line_and_makes_no_outdir(tmp_path, fields, message):
@@ -182,6 +184,7 @@ def test_rejected_config_is_one_line_and_makes_no_outdir(tmp_path, fields, messa
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
     assert result.output.startswith("Error: ") and result.output.count("\n") == 1, result.output
     assert message in result.output, result.output
+    assert len(result.output) <= 200, result.output[:300]
     assert not (tmp_path / "out").exists()
 
 

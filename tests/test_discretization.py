@@ -17,6 +17,7 @@ from fracsource.discretization import (
     masked_inner_product,
     norm_l2,
 )
+from fracsource.oracle import modes_up_to
 
 from conftest import fd_stiffness
 
@@ -42,6 +43,35 @@ class TestGrids:
         for T in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 TimeGrid(T, 10)
+        # non-integer sizes, bool included, fail at construction, not on first use
+        for dim, n in ((1, 5.5), (1.0, 5), (True, 5), (1, True), (2, np.float64(11))):
+            with pytest.raises(ValueError, match="must be integers"):
+                SpaceGrid(dim, n)
+        for n_steps in (2.5, 10.0, True):
+            with pytest.raises(ValueError, match="integer n_steps"):
+                TimeGrid(1.0, n_steps)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_node_order_is_axis_0_slowest(self, dim, n):
+        # node i*n + k (2D) is (x_i, x_k); weights, eigenvalues and modes follow it
+        grid = SpaceGrid(dim, n)
+        x, w = grid.axis_nodes, grid.axis_weights
+        kappa = assemble_operator(grid).axis_eigenvalues
+        if dim == 1:
+            cells = [(i,) for i in range(n)]
+            coords = [[x[i]] for i in range(n)]
+            weights = [w[i] for i in range(n)]
+            eigenvalues = [1.0 + kappa[i] for i in range(n)]
+        else:
+            cells = [(i, k) for i in range(n) for k in range(n)]
+            coords = [[x[i], x[k]] for i, k in cells]
+            weights = [w[i] * w[k] for i, k in cells]
+            eigenvalues = [(1.0 + kappa[i]) + kappa[k] for i, k in cells]
+        assert np.array_equal(grid.coords, np.array(coords))
+        assert np.array_equal(grid.quad_weights, np.array(weights))
+        assert np.array_equal(assemble_operator(grid).eigenvalues, np.array(eigenvalues))
+        assert [mode.index for mode in modes_up_to(dim, n - 1)] == cells
 
     def test_field_shape_check(self):
         g = SpaceGrid(1, 11)

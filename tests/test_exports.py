@@ -48,6 +48,32 @@ def test_no_private_imports_across_modules():
     assert not private, f"private names imported across modules: {private}"
 
 
+def _names_dim(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "dim") or (
+        isinstance(node, ast.Attribute) and node.attr == "dim"
+    )
+
+
+def _is_int_literal(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_no_per_dimension_branches():
+    # grid data are the tensor product of one axis, built by one rule for any
+    # dim; only forward's hot axis transform keeps its explicit 1D/2D branch
+    branches = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "forward.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Compare)
+        for op, left, right in zip(node.ops, [node.left, *node.comparators], node.comparators)
+        if isinstance(op, (ast.Eq, ast.NotEq))
+        and any(_names_dim(a) and _is_int_literal(b) for a, b in ((left, right), (right, left)))
+    ]
+    assert not branches, f"dim compared with an int literal: {branches}"
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # the solvers and the reconstruction need no special functions; only
     # fraccalc's rgamma, in the Mittag-Leffler power series at z >= 0 and in

@@ -51,6 +51,11 @@ class TestEigenModes:
     def test_mode_count_2d(self):
         assert len(modes_up_to(2, 3)) == 16
 
+    @pytest.mark.parametrize("dim", [3, 0])
+    def test_modes_of_unsupported_dim_rejected(self, dim):
+        with pytest.raises(ValueError):
+            modes_up_to(dim, 1)
+
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             EigenMode((-1,))
