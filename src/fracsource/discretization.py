@@ -64,8 +64,9 @@ def splitmix64_uniform(seed: int, n: int) -> NDArray[np.float64]:
     return 2.0 * uniform - 1.0
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _is_a(kind: type, value) -> bool:
+    """``value`` is a ``kind`` (``numbers.Integral``, ``numbers.Real``) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _trapezoid(n: int, h: float) -> NDArray[np.float64]:
@@ -84,7 +85,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.T < np.inf or not _is_int(self.n_steps) or self.n_steps < 1:
+        valid_t = _is_a(numbers.Real, self.T) and 0.0 < self.T < np.inf
+        if not (valid_t and _is_a(numbers.Integral, self.n_steps) and self.n_steps >= 1):
             raise ValueError("TimeGrid requires a finite T > 0 and an integer n_steps >= 1")
 
     @property
@@ -109,7 +111,7 @@ class SpaceGrid:
     n_per_axis: int
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.dim) and _is_int(self.n_per_axis)):
+        if not (_is_a(numbers.Integral, self.dim) and _is_a(numbers.Integral, self.n_per_axis)):
             raise ValueError("dim and n_per_axis must be integers")
         if self.dim not in (1, 2):
             raise ValueError("only dim 1 and 2 are supported")
@@ -237,18 +239,15 @@ class ObservationMask:
         all isolated, so that no grid cell lies in omega and the quadrature
         over omega, hence the observation map, is zero.
         """
-        coords = grid.coords
+        x = grid.axis_nodes
         ind = np.zeros(grid.n_nodes, dtype=bool)
         for box in boxes:
             if len(box) != grid.dim:
                 raise ValueError(
                     f"a box needs one interval per axis of the {grid.dim}D grid, got {len(box)}"
                 )
-            inside = np.ones(grid.n_nodes, dtype=bool)
-            for axis, (lo, hi) in enumerate(box):
-                x = coords[:, axis]
-                inside &= (x >= lo - _BOX_TOL) & (x <= hi + _BOX_TOL)
-            ind |= inside
+            axes = [(x >= lo - _BOX_TOL) & (x <= hi + _BOX_TOL) for lo, hi in box]
+            ind |= reduce(np.logical_and.outer, axes).ravel()
         if not ind.any():
             raise ValueError("observation subdomain contains no grid node")
         mask = cls(grid, ind.astype(float))

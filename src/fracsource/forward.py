@@ -294,7 +294,8 @@ class NormalOperator:
     :meth:`project` returns c_q (the leading q rows of c), t and the
     constant; with d_q = :meth:`observe` (f_hat) - c_q the misfit is
     :meth:`misfit` (d_q) - 2 f_hat . t + const and A^T (A f - u_obs) is
-    :meth:`transpose` (d_q) - t.  An application costs q batched transforms
+    :meth:`transpose` (d_q) - t, stated once for ``objective``, ``gradient``
+    and ``iterate`` by ``inversion._phi``.  An application costs q batched transforms
     along every axis; the results match :func:`solve_forward`,
     :func:`solve_adjoint` and :func:`masked_inner_product` to rounding.
     Everything linear in sb (the solves, c and t) keeps all r rows.

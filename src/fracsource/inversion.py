@@ -6,16 +6,16 @@ the tuning constant M dominates the squared operator norm of f -> u(f)|_omega,
 which :func:`estimate_m` computes by Lanczos on A^T A, to 1e-12 relative in
 5-8 steps on the published cases.
 
-:func:`objective`, :func:`gradient` and :func:`estimate_m` use the forward
-and adjoint solves, which go through the rank-r time factor of the spec and
-cost r + 1 batched transforms each.  :func:`iterate` applies A^T A at every
-step, so it runs in modal coordinates on :class:`NormalOperator`, with f
-transformed once on entry and once on exit and no space-time history
-formed.  A^T A is quadratic in the time factor, whose rows decay
-geometrically, so the operator applies it through only the leading q rows
-that lie above rounding (q of r: 4 of 8 on 5.3a, 7 of 13 on table 2) and
-folds the data's share of the other rows into a modal vector and a
-constant, computed once per call: a step costs 2q batched transforms.
+:func:`objective`, :func:`gradient` and :func:`iterate` share one statement
+of Phi and of A^T (A f - u_obs) in modal coordinates on :class:`NormalOperator`,
+forming no space-time history.  A^T A is quadratic in the time factor, whose
+rows decay geometrically, so the operator applies it through only the leading
+q rows above rounding (q of r: 4 of 8 on 5.3a, 7 of 13 on table 2) and folds
+the data's share of the other rows into a modal vector and a constant,
+computed once per call: a step costs 2q batched transforms.  Only
+:func:`estimate_m` runs the forward and adjoint solves (r + 1 batched
+transforms each): the benchmark's tracer counts them and forces the
+reference LU on each, so its move onto the operator waits for a tracer fix.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .discretization import (
     Field,
     ObservationMask,
     SpaceTimeField,
-    inner_product,
-    masked_inner_product,
     norm_l2,
     splitmix64_uniform,
 )
@@ -93,10 +91,19 @@ class ReconstructionResult:
         return self.status == "converged"
 
 
-def _residual(spec: ProblemSpec, f: Field, u_obs: SpaceTimeField) -> SpaceTimeField:
-    """u(f) - u_obs on the full space-time grid."""
-    u = solve_forward(spec, f)
-    return SpaceTimeField(spec.grid, spec.tgrid, u.values - u_obs.values)
+def _phi(
+    normal: NormalOperator, projection: tuple, f_hat: NDArray[np.float64], rho: float
+) -> tuple[NDArray[np.float64], float]:
+    """(d_q, Phi(f)) at f_hat = P^T W f, for (c_q, t, const) = ``normal.project(u_obs)``.
+
+    d_q = observe(f_hat) - c_q is the leading q rows of W_t^1/2 (u(f) - u_obs) in
+    the time factor; with the tail rows in t and const (:class:`NormalOperator`),
+    ||A f - u_obs||^2 = misfit(d_q) - 2 f_hat . t + const and
+    A^T (A f - u_obs) = transpose(d_q) - t.
+    """
+    c, t, const = projection
+    d = normal.observe(f_hat) - c
+    return d, normal.misfit(d) - 2.0 * float(f_hat @ t) + const + rho * float(f_hat @ f_hat)
 
 
 def objective(
@@ -107,8 +114,8 @@ def objective(
     rho: float,
 ) -> float:
     """Phi(f) = ||u(f) - u_obs||^2 over omega x (0,T) plus rho ||f||^2."""
-    residual = _residual(spec, f, u_obs)
-    return masked_inner_product(residual, residual, mask) + rho * inner_product(f, f)
+    normal = NormalOperator(spec, mask)
+    return _phi(normal, normal.project(u_obs), spec.to_modal(f), rho)[1]
 
 
 def gradient(
@@ -119,8 +126,10 @@ def gradient(
     rho: float,
 ) -> Field:
     """int_0^T mu z(f) dt + rho f, i.e. half the Frechet derivative of Phi."""
-    residual = _residual(spec, f, u_obs)
-    return Field(spec.grid, solve_adjoint(spec, residual, mask).values + rho * f.values)
+    normal = NormalOperator(spec, mask)
+    projection = normal.project(u_obs)
+    d, _ = _phi(normal, projection, spec.to_modal(f), rho)
+    return Field(spec.grid, spec.to_nodal(normal.transpose(d) - projection[1]) + rho * f.values)
 
 
 def threshold_update(
@@ -159,43 +168,34 @@ def iterate(
     if f_true is not None and f_true.grid != spec.grid:
         raise ValueError("true source grid does not match the problem grid")
     normal = NormalOperator(spec, mask)
-    c, t, const = normal.project(u_obs)
-
-    def phi(d: NDArray[np.float64], f_hat: NDArray[np.float64]) -> float:
-        data = normal.misfit(d) - 2.0 * float(f_hat @ t) + const
-        return data + cfg.rho * float(f_hat @ f_hat)
-
+    projection = normal.project(u_obs)
     f_hat = spec.to_modal(cfg.f0)
     phi_history: list[float] = []
     status = "max_iter"
     k = 0
     for k in range(1, cfg.max_iter + 1):
-        # the leading q rows of W_t^1/2 (u(f_k) - u_obs) in the time factor;
-        # the tail rows enter phi and the gradient through t and const
-        d = normal.observe(f_hat) - c
-        phi_history.append(phi(d, f_hat))
-        if not math.isfinite(phi_history[-1]) or (
-            phi_history[-1] > 1e12 * (phi_history[0] + 1.0)
-        ):
+        d, phi = _phi(normal, projection, f_hat, cfg.rho)
+        phi_history.append(phi)
+        if not math.isfinite(phi) or phi > 1e12 * (phi_history[0] + 1.0):
             logger.warning(
                 "iteration diverged at k=%d (phi=%.3e); M is too small for this operator",
                 k - 1,
-                phi_history[-1],
+                phi,
             )
             status = "diverged"
             break
-        f_next = threshold_update(f_hat, normal.transpose(d) - t, cfg.m, cfg.rho)
+        f_next = threshold_update(f_hat, normal.transpose(d) - projection[1], cfg.m, cfg.rho)
         step = float(np.linalg.norm(f_next - f_hat))
         # stopping ratio ||f_{k+1}-f_k|| / ||f_k|| with a floor at f_k = 0
         f_norm = max(float(np.linalg.norm(f_hat)), _ZERO_NORM_FLOOR)
-        logger.info("k=%d phi=%.6e step_ratio=%.3e", k - 1, phi_history[-1], step / f_norm)
+        logger.info("k=%d phi=%.6e step_ratio=%.3e", k - 1, phi, step / f_norm)
         f_hat = f_next
         if step < cfg.eps * f_norm:
             status = "converged"
             break
     # a diverged run stops before updating f, so its last phi is already Phi(f)
     phi_history.append(
-        phi_history[-1] if status == "diverged" else phi(normal.observe(f_hat) - c, f_hat)
+        phi_history[-1] if status == "diverged" else _phi(normal, projection, f_hat, cfg.rho)[1]
     )
     f = Field(spec.grid, spec.to_nodal(f_hat))
     # no relative error against a source that is identically zero

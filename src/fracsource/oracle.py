@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -57,12 +58,10 @@ class EigenMode:
         """Samples of the L2-normalized eigenfunction on the grid nodes."""
         if grid.dim != len(self.index):
             raise ValueError("mode dimension does not match the grid")
-        coords = grid.coords
-        out = np.ones(grid.n_nodes)
-        for axis, n in enumerate(self.index):
-            if n > 0:
-                out *= math.sqrt(2.0) * np.cos(n * math.pi * coords[:, axis])
-        return out
+        x = grid.axis_nodes
+        axes = [math.sqrt(2.0) * np.cos(n * math.pi * x) if n > 0 else np.ones_like(x)
+                for n in self.index]
+        return reduce(np.multiply.outer, axes).ravel()
 
 
 def modes_up_to(dim: int, n_max: int) -> list[EigenMode]:

@@ -40,8 +40,10 @@ class TestGrids:
             SpaceGrid(3, 11)
         with pytest.raises(ValueError):
             SpaceGrid(1, 2)
-        for T in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
+        # a bool or non-real T gets the same ValueError, not a grid with T=True
+        # or a TypeError from the comparison
+        for T in (0.0, math.nan, math.inf, True, "1"):
+            with pytest.raises(ValueError, match="finite T > 0"):
                 TimeGrid(T, 10)
         # non-integer sizes, bool included, fail at construction, not on first use
         for dim, n in ((1, 5.5), (1.0, 5), (True, 5), (1, True), (2, np.float64(11))):

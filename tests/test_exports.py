@@ -74,6 +74,21 @@ def test_no_per_dimension_branches():
     assert not branches, f"dim compared with an int literal: {branches}"
 
 
+def test_only_estimate_m_solves_in_inversion():
+    # objective, gradient and iterate share one modal statement of Phi; only
+    # estimate_m still runs the forward and adjoint solves, whose traced calls
+    # the benchmark counts
+    path = SRC / "inversion.py"
+    solving = sorted(
+        f"{node.name} -> {name.id}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name != "estimate_m"
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and name.id in ("solve_forward", "solve_adjoint")
+    )
+    assert not solving, f"inversion functions other than estimate_m solve: {solving}"
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # the solvers and the reconstruction need no special functions; only
     # fraccalc's rgamma, in the Mittag-Leffler power series at z >= 0 and in

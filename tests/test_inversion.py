@@ -70,6 +70,29 @@ class TestObjective:
             ) / (2.0 * eps)
             assert abs(fd - predicted) / abs(fd) <= 1e-2
 
+    @pytest.mark.parametrize("preset, overrides", [("5.1a", {}), ("5.3a", {"n_per_axis": 21})])
+    def test_matches_nodal_definition(self, preset, overrides):
+        # objective and gradient run on the modal operator, through only the q
+        # time modes above rounding (q < r on 5.3a); the reference is Phi and
+        # A^T (A f - u_obs) by a forward and an adjoint solve on the full grid
+        cfg = config_from_preset(preset, **overrides)
+        spec, f_true, mask = build_problem(cfg)
+        u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
+        rng = np.random.default_rng(12)
+        noise = rng.standard_normal((2, spec.grid.n_nodes))
+        for values in (noise[0], f_true.values + 0.1 * noise[1]):
+            f = Field(spec.grid, values)
+            r = nodal_residual(spec, f, u_obs)
+            assert_allclose(
+                objective(spec, f, u_obs, mask, cfg.rho), nodal_phi(f, r, mask, cfg.rho),
+                rtol=1e-12,
+            )
+            grad = gradient(spec, f, u_obs, mask, cfg.rho)
+            ref = Field(spec.grid, solve_adjoint(spec, r, mask).values + cfg.rho * f.values)
+            # near the minimiser the gradient is a difference of larger terms,
+            # so it is compared in norm rather than node by node
+            assert norm_l2(Field(spec.grid, grad.values - ref.values)) <= 1e-12 * norm_l2(ref)
+
 
 class TestGradient:
     def test_exact_data_leaves_regularizer(self, grid21, op21):
@@ -204,6 +227,16 @@ class TestIterate:
         assert res.err is None
         assert (res.iterations, res.status) == (5, "max_iter")
 
+    def test_first_phi_is_objective(self):
+        # the loop and objective evaluate the one statement of Phi
+        cfg = config_from_preset("5.3a", n_per_axis=21, m=16.8)
+        spec, f_true, mask = build_problem(cfg)
+        u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
+        f0 = Field.constant(spec.grid, cfg.f0)
+        rcfg = ReconstructionConfig(rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=f0, max_iter=3)
+        res = iterate(spec, u_obs, mask, rcfg)
+        assert res.phi_history[0] == objective(spec, f0, u_obs, mask, cfg.rho)
+
     def test_rejects_true_source_on_another_grid(self):
         # a 1D grid with the node count of 41^2 would be compared node by node,
         # and a coarser grid would fail in numpy only after the whole run
@@ -218,6 +251,16 @@ class TestIterate:
                 iterate(spec, u_obs, mask, rcfg, f_true=Field.constant(other, 1.0))
 
 
+def nodal_residual(spec, f, u_obs):
+    """u(f) - u_obs on the full space-time grid, by a forward solve."""
+    return SpaceTimeField(spec.grid, spec.tgrid, solve_forward(spec, f).values - u_obs.values)
+
+
+def nodal_phi(f, r, mask, rho):
+    """Phi(f) by its definition, for the residual r = u(f) - u_obs."""
+    return masked_inner_product(r, r, mask) + rho * inner_product(f, f)
+
+
 def nodal_iterate(spec, u_obs, mask, cfg):
     """The thresholding loop on nodal values with a full forward and adjoint
     solve per step: the reference :func:`iterate` must reproduce.
@@ -225,19 +268,12 @@ def nodal_iterate(spec, u_obs, mask, cfg):
     Returns (f_K, K, converged, phi_history).
     """
     grid = spec.grid
-
-    def residual(f):
-        return SpaceTimeField(grid, spec.tgrid, solve_forward(spec, f).values - u_obs.values)
-
-    def phi(f, r):
-        return masked_inner_product(r, r, mask) + cfg.rho * inner_product(f, f)
-
     f = Field(grid, cfg.f0.values.copy())
     history = []
     converged = diverged = False
     for k in range(1, cfg.max_iter + 1):
-        r = residual(f)
-        history.append(phi(f, r))
+        r = nodal_residual(spec, f, u_obs)
+        history.append(nodal_phi(f, r, mask, cfg.rho))
         if not math.isfinite(history[-1]) or history[-1] > 1e12 * (history[0] + 1.0):
             diverged = True
             break
@@ -249,7 +285,9 @@ def nodal_iterate(spec, u_obs, mask, cfg):
         if step < threshold:
             converged = True
             break
-    history.append(history[-1] if diverged else phi(f, residual(f)))
+    history.append(
+        history[-1] if diverged else nodal_phi(f, nodal_residual(spec, f, u_obs), mask, cfg.rho)
+    )
     return f, k, converged, history
 
 
