@@ -7,13 +7,11 @@ oracles for verification.
 """
 
 from .discretization import (
-    EllipticOperator,
     Field,
     ObservationMask,
     SpaceGrid,
     SpaceTimeField,
     TimeGrid,
-    assemble_operator,
     inner_product,
     masked_inner_product,
     norm_l2,
@@ -60,8 +58,6 @@ __all__ = [
     "Field",
     "SpaceTimeField",
     "ObservationMask",
-    "EllipticOperator",
-    "assemble_operator",
     "inner_product",
     "norm_l2",
     "masked_inner_product",

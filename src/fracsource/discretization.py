@@ -1,10 +1,10 @@
-"""Grids, fields, observation masks, the discrete operator -Laplace + 1 and seeded draws.
+"""Grids with the modal data of -Laplace + 1, fields, observation masks and seeded draws.
 
 The spatial operator is the second-order finite-difference scheme on [0,1]^d
 with a mirror-ghost Neumann closure, weighted by the trapezoid mass so that it
 is self-adjoint with respect to :func:`inner_product`: the exact pairing the
-adjoint based gradient relies on.  It is stored as its closed-form eigenbasis
-and eigenvalues, all that the solves use, so this module needs numpy only.
+adjoint based gradient relies on.  Its closed-form eigenbasis and eigenvalues,
+all that the solves use, depend on the grid alone, so :class:`SpaceGrid` holds them.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ __all__ = [
     "Field",
     "SpaceTimeField",
     "ObservationMask",
-    "EllipticOperator",
-    "assemble_operator",
     "inner_product",
     "norm_l2",
     "masked_inner_product",
@@ -69,6 +67,11 @@ def _is_a(kind: type, value) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _read_only(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    values.flags.writeable = False
+    return values
+
+
 def _trapezoid(n: int, h: float) -> NDArray[np.float64]:
     """Trapezoid weights of ``n`` equispaced nodes at spacing ``h``."""
     w = np.full(n, h)
@@ -105,7 +108,15 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SpaceGrid:
-    """Tensor-product node grid on [0, 1]^dim with n_per_axis nodes per axis."""
+    """Tensor-product node grid on [0, 1]^dim with n_per_axis nodes per axis.
+
+    It holds the modal data of the discrete -Laplace + 1 with Neumann closure,
+    W^-1 M with W the trapezoid mass and M = K + W the symmetric mass-weighted
+    finite-difference matrix, which only the nodal reference LU assembles
+    (:attr:`fracsource.forward.ProblemSpec.step_solver`).  K and W are tensor
+    products of their 1D factors k1 and W1, so the W-orthonormal eigenbasis of
+    W^-1 M is the tensor product of the columns of :attr:`axis_modes`.
+    """
 
     dim: int
     n_per_axis: int
@@ -145,6 +156,31 @@ class SpaceGrid:
     def quad_weights(self) -> NDArray[np.float64]:
         """Flattened tensor-product trapezoid weights."""
         return reduce(np.multiply.outer, [self.axis_weights] * self.dim).ravel()
+
+    @cached_property
+    def axis_eigenvalues(self) -> NDArray[np.float64]:
+        """kappa_k = (2/h^2)(1 - cos(k pi / (n-1))) of k1 v = kappa W1 v (read-only)."""
+        n = self.n_per_axis
+        k = np.arange(n)
+        return _read_only((2.0 / self.h * np.sin(0.5 * np.pi * k / (n - 1))) ** 2)
+
+    @cached_property
+    def axis_modes(self) -> NDArray[np.float64]:
+        """The W1-orthonormal eigenvectors of k1 v = kappa W1 v as columns (read-only).
+
+        They are the DCT-I vectors c_k cos(pi i k / (n-1)): the trapezoid norm of
+        the cosine is 1 at k = 0, n-1 and 1/2 otherwise, so c_k = 1 there and
+        sqrt 2 otherwise (Strang, SIAM Review 41, 1999).
+        """
+        n = self.n_per_axis
+        k = np.arange(n)
+        scale = np.where((k == 0) | (k == n - 1), 1.0, np.sqrt(2.0))
+        return _read_only(scale * np.cos(np.pi / (n - 1) * (np.outer(k, k) % (2 * (n - 1)))))
+
+    @property
+    def eigenvalues(self) -> NDArray[np.float64]:
+        """1 + kappa_i (+ kappa_k): the eigenvalues of W^-1 M in node order, axis 0 slowest."""
+        return reduce(np.add.outer, [self.axis_eigenvalues] * self.dim, 1.0).ravel()
 
 
 @dataclass
@@ -209,8 +245,7 @@ class ObservationMask:
             raise ValueError("indicator must have one entry per node")
         if not np.all((indicator == 0.0) | (indicator == 1.0)):
             raise ValueError("indicator entries must be exactly 0 or 1")
-        indicator.flags.writeable = False
-        object.__setattr__(self, "indicator", indicator)
+        object.__setattr__(self, "indicator", _read_only(indicator))
 
     @cached_property
     def quad_weights(self) -> NDArray[np.float64]:
@@ -223,9 +258,7 @@ class ObservationMask:
         w = np.zeros_like(ind)
         for corner in corners:
             w[corner] += (0.5 * self.grid.h) ** dim * cells
-        w = w.ravel()
-        w.flags.writeable = False
-        return w
+        return _read_only(w.ravel())
 
     @classmethod
     def from_boxes(cls, grid: SpaceGrid, boxes: Iterable[Box]) -> "ObservationMask":
@@ -261,52 +294,6 @@ class ObservationMask:
     @property
     def n_active(self) -> int:
         return int(self.indicator.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class EllipticOperator:
-    """Discrete -Laplace + 1 with Neumann closure on a SpaceGrid, as its modal data.
-
-    The operator is W^-1 M, with W the trapezoid ``mass`` and M = K + W the
-    symmetric mass-weighted finite-difference matrix, which only the nodal
-    reference LU assembles (:attr:`fracsource.forward.ProblemSpec.step_solver`).
-    K and W are tensor products of their 1D factors k1 and W1, so the
-    W-orthonormal eigenbasis of W^-1 M is the tensor product of the columns
-    of ``axis_modes``: the W1-orthonormal eigenvectors of k1 v = kappa W1 v,
-    which are the DCT-I vectors c_k cos(pi i k / (n-1)) with c_k = 1 at
-    k = 0, n-1 and sqrt 2 otherwise, and kappa_k = (2/h^2)(1 - cos(k pi / (n-1)))
-    in ``axis_eigenvalues`` (Strang, SIAM Review 41, 1999).
-    """
-
-    grid: SpaceGrid
-    axis_eigenvalues: NDArray[np.float64]
-    axis_modes: NDArray[np.float64]
-
-    @property
-    def mass(self) -> NDArray[np.float64]:
-        """W, the grid's trapezoid weights."""
-        return self.grid.quad_weights
-
-    @property
-    def eigenvalues(self) -> NDArray[np.float64]:
-        """Eigenvalues 1 + kappa_i (+ kappa_k) of W^-1 M, one per tensor mode.
-
-        Ordered like the nodes: the first axis's mode index varies slowest.
-        """
-        return reduce(np.add.outer, [self.axis_eigenvalues] * self.grid.dim, 1.0).ravel()
-
-
-def assemble_operator(grid: SpaceGrid) -> EllipticOperator:
-    """Assemble -Laplace + 1 with homogeneous Neumann boundary conditions."""
-    n = grid.n_per_axis
-    h = grid.h
-    # k1 v = kappa W1 v is solved by the DCT-I vectors cos(pi i k / (n-1)); the
-    # trapezoid norm of mode k is 1 at k = 0, n-1 and 1/2 otherwise
-    k = np.arange(n)
-    kappa = (2.0 / h * np.sin(0.5 * np.pi * k / (n - 1))) ** 2
-    scale = np.where((k == 0) | (k == n - 1), 1.0, np.sqrt(2.0))
-    modes = scale * np.cos(np.pi / (n - 1) * (np.outer(k, k) % (2 * (n - 1))))
-    return EllipticOperator(grid=grid, axis_eigenvalues=kappa, axis_modes=modes)
 
 
 def inner_product(a: Field, b: Field) -> float:

@@ -27,7 +27,6 @@ from .discretization import (
     SpaceGrid,
     SpaceTimeField,
     TimeGrid,
-    assemble_operator,
     splitmix64,
     splitmix64_uniform,
 )
@@ -352,19 +351,18 @@ def build_mask(cfg: ExperimentConfig, grid: SpaceGrid) -> ObservationMask:
 
 
 def build_forward_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field]:
-    """Grids, operator and true source field for a config, without omega."""
+    """Problem spec and true source field for a config, without omega."""
     grid = SpaceGrid(dim=cfg.dim, n_per_axis=cfg.n_per_axis)
     tgrid = TimeGrid(T=cfg.T, n_steps=cfg.n_steps)
-    op = assemble_operator(grid)
     spec = ProblemSpec(
-        alpha=FractionalOrder(cfg.alpha), tgrid=tgrid, op=op, mu=MU.sample(tgrid)
+        alpha=FractionalOrder(cfg.alpha), tgrid=tgrid, grid=grid, mu=MU.sample(tgrid)
     )
     f_true = Field(grid, _sample_f_true(cfg.f_true, cfg.dim, cfg.n_per_axis))
     return spec, f_true
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field, ObservationMask]:
-    """Grids, operator, true source field and observation mask for a config."""
+    """Problem spec, true source field and observation mask for a config."""
     spec, f_true = build_forward_problem(cfg)
     return spec, f_true, build_mask(cfg, spec.grid)
 

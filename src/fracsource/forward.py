@@ -5,7 +5,7 @@ where M is the symmetric mass-weighted operator matrix and W the trapezoid mass.
 The step matrix is the same at every step and both M and W are tensor products
 of their 1D factors, so the scheme diagonalises in the W-orthonormal eigenbasis
 P of W^-1 M (fast diagonalisation; Lynch, Rice & Thomas, Numer. Math. 6, 1964),
-whose 1D factor is the closed-form DCT-I basis of the operator assembly.  In
+whose 1D factor is the closed-form DCT-I basis :attr:`SpaceGrid.axis_modes`.  In
 that basis every mode j follows the scalar L1 recursion :func:`_step_l1`, so
 u^n = P (R[n] * P^T W f), where the response table R[n, j] is the recursion
 run with a unit source, and the homogeneous solve runs it from a unit
@@ -48,7 +48,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .discretization import (
-    EllipticOperator,
     Field,
     ObservationMask,
     SpaceGrid,
@@ -72,11 +71,11 @@ _RANK_RTOL = 1e-15
 
 @dataclass(eq=False)
 class ProblemSpec:
-    """Fractional order, grids, spatial operator and sampled temporal factor."""
+    """Fractional order, time grid, space grid (with the operator's modes) and sampled mu."""
 
     alpha: FractionalOrder
     tgrid: TimeGrid
-    op: EllipticOperator
+    grid: SpaceGrid
     mu: NDArray[np.float64]
 
     def __post_init__(self) -> None:
@@ -85,10 +84,6 @@ class ProblemSpec:
             raise ValueError("mu must be sampled on the time grid nodes")
         if not np.all(np.isfinite(self.mu)):
             raise ValueError("mu samples must be finite")
-
-    @property
-    def grid(self):
-        return self.op.grid
 
     @cached_property
     def weights(self) -> NDArray[np.float64]:
@@ -111,7 +106,7 @@ class ProblemSpec:
         if self.grid.dim == 2:
             w1 = sparse.diags(self.grid.axis_weights)
             stiffness = sparse.kron(stiffness, w1) + sparse.kron(w1, stiffness)
-        mass = sparse.diags(self.op.mass)
+        mass = sparse.diags(self.grid.quad_weights)
         beta = l1_scale(self.alpha, self.tgrid.tau)
         system = (beta * mass + (stiffness + mass)).tocsc()
         lu = splu(system)
@@ -133,7 +128,7 @@ class ProblemSpec:
         ``sb = a^T X`` has shape (r, n_nodes).  Both are computed from the
         distinct eigenvalues only.
         """
-        lam, inverse, counts = np.unique(self.op.eigenvalues, return_inverse=True, return_counts=True)
+        lam, inverse, counts = np.unique(self.grid.eigenvalues, return_inverse=True, return_counts=True)
         x = np.sqrt(self.tgrid.quad_weights[1:, None]) * _step_l1(self, lam, self.mu, 0.0)[1:]
         # X = x[:, inverse] has Gram matrix X X^T = (x sqrt(counts)) (x sqrt(counts))^T,
         # and (x sqrt(counts))^T = Q T, so X shares its left singular vectors with T^T
@@ -147,11 +142,11 @@ class ProblemSpec:
         """f_hat = P^T W f, the modal coefficients of f since P^T W P = I."""
         if f.grid != self.grid:
             raise ValueError("field grid does not match the problem grid")
-        return _along_axes(self.grid, self.op.axis_modes.T * self.grid.axis_weights, f.values)
+        return _along_axes(self.grid, self.grid.axis_modes.T * self.grid.axis_weights, f.values)
 
     def to_nodal(self, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
         """P coeffs: nodal values of modal coefficients; leading axes are batched."""
-        return _along_axes(self.grid, self.op.axis_modes, coeffs)
+        return _along_axes(self.grid, self.grid.axis_modes, coeffs)
 
     def observe(self, f_hat: NDArray[np.float64]) -> NDArray[np.float64]:
         """v with W_t^1/2 u(f) = a v for f_hat = P^T W f; shape (r, n_nodes)."""
@@ -233,7 +228,7 @@ def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:
     v^n = P (H[n] * P^T W a), where H is the L1 recursion from the initial
     value 1 without a source.
     """
-    decay = _step_l1(spec, spec.op.eigenvalues, np.zeros_like(spec.mu), 1.0)
+    decay = _step_l1(spec, spec.grid.eigenvalues, np.zeros_like(spec.mu), 1.0)
     return SpaceTimeField(spec.grid, spec.tgrid, spec.to_nodal(decay * spec.to_modal(a)))
 
 
@@ -354,5 +349,5 @@ class NormalOperator:
     def _transpose(
         self, sb: NDArray[np.float64], d: NDArray[np.float64]
     ) -> NDArray[np.float64]:
-        d_hat = _along_axes(self.spec.grid, self.spec.op.axis_modes.T, self.weights * d)
+        d_hat = _along_axes(self.spec.grid, self.spec.grid.axis_modes.T, self.weights * d)
         return np.sum(sb * d_hat, axis=0)

@@ -11,6 +11,7 @@ time-stepping solvers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ class FractionalOrder:
     alpha: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"fractional order must be a real number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha}")
 
@@ -48,8 +51,8 @@ def l1_weights(alpha: FractionalOrder, n_steps: int) -> NDArray[np.float64]:
     telescope to n^(1-alpha), which makes the L1 operator annihilate constants
     exactly.  The step size enters only through :func:`l1_scale`.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValueError("n_steps must be an integer >= 1")
     a = alpha.alpha
     k = np.arange(n_steps, dtype=float)
     return (k + 1.0) ** (1.0 - a) - k ** (1.0 - a)

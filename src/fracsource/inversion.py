@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -52,6 +53,11 @@ logger = logging.getLogger(__name__)
 _ZERO_NORM_FLOOR = 1e-14
 
 
+def _is_count(value) -> bool:
+    """``value`` is an integer >= 1 and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class ReconstructionConfig:
     """Knobs of the thresholding iteration: rho, M, eps, f0 and the step cap."""
@@ -63,10 +69,15 @@ class ReconstructionConfig:
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        if not all(0.0 < value < math.inf for value in (self.rho, self.m, self.eps)):
+        if not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v < math.inf
+            for v in (self.rho, self.m, self.eps)
+        ):
             raise ValueError("rho, M and eps must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not _is_count(self.max_iter):
+            raise ValueError("max_iter must be an integer >= 1")
+        if not isinstance(self.f0, Field):
+            raise ValueError(f"f0 must be a Field, got {type(self.f0).__name__}")
 
 
 @dataclass
@@ -228,8 +239,8 @@ def estimate_m(
     after 5-8 steps, one forward and one adjoint solve each.  The start
     vector is the ``seed``'s :func:`splitmix64_uniform` draws.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    if not _is_count(iters):
+        raise ValueError("iters must be an integer >= 1")
     w = spec.grid.quad_weights
     q = np.empty((min(iters, spec.grid.n_nodes), spec.grid.n_nodes))
     r = splitmix64_uniform(seed, spec.grid.n_nodes)

@@ -22,7 +22,6 @@ from .discretization import (
     SpaceGrid,
     SpaceTimeField,
     TimeGrid,
-    assemble_operator,
     inner_product,
     masked_inner_product,
 )
@@ -217,11 +216,10 @@ def duhamel_check(
         raise ValueError("field grid mismatch")
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    op = assemble_operator(grid)
-    spec = ProblemSpec(alpha=alpha, tgrid=tgrid, op=op, mu=mu.sample(tgrid))
+    spec = ProblemSpec(alpha=alpha, tgrid=tgrid, grid=grid, mu=mu.sample(tgrid))
     u_direct = solve_forward(spec, f)
     tg_fine = TimeGrid(tgrid.T, tgrid.n_steps * refine)
-    spec_fine = ProblemSpec(alpha=alpha, tgrid=tg_fine, op=op, mu=mu.sample(tg_fine))
+    spec_fine = ProblemSpec(alpha=alpha, tgrid=tg_fine, grid=grid, mu=mu.sample(tg_fine))
     v = solve_homogeneous(spec_fine, f)
     theta = duhamel_theta(alpha, mu)
 

@@ -19,7 +19,6 @@ from .discretization import (
     SpaceGrid,
     SpaceTimeField,
     TimeGrid,
-    assemble_operator,
     inner_product,
     masked_inner_product,
 )
@@ -102,13 +101,12 @@ def check_forward_oracle() -> list[CheckResult]:
     """Forward L1 solver against the eigen-expansion oracle (f = cos(pi x))."""
     out = []
     grid = SpaceGrid(1, 41)
-    op = assemble_operator(grid)
     full = ObservationMask(grid, np.ones(grid.n_nodes))
     f = Field.from_function(grid, lambda x: np.cos(np.pi * x))
     for a in (0.3, 0.5, 0.8):
         alpha = FractionalOrder(a)
         tgrid = TimeGrid(1.0, 40)
-        spec = ProblemSpec(alpha, tgrid, op, DEFAULT_MU.sample(tgrid))
+        spec = ProblemSpec(alpha, tgrid, grid, DEFAULT_MU.sample(tgrid))
         u = solve_forward(spec, f)
         ue = eigen_forward(alpha, modes_up_to(1, 2), f, DEFAULT_MU.sample(tgrid), tgrid)
         diff = SpaceTimeField(grid, tgrid, u.values - ue.values)
@@ -130,9 +128,8 @@ def check_adjoint_pairing() -> list[CheckResult]:
     """<u(g), chi r>_Q = <g, int mu z dt>_Omega for random fields."""
     grid = SpaceGrid(1, 21)
     tgrid = TimeGrid(1.0, 20)
-    op = assemble_operator(grid)
     mask = ObservationMask.from_boxes(grid, [[[0.0, 0.05]], [[0.95, 1.0]]])
-    spec = ProblemSpec(FractionalOrder(0.5), tgrid, op, DEFAULT_MU.sample(tgrid))
+    spec = ProblemSpec(FractionalOrder(0.5), tgrid, grid, DEFAULT_MU.sample(tgrid))
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(10):

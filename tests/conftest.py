@@ -13,7 +13,6 @@ from fracsource import (
     ProblemSpec,
     SpaceGrid,
     TimeGrid,
-    assemble_operator,
 )
 from fracsource.oracle import PolynomialMu
 
@@ -26,18 +25,8 @@ def grid41():
 
 
 @pytest.fixture(scope="session")
-def op41(grid41):
-    return assemble_operator(grid41)
-
-
-@pytest.fixture(scope="session")
 def grid21():
     return SpaceGrid(1, 21)
-
-
-@pytest.fixture(scope="session")
-def op21(grid21):
-    return assemble_operator(grid21)
 
 
 @pytest.fixture
@@ -61,9 +50,9 @@ def fd_stiffness(grid: SpaceGrid) -> np.ndarray:
     return np.kron(k1, w1) + np.kron(w1, k1)
 
 
-def make_spec(alpha: float, op, n_steps: int = 40, T: float = 1.0) -> ProblemSpec:
+def make_spec(alpha: float, grid: SpaceGrid, n_steps: int = 40, T: float = 1.0) -> ProblemSpec:
     tgrid = TimeGrid(T, n_steps)
-    return ProblemSpec(FractionalOrder(alpha), tgrid, op, MU_STD.sample(tgrid))
+    return ProblemSpec(FractionalOrder(alpha), tgrid, grid, MU_STD.sample(tgrid))
 
 
 def edge_mask(grid: SpaceGrid) -> ObservationMask:

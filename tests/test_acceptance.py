@@ -26,7 +26,6 @@ from fracsource import (
     SpaceGrid,
     SpaceTimeField,
     TimeGrid,
-    assemble_operator,
     caputo_l1,
     estimate_m,
     gradient,
@@ -121,9 +120,8 @@ def test_criterion_3_forward_oracle_agreement():
         alpha = FractionalOrder(a)
         for label, (nx, nt) in (("c", (41, 40)), ("f", (81, 160))):
             grid = SpaceGrid(1, nx)
-            op = assemble_operator(grid)
             tg = TimeGrid(1.0, nt)
-            spec = make_spec(a, op, n_steps=nt)
+            spec = make_spec(a, grid, n_steps=nt)
             f = cos_field(grid)
             u = solve_forward(spec, f)
             ue = eigen_forward(alpha, modes_up_to(1, 2), f, spec.mu, tg)
@@ -157,8 +155,7 @@ def test_criterion_4_duhamel_identity():
 def test_criterion_5_adjoint_pairing_and_gradient():
     """Pairing identity and gradient-vs-finite-difference, both <= 1e-2."""
     grid = SpaceGrid(1, 21)
-    op = assemble_operator(grid)
-    spec = make_spec(0.5, op, n_steps=20)
+    spec = make_spec(0.5, grid, n_steps=20)
     mask = edge_mask(grid)
     rng = np.random.default_rng(2024)
     worst_pairing = 0.0
@@ -334,10 +331,9 @@ def test_criterion_8_table_2_and_2d_reproduction(tmp_path):
 def test_criterion_9_algorithmic_properties():
     """Phi monotone with M >= 1.2 * estimate; fixed point and scaling exact."""
     grid = SpaceGrid(1, 21)
-    op = assemble_operator(grid)
     worst_phi_increase = -math.inf
     for a in (0.3, 0.8):
-        spec = make_spec(a, op, n_steps=20)
+        spec = make_spec(a, grid, n_steps=20)
         mask = edge_mask(grid)
         f_true = Field.from_function(grid, lambda x: np.sin(np.pi * x) + x - 3.0)
         u_obs = SpaceTimeField(

@@ -8,7 +8,6 @@ from fracsource import (
     SpaceGrid,
     SpaceTimeField,
     TimeGrid,
-    assemble_operator,
     inner_product,
     masked_inner_product,
     solve_adjoint,
@@ -44,7 +43,7 @@ def dense_forward_map(dim=1, n_per_axis=11):
     nodes would carry no weight.
     """
     grid = SpaceGrid(dim, n_per_axis)
-    spec = make_spec(0.5, assemble_operator(grid), n_steps=10)
+    spec = make_spec(0.5, grid, n_steps=10)
     rest = [[0.0, 1.0]] * (dim - 1)
     mask = ObservationMask.from_boxes(grid, [[[0.0, 0.35], *rest], [[0.65, 1.0], *rest]])
     columns = [
@@ -54,15 +53,15 @@ def dense_forward_map(dim=1, n_per_axis=11):
 
 
 class TestSolveAdjoint:
-    def test_zero_residual(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_zero_residual(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         zero = SpaceTimeField.zeros(grid21, spec.tgrid)
         z = solve_adjoint(spec, zero, edge_mask(grid21))
         assert np.all(z.values == 0.0)
 
-    def test_initial_residual_never_enters(self, grid21, op21):
+    def test_initial_residual_never_enters(self, grid21):
         # the t = 0 sample pairs with u(., 0) = 0, so it cannot reach A^T r
-        spec = make_spec(0.5, op21, n_steps=20)
+        spec = make_spec(0.5, grid21, n_steps=20)
         mask = edge_mask(grid21)
         rng = np.random.default_rng(0)
         r = rng.standard_normal((21, 21))
@@ -72,8 +71,8 @@ class TestSolveAdjoint:
         b = solve_adjoint(spec, SpaceTimeField(grid21, spec.tgrid, changed), mask)
         assert np.array_equal(a.values, b.values)
 
-    def test_linearity_in_residual(self, grid21, op21):
-        spec = make_spec(0.3, op21, n_steps=20)
+    def test_linearity_in_residual(self, grid21):
+        spec = make_spec(0.3, grid21, n_steps=20)
         mask = edge_mask(grid21)
         rng = np.random.default_rng(5)
         r1 = SpaceTimeField(grid21, spec.tgrid, rng.standard_normal((21, 21)))
@@ -98,8 +97,8 @@ class TestSolveAdjoint:
         got = solve_adjoint(spec, SpaceTimeField(grid, spec.tgrid, r), mask)
         assert_allclose(got.values, expected, rtol=1e-12)
 
-    def test_grid_mismatch(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_grid_mismatch(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         other = SpaceGrid(1, 11)
         bad = SpaceTimeField.zeros(other, spec.tgrid)
         with pytest.raises(ValueError):
@@ -108,8 +107,8 @@ class TestSolveAdjoint:
 
 class TestAdjointPairing:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
-    def test_pairing_identity(self, grid21, op21, alpha):
-        spec = make_spec(alpha, op21, n_steps=20)
+    def test_pairing_identity(self, grid21, alpha):
+        spec = make_spec(alpha, grid21, n_steps=20)
         worst = pairing_discrepancy(spec, edge_mask(grid21), seed=42)
         assert worst <= 1e-2  # holds to rounding with the transpose-consistent source
 
@@ -118,8 +117,7 @@ class TestAdjointPairing:
         # O(tau^(2-alpha) + h^2) envelope the continuous derivation allows
         for n in (11, 21, 41):
             grid = SpaceGrid(1, n)
-            op = assemble_operator(grid)
-            spec = make_spec(0.5, op, n_steps=n - 1)
+            spec = make_spec(0.5, grid, n_steps=n - 1)
             mask = ObservationMask.from_boxes(grid, [[[0.0, 0.1]], [[0.9, 1.0]]])
             worst = pairing_discrepancy(spec, mask, seed=7, n_pairs=4)
             assert worst <= 1e-10
@@ -194,8 +192,8 @@ class TestNormalOperator:
             cut = normal.misfit(v - c_q) - 2.0 * (f_hat @ t) + const
             assert abs(cut - full) <= 1e-14 * full
 
-    def test_grid_mismatch(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_grid_mismatch(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         with pytest.raises(ValueError):
             NormalOperator(spec, edge_mask(SpaceGrid(1, 41)))
         normal = NormalOperator(spec, edge_mask(grid21))

@@ -12,7 +12,6 @@ from fracsource.discretization import (
     SpaceGrid,
     SpaceTimeField,
     TimeGrid,
-    assemble_operator,
     inner_product,
     masked_inner_product,
     norm_l2,
@@ -59,7 +58,7 @@ class TestGrids:
         # node i*n + k (2D) is (x_i, x_k); weights, eigenvalues and modes follow it
         grid = SpaceGrid(dim, n)
         x, w = grid.axis_nodes, grid.axis_weights
-        kappa = assemble_operator(grid).axis_eigenvalues
+        kappa = grid.axis_eigenvalues
         if dim == 1:
             cells = [(i,) for i in range(n)]
             coords = [[x[i]] for i in range(n)]
@@ -72,7 +71,7 @@ class TestGrids:
             eigenvalues = [(1.0 + kappa[i]) + kappa[k] for i, k in cells]
         assert np.array_equal(grid.coords, np.array(coords))
         assert np.array_equal(grid.quad_weights, np.array(weights))
-        assert np.array_equal(assemble_operator(grid).eigenvalues, np.array(eigenvalues))
+        assert np.array_equal(grid.eigenvalues, np.array(eigenvalues))
         assert [mode.index for mode in modes_up_to(dim, n - 1)] == cells
 
     def test_field_shape_check(self):
@@ -81,17 +80,17 @@ class TestGrids:
             Field(g, np.zeros(10))
 
 
-def dense_modes(op):
+def dense_modes(grid):
     """P, the tensor-product eigenbasis as a dense matrix, one mode per column."""
-    if op.grid.dim == 1:
-        return op.axis_modes
-    return np.kron(op.axis_modes, op.axis_modes)
+    if grid.dim == 1:
+        return grid.axis_modes
+    return np.kron(grid.axis_modes, grid.axis_modes)
 
 
-def modal_matrix(op):
+def modal_matrix(grid):
     """W^-1 M rebuilt from the modal data: P diag(eigenvalues) P^T W."""
-    p = dense_modes(op)
-    return p @ (op.eigenvalues[:, None] * p.T) * op.mass[None, :]
+    p = dense_modes(grid)
+    return p @ (grid.eigenvalues[:, None] * p.T) * grid.quad_weights[None, :]
 
 
 class TestOperator:
@@ -100,45 +99,41 @@ class TestOperator:
     def test_preserves_constants_1d_bitwise(self):
         # the constant is mode 0 with eigenvalue exactly 1, and the stencil's rows sum to 0
         grid = SpaceGrid(1, 41)
-        op = assemble_operator(grid)
-        assert op.axis_eigenvalues[0] == 0.0 and op.eigenvalues[0] == 1.0
-        assert np.all(op.axis_modes[:, 0] == 1.0)
+        assert grid.axis_eigenvalues[0] == 0.0 and grid.eigenvalues[0] == 1.0
+        assert np.all(grid.axis_modes[:, 0] == 1.0)
         assert np.all(fd_stiffness(grid) @ np.ones(41) == 0.0)
 
     def test_preserves_constants_2d(self):
         grid = SpaceGrid(2, 21)
-        op = assemble_operator(grid)
-        assert op.eigenvalues[0] == 1.0
-        assert np.all(dense_modes(op)[:, 0] == 1.0)
+        assert grid.eigenvalues[0] == 1.0
+        assert np.all(dense_modes(grid)[:, 0] == 1.0)
         assert_allclose(fd_stiffness(grid) @ np.ones(441), 0.0, atol=1e-13)
-        assert_allclose(modal_matrix(op) @ np.ones(441), 1.0, atol=1e-13)
+        assert_allclose(modal_matrix(grid) @ np.ones(441), 1.0, atol=1e-13)
 
     def test_weighted_matrix_exactly_symmetric(self):
         # M = K + W is symmetric, and so is its modal form W P diag(lambda) P^T W
         for grid in (SpaceGrid(1, 41), SpaceGrid(2, 17)):
             m = fd_stiffness(grid) + np.diag(grid.quad_weights)
             assert np.all(m == m.T)
-            modal = grid.quad_weights[:, None] * modal_matrix(assemble_operator(grid))
+            modal = grid.quad_weights[:, None] * modal_matrix(grid)
             assert np.max(np.abs(modal - modal.T)) <= 1e-13 * np.max(np.abs(m))
 
     def test_three_node_action_row_sums(self):
         grid = SpaceGrid(1, 3)
-        op = assemble_operator(grid)
-        action = (fd_stiffness(grid) + np.diag(op.mass)) / op.mass[:, None]
+        action = (fd_stiffness(grid) + np.diag(grid.quad_weights)) / grid.quad_weights[:, None]
         assert_allclose(action.sum(axis=1), 1.0, atol=1e-14)
-        assert_allclose(modal_matrix(op), action, atol=1e-14)
+        assert_allclose(modal_matrix(grid), action, atol=1e-14)
 
     def test_cosine_eigenpair(self):
         # mode k is sqrt 2 cos(k pi x) (cos(k pi x) at k = n - 1), eigenvalue (k pi)^2 + 1 to O(h^2)
         grid = SpaceGrid(1, 81)
-        op = assemble_operator(grid)
         x = grid.axis_nodes
         k = np.arange(81)
         scale = np.where(k == 80, 1.0, np.sqrt(2.0))
         expected = scale * np.cos(np.pi * np.outer(x, k))
-        assert np.max(np.abs(op.axis_modes[:, 1:] - expected[:, 1:])) <= 1e-12
+        assert np.max(np.abs(grid.axis_modes[:, 1:] - expected[:, 1:])) <= 1e-12
         lam = np.pi**2 + 1.0
-        assert abs(op.eigenvalues[1] - lam) / lam <= 2e-4
+        assert abs(grid.eigenvalues[1] - lam) / lam <= 2e-4
 
     def test_rayleigh_quotient_convergence(self):
         # kappa_k, the stencil's Rayleigh quotient of the sampled cos(k pi x),
@@ -147,11 +142,10 @@ class TestOperator:
             errs = []
             for n in (21, 41, 81):
                 grid = SpaceGrid(1, n)
-                op = assemble_operator(grid)
                 v = np.cos(k * np.pi * grid.axis_nodes)
-                rayleigh = v @ fd_stiffness(grid) @ v / (v @ (op.mass * v))
-                assert abs(rayleigh - op.axis_eigenvalues[k]) <= 1e-12 * rayleigh
-                errs.append(abs(op.axis_eigenvalues[k] - (k * np.pi) ** 2))
+                rayleigh = v @ fd_stiffness(grid) @ v / (v @ (grid.quad_weights * v))
+                assert abs(rayleigh - grid.axis_eigenvalues[k]) <= 1e-12 * rayleigh
+                errs.append(abs(grid.axis_eigenvalues[k] - (k * np.pi) ** 2))
             orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
             assert min(orders) >= 1.9
 
@@ -159,36 +153,46 @@ class TestOperator:
         # every eigenvalue is 1 + kappa_i + kappa_k >= 1, the smallest exactly 1,
         # and so is the smallest of the stencil's W^-1/2 M W^-1/2
         grid = SpaceGrid(2, 15)
-        op = assemble_operator(grid)
-        assert np.min(op.eigenvalues) == 1.0
-        s = 1.0 / np.sqrt(op.mass)
-        m = fd_stiffness(grid) + np.diag(op.mass)
+        assert np.min(grid.eigenvalues) == 1.0
+        s = 1.0 / np.sqrt(grid.quad_weights)
+        m = fd_stiffness(grid) + np.diag(grid.quad_weights)
         assert abs(np.linalg.eigvalsh(s[:, None] * m * s[None, :])[0] - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 11, 41])
     def test_closed_form_basis_matches_eigh(self, n):
         # k1 v = kappa W1 v through the symmetric W1^-1/2 k1 W1^-1/2
         grid = SpaceGrid(1, n)
-        op = assemble_operator(grid)
-        s = 1.0 / np.sqrt(op.mass)
+        s = 1.0 / np.sqrt(grid.quad_weights)
         kappa, y = np.linalg.eigh(s[:, None] * fd_stiffness(grid) * s[None, :])
         modes = s[:, None] * y
-        assert np.max(np.abs(op.axis_eigenvalues - kappa)) <= 1e-14 * kappa[-1]
-        signs = np.sign(np.sum(modes * op.axis_modes, axis=0))
-        assert np.max(np.abs(op.axis_modes - signs * modes)) <= 1e-12
-        gram = op.axis_modes.T @ (op.mass[:, None] * op.axis_modes)
+        assert np.max(np.abs(grid.axis_eigenvalues - kappa)) <= 1e-14 * kappa[-1]
+        signs = np.sign(np.sum(modes * grid.axis_modes, axis=0))
+        assert np.max(np.abs(grid.axis_modes - signs * modes)) <= 1e-12
+        gram = grid.axis_modes.T @ (grid.quad_weights[:, None] * grid.axis_modes)
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_modal_data_cached_and_read_only(self, dim):
+        # every spec built on one grid shares these arrays, so none may write them
+        grid = SpaceGrid(dim, 7)
+        for name in ("axis_modes", "axis_eigenvalues"):
+            data = getattr(grid, name)
+            assert getattr(grid, name) is data
+            with pytest.raises(ValueError, match="read-only"):
+                data[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                data *= 2.0
+        assert grid.axis_eigenvalues[0] == 0.0 and np.all(grid.axis_modes[:, 0] == 1.0)
 
     @pytest.mark.parametrize("n", [3, 7, 11])
     def test_closed_form_basis_diagonalises_2d_stencil(self, n):
         # the 2D eigenvalues repeat, so the tensor basis is checked by
         # P^T M P = diag(eigenvalues) and P^T W P = I rather than against eigh
         grid = SpaceGrid(2, n)
-        op = assemble_operator(grid)
-        p = dense_modes(op)
-        m = fd_stiffness(grid) + np.diag(op.mass)
-        assert np.max(np.abs(p.T @ m @ p - np.diag(op.eigenvalues))) <= 1e-13 * op.eigenvalues.max()
-        assert np.max(np.abs(p.T @ (op.mass[:, None] * p) - np.eye(grid.n_nodes))) <= 1e-14
+        p = dense_modes(grid)
+        m = fd_stiffness(grid) + np.diag(grid.quad_weights)
+        assert np.max(np.abs(p.T @ m @ p - np.diag(grid.eigenvalues))) <= 1e-13 * grid.eigenvalues.max()
+        assert np.max(np.abs(p.T @ (grid.quad_weights[:, None] * p) - np.eye(grid.n_nodes))) <= 1e-14
 
 
 class TestInnerProducts:

@@ -7,8 +7,10 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,35 @@ def test_all_names_resolve(name):
 
 
 SRC = Path(fracsource.__file__).parent
+
+
+def readme_names() -> dict:
+    """Backticked dotted names in README.md, keyed by name, with what each resolves to.
+
+    Only names whose head is ``fracsource``, one of its modules or a name a
+    module exports are taken (``forward.splu``, ``ProblemSpec.step_solver``);
+    others, such as ``numpy.random``, are skipped.  An unresolved name maps to None.
+    """
+    heads = {"fracsource": fracsource}
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        heads[name.rpartition(".")[2]] = module
+        heads.update({attr: getattr(module, attr) for attr in getattr(module, "__all__", [])})
+    text = (SRC.parents[1] / "README.md").read_text()
+    found = {}
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text):
+        head, *rest = name.split(".")
+        if head in heads:
+            found[name] = reduce(lambda obj, attr: getattr(obj, attr, None), rest, heads[head])
+    return found
+
+
+def test_readme_names_resolve():
+    # a deletion or rename must take README's references with it
+    names = readme_names()
+    assert names, "README.md names no fracsource attribute"
+    stale = sorted(name for name, obj in names.items() if obj is None)
+    assert not stale, f"README.md names attributes that do not exist: {stale}"
 
 
 def test_no_private_imports_across_modules():

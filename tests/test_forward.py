@@ -12,7 +12,6 @@ from fracsource import (
     SpaceGrid,
     SpaceTimeField,
     TimeGrid,
-    assemble_operator,
     masked_inner_product,
     mittag_leffler,
     solve_adjoint,
@@ -43,14 +42,14 @@ def l1_history(spec: ProblemSpec, source, initial, step):
 def nodal_l1(spec: ProblemSpec, source, initial):
     """Reference nodal L1 stepping, one sparse LU solve of (beta W + M) u^n = W rhs^n per step."""
     return l1_history(
-        spec, source, initial, lambda rhs: spec.step_solver.solve(spec.op.mass * rhs)
+        spec, source, initial, lambda rhs: spec.step_solver.solve(spec.grid.quad_weights * rhs)
     )
 
 
 def weighted_table(spec: ProblemSpec):
     """X = W_t^1/2 R, R[n, j] the scalar L1 recursion of eigenvalue lambda_j for a unit source."""
     beta = l1_scale(spec.alpha, spec.tgrid.tau)
-    lam = spec.op.eigenvalues
+    lam = spec.grid.eigenvalues
     r = l1_history(spec, spec.mu, np.zeros(lam.size), lambda rhs: rhs / (beta + lam))
     return np.sqrt(spec.tgrid.quad_weights)[:, None] * r
 
@@ -63,18 +62,18 @@ def rel_l2_q(a: SpaceTimeField, b: SpaceTimeField) -> float:
 
 
 class TestProblemSpec:
-    def test_mu_validation(self, op41):
+    def test_mu_validation(self, grid41):
         tg = TimeGrid(1.0, 40)
         with pytest.raises(ValueError):
-            ProblemSpec(FractionalOrder(0.5), tg, op41, np.ones(7))
+            ProblemSpec(FractionalOrder(0.5), tg, grid41, np.ones(7))
         with pytest.raises(ValueError):
-            ProblemSpec(FractionalOrder(0.5), tg, op41, np.full(41, np.nan))
+            ProblemSpec(FractionalOrder(0.5), tg, grid41, np.full(41, np.nan))
 
-    def test_step_solver_cached(self, op41):
-        spec = make_spec(0.5, op41)
+    def test_step_solver_cached(self, grid41):
+        spec = make_spec(0.5, grid41)
         assert spec.step_solver is spec.step_solver
 
-    def test_step_solver_factors_through_module_splu(self, op21, monkeypatch):
+    def test_step_solver_factors_through_module_splu(self, grid21, monkeypatch):
         # wrapping forward.splu must see the factorization: tracing counts it there
         calls = []
         original = forward.splu
@@ -84,15 +83,16 @@ class TestProblemSpec:
             return original(matrix)
 
         monkeypatch.setattr(forward, "splu", counting)
-        for op in (op21, assemble_operator(SpaceGrid(2, 7))):
-            spec = make_spec(0.5, op)
+        for grid in (grid21, SpaceGrid(2, 7)):
+            spec = make_spec(0.5, grid)
             lu = spec.step_solver
             assert spec.step_solver is lu
-            n = op.grid.n_nodes
+            n = grid.n_nodes
             assert [m.shape for m in calls] == [(n, n)]
             # the factored matrix is beta W + M of the finite-difference stencil, exactly symmetric
             beta = l1_scale(spec.alpha, spec.tgrid.tau)
-            system = beta * np.diag(op.mass) + (fd_stiffness(op.grid) + np.diag(op.mass))
+            w = np.diag(grid.quad_weights)
+            system = beta * w + (fd_stiffness(grid) + w)
             factored = calls.pop().toarray()
             assert np.all(factored == factored.T)
             assert np.max(np.abs(factored - system)) <= 1e-15 * np.max(np.abs(system))
@@ -116,11 +116,11 @@ class TestProblemSpec:
         monkeypatch.setattr(forward, "_step_l1", counting)
         monkeypatch.setattr(forward.np, "unique", recording)
         grid = SpaceGrid(2, 11)
-        spec = make_spec(0.5, assemble_operator(grid), n_steps=10)
+        spec = make_spec(0.5, grid, n_steps=10)
         f = Field.constant(grid, 1.0)
         u = solve_forward(spec, f)
         [(lam, inverse, counts)] = uniques
-        assert np.array_equal(lam[inverse], spec.op.eigenvalues)
+        assert np.array_equal(lam[inverse], spec.grid.eigenvalues)
         assert counts.sum() == grid.n_nodes and lam.size < grid.n_nodes
         assert widths == [lam.size]
         # later solves on the spec reuse the factor: no np.unique, no L1 recursion
@@ -150,13 +150,13 @@ class TestProblemSpec:
 
 
 class TestSolveForward:
-    def test_zero_source(self, grid41, op41):
-        spec = make_spec(0.5, op41)
+    def test_zero_source(self, grid41):
+        spec = make_spec(0.5, grid41)
         u = solve_forward(spec, Field.constant(grid41, 0.0))
         assert np.all(u.values == 0.0)
 
-    def test_linearity(self, grid41, op41):
-        spec = make_spec(0.5, op41)
+    def test_linearity(self, grid41):
+        spec = make_spec(0.5, grid41)
         rng = np.random.default_rng(3)
         f1 = Field(grid41, rng.standard_normal(41))
         f2 = Field(grid41, rng.standard_normal(41))
@@ -166,8 +166,8 @@ class TestSolveForward:
         scale = np.max(np.abs(u12.values))
         assert np.max(np.abs(u12.values - u1.values - u2.values)) <= 1e-12 * scale
 
-    def test_grid_mismatch(self, op41):
-        spec = make_spec(0.5, op41)
+    def test_grid_mismatch(self, grid41):
+        spec = make_spec(0.5, grid41)
         with pytest.raises(ValueError):
             solve_forward(spec, Field.constant(SpaceGrid(1, 21), 1.0))
 
@@ -175,7 +175,7 @@ class TestSolveForward:
     def test_initial_row_is_positive_zero(self, dim):
         # the forward CSV writes repr, so a -0.0 in u^0 would change its bytes
         grid = SpaceGrid(dim, 11)
-        spec = make_spec(0.5, assemble_operator(grid), n_steps=10)
+        spec = make_spec(0.5, grid, n_steps=10)
         f = Field(grid, np.random.default_rng(4).standard_normal(grid.n_nodes))
         u0 = solve_forward(spec, f).values[0]
         assert np.all(u0 == 0.0) and not np.any(np.signbit(u0))
@@ -192,7 +192,7 @@ class TestSolveForward:
     def test_matches_lu_stepping(self, dim, n, n_steps, homogeneous):
         # the modal solves are the nodal LU scheme in another basis
         grid = SpaceGrid(dim, n)
-        spec = make_spec(0.5, assemble_operator(grid), n_steps=n_steps)
+        spec = make_spec(0.5, grid, n_steps=n_steps)
         f = Field(grid, np.random.default_rng(1).standard_normal(grid.n_nodes))
         if homogeneous:
             want = nodal_l1(spec, np.zeros((n_steps + 1, grid.n_nodes)), f.values)
@@ -205,8 +205,8 @@ class TestSolveForward:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
-    def test_against_eigen_oracle(self, grid41, op41, alpha):
-        spec = make_spec(alpha, op41)
+    def test_against_eigen_oracle(self, grid41, alpha):
+        spec = make_spec(alpha, grid41)
         f = cos_field(grid41)
         u = solve_forward(spec, f)
         ue = eigen_forward(
@@ -221,7 +221,6 @@ class TestSolveForward:
         # 8x finer grid so its own O(tau^2) quadrature does not contaminate
         # the measured rate.
         grid = SpaceGrid(1, 401)
-        op = assemble_operator(grid)
         f = cos_field(grid)
         tg_fine = TimeGrid(1.0, 640)
         ue = eigen_forward(
@@ -230,7 +229,7 @@ class TestSolveForward:
         reference = ue.values[-1]
         errs = []
         for n_steps in (10, 20, 40):
-            spec = make_spec(0.5, op, n_steps=n_steps)
+            spec = make_spec(0.5, grid, n_steps=n_steps)
             u = solve_forward(spec, f)
             errs.append(
                 np.linalg.norm(u.values[-1] - reference) / np.linalg.norm(reference)
@@ -245,8 +244,7 @@ class TestSolveForward:
         rels = []
         for nx, nt in ((21, 20), (41, 40)):
             grid = SpaceGrid(2, nx)
-            op = assemble_operator(grid)
-            spec = make_spec(0.5, op, n_steps=nt)
+            spec = make_spec(0.5, grid, n_steps=nt)
             f = Field.from_function(
                 grid, lambda x1, x2: np.cos(np.pi * x1) * np.cos(np.pi * x2)
             )
@@ -262,8 +260,7 @@ class TestSolveForward:
         errs = []
         for n in (11, 21, 41):
             grid = SpaceGrid(1, n)
-            op = assemble_operator(grid)
-            spec = make_spec(0.5, op, n_steps=640)
+            spec = make_spec(0.5, grid, n_steps=640)
             f = cos_field(grid)
             u = solve_forward(spec, f)
             ue = eigen_forward(
@@ -275,13 +272,13 @@ class TestSolveForward:
 
 
 class TestSolveHomogeneous:
-    def test_zero_initial(self, grid41, op41):
-        spec = make_spec(0.5, op41)
+    def test_zero_initial(self, grid41):
+        spec = make_spec(0.5, grid41)
         v = solve_homogeneous(spec, Field.constant(grid41, 0.0))
         assert np.all(v.values == 0.0)
 
-    def test_constant_mode_decay(self, grid41, op41):
-        spec = make_spec(0.5, op41)
+    def test_constant_mode_decay(self, grid41):
+        spec = make_spec(0.5, grid41)
         v = solve_homogeneous(spec, Field.constant(grid41, 1.0))
         exact = np.array(
             [mittag_leffler(0.5, 1.0, -math.sqrt(s)) for s in spec.tgrid.nodes]
@@ -290,8 +287,8 @@ class TestSolveHomogeneous:
         # spatially constant at every step
         assert np.max(np.abs(v.values - v.values[:, :1])) <= 1e-12
 
-    def test_cosine_mode(self, grid41, op41):
-        spec = make_spec(0.5, op41)
+    def test_cosine_mode(self, grid41):
+        spec = make_spec(0.5, grid41)
         v = solve_homogeneous(spec, cos_field(grid41))
         lam = np.pi**2 + 1.0
         exact_t = mittag_leffler(0.5, 1.0, -lam) * np.cos(
@@ -300,9 +297,9 @@ class TestSolveHomogeneous:
         rel = np.linalg.norm(v.values[-1] - exact_t) / np.linalg.norm(exact_t)
         assert rel <= 1e-2
 
-    def test_monotone_modal_decay(self, grid41, op41):
+    def test_monotone_modal_decay(self, grid41):
         # single eigenmode, zero source: amplitude positive, non-increasing
-        spec = make_spec(0.3, op41)
+        spec = make_spec(0.3, grid41)
         v = solve_homogeneous(spec, cos_field(grid41))
         amplitude = v.values[:, 0]  # value at x = 0 where cos = 1
         assert np.all(amplitude > 0.0)

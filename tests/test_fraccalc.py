@@ -151,8 +151,13 @@ class TestL1Weights:
             FractionalOrder(1.0)
         with pytest.raises(ValueError):
             FractionalOrder(0.0)
+        with pytest.raises(ValueError, match="fractional order"):
+            FractionalOrder("0.3")
         with pytest.raises(ValueError):
             l1_weights(FractionalOrder(0.5), 0)
+        for n_steps in (2.5, True):
+            with pytest.raises(ValueError, match="integer"):
+                l1_weights(FractionalOrder(0.5), n_steps)
 
 
 class TestRLIntegral:

@@ -36,23 +36,23 @@ from test_adjoint import dense_forward_map
 
 
 class TestObjective:
-    def test_zero_everything(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_zero_everything(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         zero_obs = SpaceTimeField.zeros(grid21, spec.tgrid)
         val = objective(spec, Field.constant(grid21, 0.0), zero_obs, edge_mask(grid21), 1e-5)
         assert val == 0.0
 
-    def test_zero_source_gives_data_norm(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_zero_source_gives_data_norm(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         mask = edge_mask(grid21)
         rng = np.random.default_rng(2)
         obs = SpaceTimeField(grid21, spec.tgrid, rng.standard_normal((21, 21)))
         val = objective(spec, Field.constant(grid21, 0.0), obs, mask, 0.1)
         assert_allclose(val, masked_inner_product(obs, obs, mask), rtol=1e-12)
 
-    def test_directional_derivative_matches_gradient(self, grid21, op21):
+    def test_directional_derivative_matches_gradient(self, grid21):
         # Phi is quadratic in f, so the central difference is exact up to rounding
-        spec = make_spec(0.5, op21, n_steps=20)
+        spec = make_spec(0.5, grid21, n_steps=20)
         mask = edge_mask(grid21)
         rho = 1e-5
         rng = np.random.default_rng(9)
@@ -95,8 +95,8 @@ class TestObjective:
 
 
 class TestGradient:
-    def test_exact_data_leaves_regularizer(self, grid21, op21):
-        spec = make_spec(0.3, op21, n_steps=20)
+    def test_exact_data_leaves_regularizer(self, grid21):
+        spec = make_spec(0.3, grid21, n_steps=20)
         mask = edge_mask(grid21)
         rng = np.random.default_rng(4)
         f = Field(grid21, rng.standard_normal(21))
@@ -105,8 +105,8 @@ class TestGradient:
         grad = gradient(spec, f, u_obs, mask, rho)
         assert_allclose(grad.values, rho * f.values, atol=1e-14)
 
-    def test_zero_case(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_zero_case(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         zero_obs = SpaceTimeField.zeros(grid21, spec.tgrid)
         grad = gradient(
             spec, Field.constant(grid21, 0.0), zero_obs, edge_mask(grid21), 0.0
@@ -125,9 +125,16 @@ class TestReconstructionConfig:
             dict(rho=1e-5, m=math.nan, eps=1e-3),
             dict(rho=1e-5, m=math.inf, eps=1e-3),
             dict(rho=1e-5, m=1.0, eps=math.nan),
+            # wrong types fail at construction, not as a TypeError in iterate
+            dict(rho=True, m=1.0, eps=1e-3),
+            dict(rho=1e-5, m="2", eps=1e-3),
+            dict(rho=1e-5, m=1.0, eps=1e-3, max_iter=2.5),
+            dict(rho=1e-5, m=1.0, eps=1e-3, max_iter=True),
+            dict(rho=1e-5, m=1.0, eps=1e-3, f0=2.0),
+            dict(rho=1e-5, m=1.0, eps=1e-3, f0=f0.values),
         ):
             with pytest.raises(ValueError):
-                ReconstructionConfig(f0=f0, max_iter=10, **bad)
+                ReconstructionConfig(**{"f0": f0, "max_iter": 10, **bad})
         with pytest.raises(ValueError):
             ReconstructionConfig(rho=1e-5, m=1.0, eps=1e-3, f0=f0, max_iter=0)
 
@@ -151,8 +158,8 @@ class TestThresholdUpdate:
 
 
 class TestIterate:
-    def test_zero_data_zero_start(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_zero_data_zero_start(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         cfg = ReconstructionConfig(
             rho=1e-5, m=1.0, eps=1e-3, f0=Field.constant(grid21, 0.0), max_iter=50
         )
@@ -162,10 +169,10 @@ class TestIterate:
         assert np.all(res.f_k.values == 0.0)
         assert len(res.phi_history) == res.iterations + 1
 
-    def test_recovers_smooth_source_noise_free(self, grid41, op41):
+    def test_recovers_smooth_source_noise_free(self, grid41):
         # noise-free exact-data limit on the first example's geometry:
         # err drops below 2% within 500 iterations at rho = 1e-8
-        spec = make_spec(0.3, op41, n_steps=40)
+        spec = make_spec(0.3, grid41, n_steps=40)
         mask = edge_mask(grid41)
         f_true = Field.from_function(
             grid41, lambda x: np.sin(np.pi * x) + x - 3.0
@@ -180,8 +187,8 @@ class TestIterate:
         res = iterate(spec, u_obs, mask, cfg, f_true=f_true)
         assert res.err < 0.02
 
-    def test_scaling_covariance_full_loop(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_scaling_covariance_full_loop(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         mask = edge_mask(grid21)
         rng = np.random.default_rng(8)
         f_true = Field(grid21, rng.standard_normal(21))
@@ -199,9 +206,9 @@ class TestIterate:
             results[1].f_k.values, 2.0 * results[0].f_k.values, rtol=1e-12
         )
 
-    def test_divergence_guard_reports(self, grid21, op21):
+    def test_divergence_guard_reports(self, grid21):
         # M far below the stability threshold: bail out with converged=False
-        spec = make_spec(0.5, op21, n_steps=20)
+        spec = make_spec(0.5, grid21, n_steps=20)
         mask = edge_mask(grid21)
         f_true = Field.constant(grid21, 2.0)
         u_obs = SpaceTimeField(
@@ -215,9 +222,9 @@ class TestIterate:
         assert not res.converged
         assert res.iterations < 1000
 
-    def test_zero_source_has_no_relative_error(self, grid21, op21):
+    def test_zero_source_has_no_relative_error(self, grid21):
         # ||f_K - f_true|| / ||f_true|| is undefined for f_true = 0
-        spec = make_spec(0.5, op21, n_steps=20)
+        spec = make_spec(0.5, grid21, n_steps=20)
         zero = Field.constant(grid21, 0.0)
         cfg = ReconstructionConfig(
             rho=1e-5, m=2.0, eps=1e-6, f0=Field.constant(grid21, 1.0), max_iter=5
@@ -328,20 +335,20 @@ class TestIterateMatchesNodalLoop:
 
 
 class TestEstimateM:
-    def test_zero_mask(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_zero_mask(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         mask = ObservationMask(grid21, np.zeros(grid21.n_nodes))
         assert estimate_m(spec, mask, iters=3) == 0.0
 
-    def test_rayleigh_non_decreasing(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_rayleigh_non_decreasing(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         mask = edge_mask(grid21)
         values = [estimate_m(spec, mask, iters=i, seed=3) for i in (1, 2, 4, 8, 16)]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-12
 
-    def test_dominates_random_rayleigh_quotients(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_dominates_random_rayleigh_quotients(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         mask = edge_mask(grid21)
         est = estimate_m(spec, mask, iters=50)
         rng = np.random.default_rng(17)
@@ -351,10 +358,13 @@ class TestEstimateM:
             q = masked_inner_product(u, u, mask) / inner_product(v, v)
             assert q <= 1.05 * est
 
-    def test_iters_validation(self, grid21, op21):
-        spec = make_spec(0.5, op21, n_steps=20)
+    def test_iters_validation(self, grid21):
+        spec = make_spec(0.5, grid21, n_steps=20)
         with pytest.raises(ValueError):
             estimate_m(spec, edge_mask(grid21), iters=0)
+        for iters in (2.5, True):
+            with pytest.raises(ValueError, match="iters must be an integer >= 1"):
+                estimate_m(spec, edge_mask(grid21), iters=iters)
 
     @pytest.mark.parametrize("dim, n_per_axis", [(1, 11), (2, 7)])
     def test_matches_dense_top_eigenvalue(self, dim, n_per_axis):
@@ -423,8 +433,8 @@ class TestStatus:
 
 
 class TestObjectiveMonotonicity:
-    def test_phi_non_increasing_with_safe_m(self, grid21, op21):
-        spec = make_spec(0.3, op21, n_steps=20)
+    def test_phi_non_increasing_with_safe_m(self, grid21):
+        spec = make_spec(0.3, grid21, n_steps=20)
         mask = edge_mask(grid21)
         f_true = Field.from_function(grid21, lambda x: np.sin(np.pi * x) + x - 3.0)
         u_obs = SpaceTimeField(
