@@ -19,6 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
+    "is_a",
     "TimeGrid",
     "SpaceGrid",
     "Field",
@@ -62,9 +63,12 @@ def splitmix64_uniform(seed: int, n: int) -> NDArray[np.float64]:
     return 2.0 * uniform - 1.0
 
 
-def _is_a(kind: type, value) -> bool:
-    """``value`` is a ``kind`` (``numbers.Integral``, ``numbers.Real``) and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def is_a(kind: type, value) -> bool:
+    """``value`` is a finite ``kind`` (``numbers.Integral``, ``numbers.Real``), not a bool.
+
+    Tested by comparison, so an integer too large for a float counts as finite.
+    """
+    return isinstance(value, kind) and not isinstance(value, bool) and -np.inf < value < np.inf
 
 
 def _read_only(values: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -88,8 +92,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        valid_t = _is_a(numbers.Real, self.T) and 0.0 < self.T < np.inf
-        if not (valid_t and _is_a(numbers.Integral, self.n_steps) and self.n_steps >= 1):
+        valid_t = is_a(numbers.Real, self.T) and self.T > 0.0
+        if not (valid_t and is_a(numbers.Integral, self.n_steps) and self.n_steps >= 1):
             raise ValueError("TimeGrid requires a finite T > 0 and an integer n_steps >= 1")
 
     @property
@@ -122,7 +126,7 @@ class SpaceGrid:
     n_per_axis: int
 
     def __post_init__(self) -> None:
-        if not (_is_a(numbers.Integral, self.dim) and _is_a(numbers.Integral, self.n_per_axis)):
+        if not (is_a(numbers.Integral, self.dim) and is_a(numbers.Integral, self.n_per_axis)):
             raise ValueError("dim and n_per_axis must be integers")
         if self.dim not in (1, 2):
             raise ValueError("only dim 1 and 2 are supported")

@@ -27,6 +27,7 @@ from .discretization import (
     SpaceGrid,
     SpaceTimeField,
     TimeGrid,
+    is_a,
     splitmix64,
     splitmix64_uniform,
 )
@@ -179,17 +180,14 @@ def _omega_boxes_and_label(omega) -> tuple[list, str]:
     return list(omega), label
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One reconstruction run; fields mirror the published experiment settings.
 
     ``f_true`` is a preset name or an expression over sin, cos, exp, pi and
     x1[, x2]; ``omega`` is a preset name or a list of closed coordinate boxes
-    inside [0,1]^dim.
+    inside [0,1]^dim.  The types that consume the other fields are built to
+    check them, so a config that cannot run fails when it is made.
     """
 
     dim: int
@@ -210,13 +208,6 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "delta", "m", "eps", "T", "rho", "f0"):
-            if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        for name in ("dim", "n_per_axis", "n_steps", "max_iter", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("f_true", "outdir", "label"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
@@ -225,12 +216,16 @@ class ExperimentConfig:
             sep and sep in self.label for sep in ("/", os.sep, os.altsep)
         ):
             raise ValueError(f"label must be a plain file-name stem, got {self.label!r}")
-        FractionalOrder(self.alpha)  # raises unless 0 < alpha < 1
-        SpaceGrid(self.dim, self.n_per_axis)  # raises unless dim is 1 or 2 and n_per_axis >= 3
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.delta < 0.0:
-            raise ValueError("noise level delta must be >= 0")
+        if not (is_a(numbers.Real, self.delta) and self.delta >= 0.0):
+            raise ValueError(f"noise level delta must be a finite number >= 0, got {self.delta!r}")
+        if not is_a(numbers.Real, self.f0):
+            raise ValueError(f"f0 must be a finite number, got {self.f0!r}")
+        if not is_a(numbers.Integral, self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        FractionalOrder(self.alpha)
+        TimeGrid(self.T, self.n_steps)
+        f0 = Field.constant(SpaceGrid(self.dim, self.n_per_axis), self.f0)
+        ReconstructionConfig(self.rho, self.m, self.eps, f0, self.max_iter)
         _sample_f_true(self.f_true, self.dim, self.n_per_axis)  # raises on bad preset/expression
         preset = isinstance(self.omega, str)
         boxes = _omega_boxes_and_label(self.omega)[0] if preset else self.omega
@@ -238,7 +233,8 @@ class ExperimentConfig:
         if not isinstance(boxes, seq) or not all(
             isinstance(box, seq)
             and len(box) == self.dim
-            and all(isinstance(iv, seq) and len(iv) == 2 and all(map(_is_number, iv)) for iv in box)
+            and all(isinstance(iv, seq) and len(iv) == 2 for iv in box)
+            and all(is_a(numbers.Real, bound) for iv in box for bound in iv)
             for box in boxes
         ):
             raise ValueError(
@@ -250,10 +246,6 @@ class ExperimentConfig:
             for lo, hi in box:
                 if not 0.0 <= lo <= hi <= 1.0:
                     raise ValueError("omega boxes must lie within [0,1]^dim")
-        for name in ("rho", "m", "eps", "T"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        TimeGrid(self.T, self.n_steps)  # raises unless n_steps >= 1
 
 
 # Published experiment settings: example id -> configuration.

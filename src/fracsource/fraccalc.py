@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .discretization import is_a
+
 __all__ = [
     "FractionalOrder",
     "mittag_leffler",
@@ -38,10 +40,10 @@ class FractionalOrder:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alpha, numbers.Real):
-            raise ValueError(f"fractional order must be a real number, got {self.alpha!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha}")
+        if not (is_a(numbers.Real, self.alpha) and 0.0 < self.alpha < 1.0):
+            raise ValueError(
+                f"fractional order alpha must be a finite number in (0, 1), got {self.alpha!r}"
+            )
 
 
 def l1_weights(alpha: FractionalOrder, n_steps: int) -> NDArray[np.float64]:
@@ -51,7 +53,7 @@ def l1_weights(alpha: FractionalOrder, n_steps: int) -> NDArray[np.float64]:
     telescope to n^(1-alpha), which makes the L1 operator annihilate constants
     exactly.  The step size enters only through :func:`l1_scale`.
     """
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+    if not (is_a(numbers.Integral, n_steps) and n_steps >= 1):
         raise ValueError("n_steps must be an integer >= 1")
     a = alpha.alpha
     k = np.arange(n_steps, dtype=float)
@@ -167,8 +169,8 @@ def linear_convolution(
     n_nodes = g.shape[0]
     if m0.shape != (n_nodes,) or m1.shape != (n_nodes,):
         raise ValueError("kernel moments and g must be sampled on the same time nodes")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    if not (is_a(numbers.Integral, stride) and stride >= 1):
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     # on cell k, u in [t_{k-1}, t_k], g(t_n - u) = g_j + (g_{j+1} - g_j)(t_k - u)/tau
     # with j = n - k; p_k and q_k integrate K and K(u)(t_k - u)/tau over the cell
     p = np.diff(m0, prepend=m0[0])

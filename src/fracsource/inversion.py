@@ -33,6 +33,7 @@ from .discretization import (
     Field,
     ObservationMask,
     SpaceTimeField,
+    is_a,
     norm_l2,
     splitmix64_uniform,
 )
@@ -53,11 +54,6 @@ logger = logging.getLogger(__name__)
 _ZERO_NORM_FLOOR = 1e-14
 
 
-def _is_count(value) -> bool:
-    """``value`` is an integer >= 1 and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-
 @dataclass
 class ReconstructionConfig:
     """Knobs of the thresholding iteration: rho, M, eps, f0 and the step cap."""
@@ -69,13 +65,12 @@ class ReconstructionConfig:
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        if not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v < math.inf
-            for v in (self.rho, self.m, self.eps)
-        ):
-            raise ValueError("rho, M and eps must be finite and positive")
-        if not _is_count(self.max_iter):
-            raise ValueError("max_iter must be an integer >= 1")
+        for name in ("rho", "m", "eps"):
+            value = getattr(self, name)
+            if not (is_a(numbers.Real, value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (is_a(numbers.Integral, self.max_iter) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not isinstance(self.f0, Field):
             raise ValueError(f"f0 must be a Field, got {type(self.f0).__name__}")
 
@@ -174,13 +169,11 @@ def iterate(
     costs q transforms each way instead of a forward and an adjoint solve,
     q <= r the time modes above rounding in A^T A (:attr:`NormalOperator.rank`).
     """
-    if cfg.f0.grid != spec.grid:
-        raise ValueError("initial guess grid does not match the problem grid")
     if f_true is not None and f_true.grid != spec.grid:
         raise ValueError("true source grid does not match the problem grid")
+    f_hat = spec.to_modal(cfg.f0)
     normal = NormalOperator(spec, mask)
     projection = normal.project(u_obs)
-    f_hat = spec.to_modal(cfg.f0)
     phi_history: list[float] = []
     status = "max_iter"
     k = 0
@@ -239,7 +232,7 @@ def estimate_m(
     after 5-8 steps, one forward and one adjoint solve each.  The start
     vector is the ``seed``'s :func:`splitmix64_uniform` draws.
     """
-    if not _is_count(iters):
+    if not (is_a(numbers.Integral, iters) and iters >= 1):
         raise ValueError("iters must be an integer >= 1")
     w = spec.grid.quad_weights
     q = np.empty((min(iters, spec.grid.n_nodes), spec.grid.n_nodes))

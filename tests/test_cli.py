@@ -105,8 +105,17 @@ def test_invalid_config_is_an_error_not_a_traceback(tmp_path, caplog):
         ({"preset": "5.3a", "dim": 1, "omega": "edges_0.05"}, "is 2-D, but dim is 1"),
         ({"preset": "5.1a", "label": str(tmp_path / "escaped")}, "plain file-name stem"),
         ([1, 2], "JSON object"),
+        # ExperimentConfig passes on the message of the type that owns the field
+        ({"preset": "5.1a", "T": 0}, "finite T > 0"),
+        ({"preset": "5.1a", "rho": True}, "rho must be finite and positive, got True"),
     ]
-    runs = [(["reconstruct", "--preset", "5.1a", "--alpha", "1.5", "--outdir", str(tmp_path)], "fractional order")]
+    runs = [
+        (["reconstruct", "--preset", "5.1a", "--alpha", "1.5", "--outdir", str(tmp_path)], "fractional order"),
+        (["reconstruct", "--preset", "5.1a", "--m", "-1", "--outdir", str(tmp_path)],
+         "m must be finite and positive, got -1.0"),
+        (["reconstruct", "--preset", "5.1a", "--max-iter", "0", "--outdir", str(tmp_path)],
+         "max_iter must be an integer >= 1, got 0"),
+    ]
     for i, (payload, message) in enumerate(cases):
         if isinstance(payload, dict):
             payload["outdir"] = str(tmp_path)
@@ -128,6 +137,7 @@ def test_invalid_config_is_an_error_not_a_traceback(tmp_path, caplog):
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output and message in result.output
         assert "Traceback" not in result.output
+        assert len(result.output.splitlines()) == 1, result.output
     # every run above fails before it iterates
     assert not any("diverged" in r.getMessage() for r in caplog.records)
 

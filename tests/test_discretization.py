@@ -1,4 +1,6 @@
 import math
+import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fracsource.discretization import (
     SpaceTimeField,
     TimeGrid,
     inner_product,
+    is_a,
     masked_inner_product,
     norm_l2,
 )
@@ -51,6 +54,15 @@ class TestGrids:
         for n_steps in (2.5, 10.0, True):
             with pytest.raises(ValueError, match="integer n_steps"):
                 TimeGrid(1.0, n_steps)
+
+    def test_is_a(self):
+        # the one numeric check: finite, of the kind, never a bool
+        for value in (3, np.int64(3), 2**70, -5):
+            assert is_a(numbers.Integral, value) and is_a(numbers.Real, value)
+        for value in (0.5, np.float64(-1e300), Fraction(1, 3)):
+            assert is_a(numbers.Real, value) and not is_a(numbers.Integral, value)
+        for value in (True, np.bool_(True), math.nan, math.inf, -math.inf, "1", None, 1j):
+            assert not is_a(numbers.Real, value) and not is_a(numbers.Integral, value)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("n", [3, 5])

@@ -143,9 +143,21 @@ class TestConfig:
             with pytest.raises(ValueError, match="plain file-name stem"):
                 config_from_preset("5.1a", label=f"sub{os.altsep}run")
         assert config_from_preset("5.1a", label="run.v2").label == "run.v2"
+        # the fields no library type owns are checked by the config itself
+        for bad in (
+            {"delta": float("inf")}, {"delta": True}, {"f0": "2"}, {"f0": float("nan")},
+            {"seed": 1.5}, {"seed": True}, {"outdir": 3},
+        ):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                config_from_preset("5.1a", **bad)
         # configs that cannot run fail when built, before any output directory
         outdir = tmp_path / "out"
-        for bad in ({"max_iter": 0}, {"dim": 3}, {"n_per_axis": 2}, {"n_steps": 0}):
+        # ExperimentConfig builds the types that check these fields
+        for bad in (
+            {"max_iter": 0}, {"dim": 3}, {"n_per_axis": 2}, {"n_steps": 0},
+            {"T": 0.0}, {"alpha": 1.0}, {"m": -1.0}, {"rho": True}, {"eps": float("nan")},
+            {"max_iter": 2.5}, {"n_per_axis": 21.0},
+        ):
             with pytest.raises(ValueError):
                 run_experiment(config_from_preset("5.1a", outdir=str(outdir), **bad))
         assert not outdir.exists()

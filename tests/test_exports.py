@@ -79,6 +79,29 @@ def test_no_private_imports_across_modules():
     assert not private, f"private names imported across modules: {private}"
 
 
+def _walk_except(node: ast.AST, exempt, prefix: str = ""):
+    """The nodes below ``node`` as ``ast.walk`` finds them, except the functions
+    whose qualified name (``function`` or ``Class.method``) is in ``exempt``."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if name in exempt:
+                continue
+            name += "."
+        yield child
+        yield from _walk_except(child, exempt, name)
+
+
+def _source_nodes(exempt: dict):
+    """(file name, node) of every node in ``src``, but for the functions that
+    ``exempt`` names by file."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _walk_except(tree, exempt.get(path.name, ())):
+            yield path.name, node
+
+
 def _names_dim(node: ast.AST) -> bool:
     return (isinstance(node, ast.Name) and node.id == "dim") or (
         isinstance(node, ast.Attribute) and node.attr == "dim"
@@ -91,18 +114,32 @@ def _is_int_literal(node: ast.AST) -> bool:
 
 def test_no_per_dimension_branches():
     # grid data are the tensor product of one axis, built by one rule for any
-    # dim; only forward's hot axis transform keeps its explicit 1D/2D branch
+    # dim; only forward's hot axis transform and the reference LU's stencil
+    # keep an explicit 1D/2D branch
+    exempt = {"forward.py": {"_along_axes", "ProblemSpec.step_solver"}}
     branches = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "forward.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes(exempt)
         if isinstance(node, ast.Compare)
         for op, left, right in zip(node.ops, [node.left, *node.comparators], node.comparators)
         if isinstance(op, (ast.Eq, ast.NotEq))
         and any(_names_dim(a) and _is_int_literal(b) for a, b in ((left, right), (right, left)))
     ]
     assert not branches, f"dim compared with an int literal: {branches}"
+
+
+def test_bool_is_rejected_only_by_is_a():
+    # "a number, not a bool" is stated once, by discretization.is_a; every
+    # other numeric check calls it
+    sites = [
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes({"discretization.py": {"is_a"}})
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and any(isinstance(arg, ast.Name) and arg.id == "bool" for arg in ast.walk(node))
+    ]
+    assert not sites, f"isinstance(..., bool) outside discretization.is_a: {sites}"
 
 
 def test_only_estimate_m_solves_in_inversion():

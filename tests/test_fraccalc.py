@@ -226,8 +226,10 @@ class TestLinearConvolution:
         out = linear_convolution(m0, m1, g, t[1], stride=stride)
         assert out.shape == full[::stride].shape
         assert np.max(np.abs(out - full[::stride])) <= 1e-15 * np.max(np.abs(full))
-        with pytest.raises(ValueError):
-            linear_convolution(m0, m1, g, t[1], stride=0)
+        # a float or bool stride is rejected, not used as an index or taken as 1
+        for bad in (0, 1.5, True):
+            with pytest.raises(ValueError):
+                linear_convolution(m0, m1, g, t[1], stride=bad)
 
 
 class TestCaputoL1:

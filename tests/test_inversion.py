@@ -138,6 +138,19 @@ class TestReconstructionConfig:
         with pytest.raises(ValueError):
             ReconstructionConfig(rho=1e-5, m=1.0, eps=1e-3, f0=f0, max_iter=0)
 
+    def test_message_names_the_field(self, grid21):
+        # the CLI prints these messages as they are
+        good = dict(rho=1e-5, m=1.0, eps=1e-3, f0=Field.constant(grid21, 2.0), max_iter=10)
+        for name, value, message in (
+            ("rho", True, "rho must be finite and positive, got True"),
+            ("m", -1.0, "m must be finite and positive, got -1.0"),
+            ("eps", math.inf, "eps must be finite and positive, got inf"),
+            ("max_iter", 0, "max_iter must be an integer >= 1, got 0"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                ReconstructionConfig(**{**good, name: value})
+            assert str(exc.value) == message
+
 
 class TestThresholdUpdate:
     def test_fixed_point_exact(self):
@@ -246,7 +259,8 @@ class TestIterate:
 
     def test_rejects_true_source_on_another_grid(self):
         # a 1D grid with the node count of 41^2 would be compared node by node,
-        # and a coarser grid would fail in numpy only after the whole run
+        # and a coarser grid would fail in numpy only after the whole run; an
+        # initial guess on either grid fails in the transform to modal coordinates
         cfg = config_from_preset("5.3a", m=16.8)
         spec, _, mask = build_problem(cfg)
         u_obs = SpaceTimeField.zeros(spec.grid, spec.tgrid)
@@ -256,6 +270,8 @@ class TestIterate:
         for other in (SpaceGrid(1, 1681), SpaceGrid(2, 21)):
             with pytest.raises(ValueError, match="true source grid"):
                 iterate(spec, u_obs, mask, rcfg, f_true=Field.constant(other, 1.0))
+            with pytest.raises(ValueError, match="field grid does not match the problem grid"):
+                iterate(spec, u_obs, mask, replace(rcfg, f0=Field.constant(other, 1.0)))
 
 
 def nodal_residual(spec, f, u_obs):

@@ -57,8 +57,11 @@ class TestEigenModes:
             modes_up_to(dim, 1)
 
     def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            EigenMode((-1,))
+        # (1.5,) is no Neumann eigenfunction, though cos(1.5 pi x) samples fine
+        for index in ((-1,), (1.5,), (True,), ("a",), (1, 2.0)):
+            with pytest.raises(ValueError):
+                EigenMode(index)
+        assert EigenMode((np.int64(2),)).eigenvalue == EigenMode((2,)).eigenvalue
 
 
 class TestEigenForward:
@@ -161,6 +164,17 @@ class TestDuhamelCheck:
         f = Field.constant(grid, 0.0)
         val = duhamel_check(FractionalOrder(0.5), f, MU_STD, TimeGrid(1.0, 20), grid)
         assert val == 0.0
+
+    def test_rejects_bad_refine_and_field_grid(self):
+        # the time grid, the convolution stride and the problem spec own these checks
+        grid = SpaceGrid(1, 11)
+        tgrid = TimeGrid(1.0, 10)
+        f = cos_field(grid)
+        for refine in (0, 1.5, True):
+            with pytest.raises(ValueError):
+                duhamel_check(FractionalOrder(0.5), f, MU_STD, tgrid, grid, refine=refine)
+        with pytest.raises(ValueError, match="grid"):
+            duhamel_check(FractionalOrder(0.5), cos_field(SpaceGrid(1, 21)), MU_STD, tgrid, grid)
 
     def test_published_settings(self):
         grid = SpaceGrid(1, 41)
