@@ -40,14 +40,18 @@ def main(verbose: bool) -> None:
 
 @contextmanager
 def _usage_errors():
-    """Report a ValueError from config validation or problem building, or an
-    OSError from writing the output, as a one-line error with exit status 1,
-    not a traceback; status 2 stays reserved for a reconstruction that stopped
-    without converging (``status=max_iter`` or ``status=diverged``)."""
+    """Report a ValueError from config validation or problem building, an
+    OSError from writing the output, or a MemoryError from a problem too large
+    for this machine, as a one-line error with exit status 1, not a traceback;
+    status 2 stays reserved for a reconstruction that stopped without
+    converging (``status=max_iter`` or ``status=diverged``)."""
     try:
         yield
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
+    except MemoryError as exc:
+        reason = str(exc) or "the problem is too large"
+        raise click.ClickException(f"ran out of memory: {reason}") from exc
 
 
 def _config(preset, config, overrides):

@@ -92,9 +92,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        valid_t = is_a(numbers.Real, self.T) and self.T > 0.0
-        if not (valid_t and is_a(numbers.Integral, self.n_steps) and self.n_steps >= 1):
-            raise ValueError("TimeGrid requires a finite T > 0 and an integer n_steps >= 1")
+        if not (is_a(numbers.Real, self.T) and self.T > 0.0):
+            raise ValueError(f"TimeGrid requires a finite T > 0, got {self.T!r}")
+        if not (is_a(numbers.Integral, self.n_steps) and self.n_steps >= 1):
+            raise ValueError(f"TimeGrid requires an integer n_steps >= 1, got {self.n_steps!r}")
 
     @property
     def tau(self) -> float:

@@ -17,7 +17,7 @@ import operator
 import os
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -373,13 +373,17 @@ def synthesize_observation(
     masked nodes by ascending flat index, and for each node all time nodes
     0..n_steps, so a fixed seed reproduces the observation bitwise.
     """
-    u = solve_forward(spec, f_true)
+    return _add_noise(solve_forward(spec, f_true), mask, delta, seed)
+
+
+def _add_noise(u: SpaceTimeField, mask: ObservationMask, delta: float, seed: int) -> SpaceTimeField:
+    """The noise step of :func:`synthesize_observation` on a solved ``u``."""
     obs = np.zeros_like(u.values)
     active = np.flatnonzero(mask.indicator)
-    n_times = spec.tgrid.n_steps + 1
+    n_times = u.tgrid.n_steps + 1
     r = splitmix64_uniform(seed, active.size * n_times).reshape(active.size, n_times).T
     obs[:, active] = (1.0 + delta * r) * u.values[:, active]
-    return SpaceTimeField(spec.grid, spec.tgrid, obs)
+    return SpaceTimeField(u.grid, u.tgrid, obs)
 
 
 def run_reconstruction(cfg: ExperimentConfig) -> tuple[ReconstructionResult, Field, Field]:
@@ -388,10 +392,21 @@ def run_reconstruction(cfg: ExperimentConfig) -> tuple[ReconstructionResult, Fie
 
 
 def _reconstruct(
-    cfg: ExperimentConfig, spec: ProblemSpec, f_true: Field, mask: ObservationMask
+    cfg: ExperimentConfig,
+    spec: ProblemSpec,
+    f_true: Field,
+    mask: ObservationMask,
+    u: SpaceTimeField | None = None,
 ) -> tuple[ReconstructionResult, Field, Field]:
-    """Synthesis and iteration on a built problem; see :func:`run_reconstruction`."""
-    u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
+    """Synthesis and iteration on a built problem; see :func:`run_reconstruction`.
+
+    ``u`` is u(f_true) when the caller has solved it already, as the rows of a
+    table share one solve; the observation is the same bits either way.
+    """
+    if u is None:
+        u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
+    else:
+        u_obs = _add_noise(u, mask, cfg.delta, cfg.seed)
     f0 = Field.constant(spec.grid, cfg.f0)
     rcfg = ReconstructionConfig(
         rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=f0, max_iter=cfg.max_iter
@@ -400,12 +415,22 @@ def _reconstruct(
     return result, f_true, f0
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """The one CSV writer: a header row, then ``rows``, with CRLF line ends."""
+def _write_csv(path: str, header: list[str], rows, labelled: bool = False) -> None:
+    """The one CSV writer: a header row, then ``rows``, with CRLF line ends.
+
+    Number rows hold only str cells that need no quoting, so each row is
+    joined and the lines are streamed to the file.  ``labelled`` rows may hold
+    an omega label with commas, which :mod:`csv` quotes.  Both paths give the
+    bytes ``csv.writer`` gives.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        if labelled:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def _fmt(x: float) -> str:
@@ -468,7 +493,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReconstructionResult:
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_iterations.csv"),
         ["k", "phi"],
-        enumerate(_reprs(result.phi_history)),
+        zip(map(str, count()), _reprs(result.phi_history)),
     )
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_summary.csv"),
@@ -479,6 +504,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReconstructionResult:
             _err_cell(result),
             result.iterations,
         ]],
+        labelled=True,
     )
     return result
 
@@ -496,6 +522,7 @@ def run_table(
     base = table_base_config(table_id, smoke=smoke)
     os.makedirs(outdir or ".", exist_ok=True)
     spec, f_true = build_forward_problem(base)
+    u = solve_forward(spec, f_true)  # every row draws its own noise on this one solve
     rows = []
     for delta, omega, ref_err, ref_k in TABLE_ROWS[table_id]:
         eps = base.eps
@@ -509,7 +536,7 @@ def run_table(
             logger.warning("table %d row %s: not run: %s", table_id, label, exc)
             rows.append([_fmt(delta), label, "", "", _fmt(ref_err), ref_k])
             continue
-        result, _, _ = _reconstruct(cfg, spec, f_true, mask)
+        result, _, _ = _reconstruct(cfg, spec, f_true, mask, u)
         rows.append([
             _fmt(delta),
             label,
@@ -524,5 +551,6 @@ def run_table(
         path,
         ["delta", "omega", "err_percent", "K", "ref_err_percent", "ref_K"],
         rows,
+        labelled=True,
     )
     return path

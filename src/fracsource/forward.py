@@ -218,8 +218,9 @@ def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
     r + 1 batched transforms along each axis and one (n_steps + 1 x r)
     (r x n_nodes) product.  Row 0 of ``a`` is zero, so u^0 is +0.0 exactly.
     """
+    f_hat = spec.to_modal(f)  # checks the grid before the time factor is built
     a = spec.time_factor[0] / np.sqrt(spec.tgrid.quad_weights[:, None])
-    return SpaceTimeField(spec.grid, spec.tgrid, a @ spec.observe(spec.to_modal(f)))
+    return SpaceTimeField(spec.grid, spec.tgrid, a @ spec.observe(f_hat))
 
 
 def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import fracsource
+from fracsource import cli
 from fracsource.cli import main
 
 
@@ -107,6 +108,7 @@ def test_invalid_config_is_an_error_not_a_traceback(tmp_path, caplog):
         ([1, 2], "JSON object"),
         # ExperimentConfig passes on the message of the type that owns the field
         ({"preset": "5.1a", "T": 0}, "finite T > 0"),
+        ({"preset": "5.1a", "n_steps": 0}, "integer n_steps >= 1, got 0"),
         ({"preset": "5.1a", "rho": True}, "rho must be finite and positive, got True"),
     ]
     runs = [
@@ -140,6 +142,30 @@ def test_invalid_config_is_an_error_not_a_traceback(tmp_path, caplog):
         assert len(result.output.splitlines()) == 1, result.output
     # every run above fails before it iterates
     assert not any("diverged" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "command, patched, error, message",
+    [
+        (["reconstruct", "--preset", "5.3a"], "run_experiment",
+         MemoryError("Unable to allocate 2.98 GiB for an array"),
+         "ran out of memory: Unable to allocate 2.98 GiB for an array"),
+        (["forward", "--preset", "5.1a"], "build_forward_problem", MemoryError(),
+         "ran out of memory: the problem is too large"),
+    ],
+    ids=["reconstruct", "forward-bare"],
+)
+def test_memory_error_is_one_line(tmp_path, monkeypatch, command, patched, error, message):
+    # a config too large for the machine ends in one Error: line, not a traceback;
+    # the patched call raises at once, so nothing large is allocated
+    def raise_error(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, patched, raise_error)
+    monkeypatch.chdir(tmp_path)  # the default output paths, were anything written
+    result = CliRunner().invoke(main, command)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert result.output == f"Error: {message}\n", result.output
 
 
 def test_zero_source_reports_no_error_not_a_traceback(tmp_path):

@@ -54,6 +54,13 @@ class TestGrids:
         for n_steps in (2.5, 10.0, True):
             with pytest.raises(ValueError, match="integer n_steps"):
                 TimeGrid(1.0, n_steps)
+        # each message names the failing field and the value given
+        with pytest.raises(ValueError) as exc:
+            TimeGrid(0, 10)
+        assert str(exc.value) == "TimeGrid requires a finite T > 0, got 0"
+        with pytest.raises(ValueError) as exc:
+            TimeGrid(1.0, 2.5)
+        assert str(exc.value) == "TimeGrid requires an integer n_steps >= 1, got 2.5"
 
     def test_is_a(self):
         # the one numeric check: finite, of the kind, never a bool

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 
@@ -311,16 +312,22 @@ class TestRunners:
         assert any("(0,0.025)u(0.975,1)" in r.getMessage() for r in caplog.records)
 
     def test_run_table_builds_one_forward_problem(self, tmp_path, monkeypatch):
-        calls = []
-        build = experiments.build_forward_problem
+        # one spec and one u(f_true) per table; each row draws its own noise on it
+        calls = {"build_forward_problem": 0, "solve_forward": 0}
 
-        def counting(cfg):
-            calls.append(cfg)
-            return build(cfg)
+        def counting(name):
+            original = getattr(experiments, name)
 
-        monkeypatch.setattr(experiments, "build_forward_problem", counting)
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(experiments, name, counted)
+
+        for name in calls:
+            counting(name)
         path = run_table(2, seed=0, outdir=str(tmp_path), smoke=True)
-        assert len(calls) == 1
+        assert calls == {"build_forward_problem": 1, "solve_forward": 1}
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["omega"] for r in rows] == [OMEGA_PRESETS[o]["label"] for _, o, _, _ in TABLE_ROWS[2]]
@@ -390,3 +397,17 @@ class TestCSV:
             for coords, ft, fk in zip(f_true.grid.coords, f_true.values, result.f_k.values)
         ]
         assert rows[1:] == expected
+
+    def test_iteration_log_bytes_are_csv_writer_bytes(self, tmp_path):
+        # the number-only rows are joined, not written by csv; the bytes, CRLF
+        # line ends and the integer k column included, are what csv.writer gives
+        cfg = config_from_preset("5.1a", n_per_axis=21, n_steps=4, max_iter=12, outdir=str(tmp_path))
+        result = run_experiment(cfg)
+        assert len(result.phi_history) > 10  # k reaches two digits
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows(
+            [["k", "phi"], *([k, repr(float(phi))] for k, phi in enumerate(result.phi_history))]
+        )
+        got = (tmp_path / f"{cfg.label}_iterations.csv").read_bytes()
+        assert got == expected.getvalue().encode()
+        assert got.endswith(b"\r\n") and b"\n" not in got.replace(b"\r\n", b"")

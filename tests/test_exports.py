@@ -142,6 +142,31 @@ def test_bool_is_rejected_only_by_is_a():
     assert not sites, f"isinstance(..., bool) outside discretization.is_a: {sites}"
 
 
+def _writes_output(node: ast.AST) -> bool:
+    """``csv.writer``, or an ``open`` call with a mode that writes or that the
+    source does not spell out as a literal."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "writer" and isinstance(node.value, ast.Name) and node.value.id == "csv"
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+        return False
+    modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+        or bool(set(mode.value) & set("wax+"))
+        for mode in modes
+    )
+
+
+def test_every_output_file_is_written_by_write_csv():
+    # experiments._write_csv is the one writer, so the CSV format, its CRLF
+    # line ends and the choice of joined or quoted rows live in one place
+    writer = {"experiments.py": {"_write_csv"}}
+    elsewhere = [f"{name}:{node.lineno}" for name, node in _source_nodes(writer) if _writes_output(node)]
+    assert not elsewhere, f"output written outside experiments._write_csv: {elsewhere}"
+    # the guard sees the writer it exempts
+    assert sum(_writes_output(node) for _, node in _source_nodes({})) == 2
+
+
 def test_only_estimate_m_solves_in_inversion():
     # objective, gradient and iterate share one modal statement of Phi; only
     # estimate_m still runs the forward and adjoint solves, whose traced calls

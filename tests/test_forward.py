@@ -168,8 +168,10 @@ class TestSolveForward:
 
     def test_grid_mismatch(self, grid41):
         spec = make_spec(0.5, grid41)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid"):
             solve_forward(spec, Field.constant(SpaceGrid(1, 21), 1.0))
+        # the field is rejected before the O(n_t^2 D) time factor is built
+        assert "time_factor" not in spec.__dict__
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_initial_row_is_positive_zero(self, dim):
