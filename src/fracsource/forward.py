@@ -16,14 +16,17 @@ kappa_i + kappa_k coincide) and is gathered to every mode.
 
 The time-weighted table X = W_t^1/2 R has low numerical rank r (8 of 41 rows
 on preset 5.3a), and every solve goes through its factor X = a sb,
-:attr:`ProblemSpec.time_factor` (one QR and one small SVD per spec).  The
+:attr:`ProblemSpec.time_factor` (one QR and one small SVD).  The
 spec states the mask-free half of the observation map A: f -> u(f)|_omega
 once: :meth:`ProblemSpec.to_modal` (f_hat = P^T W f),
 :meth:`ProblemSpec.to_nodal` (P) and :meth:`ProblemSpec.observe` (v with
 W_t^1/2 u(f) = a v); :class:`NormalOperator` adds the omega-weighted half,
-the misfit and the transpose, which the thresholding iteration needs.  Per
-spec this costs one O(n_t^2 D) table over the D distinct eigenvalues; per
-solve it costs r + 1 batched n x n transforms along each axis (n nodes per
+the misfit and the transpose, which the thresholding iteration needs.  The
+factor depends on (alpha, time grid, space grid, mu) alone, so a process
+builds it once per distinct such tuple, one O(n_t^2 D) table over the D
+distinct eigenvalues, and every spec with those values shares it read-only;
+the process keeps at most 8 factors (:func:`_time_factor`).  Per solve it
+costs r + 1 batched n x n transforms along each axis (n nodes per
 axis), r for the time modes and one for f or for the result, and one
 product with the n_t x r matrix a.  :func:`solve_adjoint` is the exact
 transpose of :func:`solve_forward`.  The normal map A^T A is quadratic in
@@ -42,7 +45,7 @@ accessed, so importing this module and running the modal solves load no scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -79,15 +82,14 @@ class ProblemSpec:
     mu: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        self.mu = np.asarray(self.mu, dtype=float)
+        # a read-only copy: its bytes key the shared time factor, so a later
+        # write to the caller's array must not change them
+        self.mu = np.array(self.mu, dtype=float)
+        self.mu.flags.writeable = False
         if self.mu.shape != (self.tgrid.n_steps + 1,):
             raise ValueError("mu must be sampled on the time grid nodes")
         if not np.all(np.isfinite(self.mu)):
             raise ValueError("mu samples must be finite")
-
-    @cached_property
-    def weights(self) -> NDArray[np.float64]:
-        return l1_weights(self.alpha, self.tgrid.n_steps)
 
     @cached_property
     def step_solver(self):
@@ -126,17 +128,10 @@ class ProblemSpec:
         n >= 1 hold the r leading left singular vectors of those rows of
         X = W_t^1/2 R (singular value above 1e-15 of the largest).
         ``sb = a^T X`` has shape (r, n_nodes).  Both are computed from the
-        distinct eigenvalues only.
+        distinct eigenvalues only, are read-only, and are shared with every
+        spec of equal (alpha, tgrid, grid, mu) (:func:`_time_factor`).
         """
-        lam, inverse, counts = np.unique(self.grid.eigenvalues, return_inverse=True, return_counts=True)
-        x = np.sqrt(self.tgrid.quad_weights[1:, None]) * _step_l1(self, lam, self.mu, 0.0)[1:]
-        # X = x[:, inverse] has Gram matrix X X^T = (x sqrt(counts)) (x sqrt(counts))^T,
-        # and (x sqrt(counts))^T = Q T, so X shares its left singular vectors with T^T
-        tri = np.linalg.qr((np.sqrt(counts) * x).T, mode="r")
-        u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
-        a = u[:, s > _RANK_RTOL * s[0]]
-        # unlike [:, inverse], take returns sb C-contiguous, which the transforms run faster on
-        return np.vstack([np.zeros((1, a.shape[1])), a]), np.take(a.T @ x, inverse, axis=1)
+        return _time_factor(self.alpha, self.tgrid, self.grid, self.mu.tobytes())
 
     def to_modal(self, f: Field) -> NDArray[np.float64]:
         """f_hat = P^T W f, the modal coefficients of f since P^T W P = I."""
@@ -164,8 +159,33 @@ def splu(matrix):
     return linalg.splu(matrix)
 
 
+# An entry holds O(r (n_t + N)) floats, 0.11 MB at 41^2 x 40 and about
+# 0.5 MB at 81^2 x 80.  A sweep over delta, omega and the noise seed on one
+# discretization needs one entry and the two published tables two, so 8
+# covers them while bounding what the cache adds to a process.
+@lru_cache(maxsize=8)
+def _time_factor(
+    alpha: FractionalOrder, tgrid: TimeGrid, grid: SpaceGrid, mu_bytes: bytes
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """:attr:`ProblemSpec.time_factor` of the spec with these values and mu = ``mu_bytes``."""
+    mu = np.frombuffer(mu_bytes)
+    lam, inverse, counts = np.unique(grid.eigenvalues, return_inverse=True, return_counts=True)
+    x = np.sqrt(tgrid.quad_weights[1:, None]) * _step_l1(alpha, tgrid, lam, mu, 0.0)[1:]
+    # X = x[:, inverse] has Gram matrix X X^T = (x sqrt(counts)) (x sqrt(counts))^T,
+    # and (x sqrt(counts))^T = Q T, so X shares its left singular vectors with T^T
+    tri = np.linalg.qr((np.sqrt(counts) * x).T, mode="r")
+    u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
+    a = u[:, s > _RANK_RTOL * s[0]]
+    # unlike [:, inverse], take returns sb C-contiguous, which the transforms run faster on
+    factor = np.vstack([np.zeros((1, a.shape[1])), a]), np.take(a.T @ x, inverse, axis=1)
+    for part in factor:
+        part.flags.writeable = False  # every spec with these values shares it
+    return factor
+
+
 def _step_l1(
-    spec: ProblemSpec,
+    alpha: FractionalOrder,
+    tgrid: TimeGrid,
     lam: NDArray[np.float64],
     source: NDArray[np.float64],
     initial: float,
@@ -177,9 +197,9 @@ def _step_l1(
     ``source``, shape (n_steps + 1,), of which only n >= 1 enter the scheme.
     Returns the history of shape (n_steps + 1, lam.size).
     """
-    n_steps = spec.tgrid.n_steps
-    beta = l1_scale(spec.alpha, spec.tgrid.tau)
-    b = spec.weights
+    n_steps = tgrid.n_steps
+    beta = l1_scale(alpha, tgrid.tau)
+    b = l1_weights(alpha, n_steps)
 
     u = np.empty((n_steps + 1, lam.size))
     u[0] = initial
@@ -229,7 +249,7 @@ def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:
     v^n = P (H[n] * P^T W a), where H is the L1 recursion from the initial
     value 1 without a source.
     """
-    decay = _step_l1(spec, spec.grid.eigenvalues, np.zeros_like(spec.mu), 1.0)
+    decay = _step_l1(spec.alpha, spec.tgrid, spec.grid.eigenvalues, np.zeros_like(spec.mu), 1.0)
     return SpaceTimeField(spec.grid, spec.tgrid, spec.to_nodal(decay * spec.to_modal(a)))
 
 

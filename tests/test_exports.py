@@ -167,6 +167,59 @@ def test_every_output_file_is_written_by_write_csv():
     assert sum(_writes_output(node) for _, node in _source_nodes({})) == 2
 
 
+def _functools_caches(tree: ast.AST):
+    """(kind, node) of each name in ``tree`` for functools.cache or functools.lru_cache."""
+    kinds = {"cache", "lru_cache"}
+    local = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in kinds
+    }
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "functools"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in local:
+            yield local[node.id], node
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in kinds
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            yield node.attr, node
+
+
+def _has_literal_bound(call: ast.Call) -> bool:
+    sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+    return len(sizes) == 1 and _is_int_literal(sizes[0]) and sizes[0].value > 0
+
+
+def test_process_caches_are_bounded():
+    # a functools cache lives as long as the process, so each is an lru_cache
+    # whose maxsize is a positive int literal: no cache, no maxsize=None and
+    # no computed bound can let one grow peak RSS without bound
+    found, unbounded = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bounded = {
+            id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call) and _has_literal_bound(node)
+        }
+        for kind, node in _functools_caches(tree):
+            found += 1
+            if kind != "lru_cache" or id(node) not in bounded:
+                unbounded.append(f"{path.name}:{node.lineno}")
+    assert not unbounded, f"functools caches without a literal positive maxsize: {unbounded}"
+    # the guard sees the caches it checks: the f_true samples and the time factors
+    assert found == 2
+
+
 def test_only_estimate_m_solves_in_inversion():
     # objective, gradient and iterate share one modal statement of Phi; only
     # estimate_m still runs the forward and adjoint solves, whose traced calls
@@ -182,13 +235,31 @@ def test_only_estimate_m_solves_in_inversion():
     assert not solving, f"inversion functions other than estimate_m solve: {solving}"
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # the solvers and the reconstruction need no special functions; only
-    # fraccalc's rgamma, in the Mittag-Leffler power series at z >= 0 and in
-    # rl_integral, imports scipy.special
+def test_cli_import_leaves_scipy_special_unloaded(tmp_path):
+    # nor do the commands load any scipy module: the solvers, the
+    # reconstruction and the oracle suite need numpy and the stdlib only,
+    # and fraccalc's 1/Gamma is math.gamma; scipy is the nodal reference
+    # LU's, which no command builds
     env = subprocess_env()
-    code = "import sys, fracsource.cli; sys.exit('scipy.special' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    commands = [
+        ["reconstruct", "--preset", "5.1a", "--outdir", str(tmp_path / "5.1a")],
+        ["table", "--id", "2", "--smoke", "--outdir", str(tmp_path / "table")],
+        ["verify"],
+    ]
+    code = f"""
+import sys
+import fracsource.cli
+
+assert "scipy.special" not in sys.modules
+for args in {commands!r}:
+    fracsource.cli.main.main(args, standalone_mode=False)
+print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2].endswith(" checks passed"), proc.stdout
+    assert lines[-1].split() == [], f"scipy modules loaded: {lines[-1]}"
 
 
 def test_cli_import_leaves_verification_unloaded():

@@ -20,7 +20,7 @@ from fracsource import (
 )
 from fracsource import forward
 from fracsource.experiments import build_problem, config_from_preset
-from fracsource.fraccalc import l1_scale
+from fracsource.fraccalc import l1_scale, l1_weights
 from fracsource.oracle import eigen_forward, modes_up_to
 
 from conftest import MU_STD, cos_field, fd_stiffness, make_spec
@@ -29,7 +29,7 @@ from conftest import MU_STD, cos_field, fd_stiffness, make_spec
 def l1_history(spec: ProblemSpec, source, initial, step):
     """Reference L1 stepping: u^n = step(beta (u^{n-1} - history) + source^n)."""
     beta = l1_scale(spec.alpha, spec.tgrid.tau)
-    b = spec.weights
+    b = l1_weights(spec.alpha, spec.tgrid.n_steps)
     u = np.empty((spec.tgrid.n_steps + 1, initial.size))
     u[0] = initial
     for n in range(1, len(u)):
@@ -69,6 +69,15 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(FractionalOrder(0.5), tg, grid41, np.full(41, np.nan))
 
+    def test_mu_is_a_read_only_copy(self, grid41):
+        # its bytes key the shared time factor, so the caller's array must not reach it
+        mu = np.ones(41)
+        spec = ProblemSpec(FractionalOrder(0.5), TimeGrid(1.0, 40), grid41, mu)
+        mu[0] = 5.0
+        assert np.all(spec.mu == 1.0)
+        with pytest.raises(ValueError):
+            spec.mu[0] = 1.0
+
     def test_step_solver_cached(self, grid41):
         spec = make_spec(0.5, grid41)
         assert spec.step_solver is spec.step_solver
@@ -101,13 +110,14 @@ class TestProblemSpec:
             assert np.linalg.norm(lu.solve(rhs) - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_modal_data_cached(self, monkeypatch):
-        # one L1 recursion per spec, over the distinct eigenvalues only
+        # one L1 recursion per distinct problem, over the distinct eigenvalues only
+        forward._time_factor.cache_clear()
         widths, uniques = [], []
         original, unique = forward._step_l1, np.unique
 
-        def counting(spec, lam, *args):
+        def counting(alpha, tgrid, lam, *args):
             widths.append(lam.size)
-            return original(spec, lam, *args)
+            return original(alpha, tgrid, lam, *args)
 
         def recording(*args, **kwargs):
             uniques.append(unique(*args, **kwargs))
@@ -127,6 +137,57 @@ class TestProblemSpec:
         solve_forward(spec, f)
         solve_adjoint(spec, u, ObservationMask(grid, np.ones(grid.n_nodes)))
         assert widths == [lam.size] and len(uniques) == 1
+
+    def test_equal_problems_share_one_time_factor(self, monkeypatch):
+        # a sweep over delta, omega and the noise seed builds fresh specs of one
+        # problem; the O(n_t^2 D) table behind their factor is built once
+        forward._time_factor.cache_clear()
+        calls = []
+        original = forward._step_l1
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(forward, "_step_l1", counting)
+        first, _, _ = build_problem(config_from_preset("5.3a", n_per_axis=11, n_steps=10))
+        second, _, _ = build_problem(
+            config_from_preset("5.3a", n_per_axis=11, n_steps=10, delta=0.05, seed=7)
+        )
+        assert first is not second
+        assert first.time_factor[1] is second.time_factor[1]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", 0.7), ("T", 2.0), ("n_steps", 12), ("n_per_axis", 9), ("dim", 1), ("mu_sample", 5)],
+    )
+    def test_each_value_keys_its_own_time_factor(self, field, value):
+        base = {"alpha": 0.5, "T": 1.0, "n_steps": 10, "n_per_axis": 11, "dim": 2, "mu_sample": None}
+
+        def spec_of(alpha, T, n_steps, n_per_axis, dim, mu_sample):
+            tgrid = TimeGrid(T, n_steps)
+            samples = MU_STD.sample(tgrid)
+            if mu_sample is not None:
+                samples[mu_sample] += 0.5
+            return ProblemSpec(FractionalOrder(alpha), tgrid, SpaceGrid(dim, n_per_axis), samples)
+
+        forward._time_factor.cache_clear()
+        shared = spec_of(**base).time_factor
+        changed = spec_of(**{**base, field: value}).time_factor
+        assert changed is not shared and not np.array_equal(changed[1], shared[1])
+        forward._time_factor.cache_clear()
+        cold = spec_of(**{**base, field: value}).time_factor
+        assert cold is not changed
+        assert all(np.array_equal(c, w) for c, w in zip(cold, changed))
+
+    def test_time_factor_is_read_only(self):
+        # specs of equal values share it, so no spec may write into it
+        a, sb = make_spec(0.5, SpaceGrid(2, 11), n_steps=10).time_factor
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sb[0, 0] = 1.0
 
     def test_time_factor_reconstructs_weighted_table(self):
         # the factor built from the distinct eigenvalues spans what a factor

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -116,6 +117,36 @@ class TestMittagLeffler:
                             )
                     worst = max(worst, abs(mittag_leffler(a, b, z) - float(ref)))
         assert worst <= 1e-12
+
+    def test_power_series_matches_mpmath(self):
+        # z >= 0 over alpha in [0.2, 1], beta in [0.2, 4] and z in [0, 10],
+        # where z^k overflows before the terms fade at alpha = 0.45, z = 10;
+        # every term is positive, so where one alone exceeds the largest
+        # float the value is inf
+        mp = pytest.importorskip("mpmath")
+
+        def series(a, b, z, peak):
+            # no cancellation, so 30 digits and a relative stop past the peak suffice
+            with mp.workdps(30):
+                s, k = mp.mpf(0), 0
+                while True:
+                    t = mp.mpf(z) ** k * mp.rgamma(a * k + b)
+                    s += t
+                    if k > peak and t < mp.mpf(10) ** -25 * s:
+                        return float(s)
+                    k += 1
+
+        log_max = math.log(sys.float_info.max)
+        for a in (0.2, 0.3, 0.45, 0.7, 1.0):
+            for b in (0.2, 1.0, 2.3, 4.0):
+                for z in (0.0, 0.5, 2.0, 5.0, 10.0):
+                    got = mittag_leffler(a, b, z)
+                    peak = int(z ** (1.0 / a) / a)  # near the largest term
+                    if peak and peak * math.log(z) - math.lgamma(a * peak + b) > log_max:
+                        assert got == math.inf, (a, b, z)
+                    else:
+                        want = series(a, b, z, peak)
+                        assert abs(got - want) <= 1e-12 * want, (a, b, z, got, want)
 
     def test_quad_oracle_rejects_beta_off_its_kernel(self):
         mp = pytest.importorskip("mpmath")
