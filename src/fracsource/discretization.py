@@ -45,11 +45,15 @@ def splitmix64(seed: int, n: int) -> NDArray[np.uint64]:
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB; return z ^ (z >> 31).
     The state has this closed form, so all draws are computed at once.
     """
-    k = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + k * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed & _MASK64)
+    # in place, so the n draws take one temporary of their size at a time
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def splitmix64_uniform(seed: int, n: int) -> NDArray[np.float64]:
@@ -59,8 +63,12 @@ def splitmix64_uniform(seed: int, n: int) -> NDArray[np.float64]:
     The observation noise and the norm estimate's start vector both come
     from here, so no reconstruction step needs ``numpy.random``.
     """
-    uniform = (splitmix64(seed, n) >> np.uint64(11)).astype(float) * 2.0**-53
-    return 2.0 * uniform - 1.0
+    bits = splitmix64(seed, n)
+    bits >>= np.uint64(11)
+    uniform = bits.astype(float)
+    uniform *= 2.0**-52  # 2 (b / 2^53), exact since both factors are powers of two
+    uniform -= 1.0
+    return uniform
 
 
 def is_a(kind: type, value) -> bool:
@@ -181,6 +189,21 @@ class SpaceGrid:
         k = np.arange(n)
         scale = np.where((k == 0) | (k == n - 1), 1.0, np.sqrt(2.0))
         return _read_only(scale * np.cos(np.pi / (n - 1) * (np.outer(k, k) % (2 * (n - 1)))))
+
+    # The transforms multiply by these on the right, where numpy's batched
+    # matmul takes a slower path for a transposed view than for a C-contiguous
+    # matrix (37 against 22 us on a (7, 41, 41) batch); P1 itself is the
+    # right factor of P^T along an axis.
+
+    @cached_property
+    def axis_synthesis(self) -> NDArray[np.float64]:
+        """P1^T as a C-contiguous array (read-only): ``c @ axis_synthesis`` applies P1 along an axis."""
+        return _read_only(np.ascontiguousarray(self.axis_modes.T))
+
+    @cached_property
+    def axis_analysis(self) -> NDArray[np.float64]:
+        """W1 P1 (read-only, C-contiguous): ``v @ axis_analysis`` applies P1^T W1 along an axis."""
+        return _read_only(self.axis_weights[:, None] * self.axis_modes)
 
     @property
     def eigenvalues(self) -> NDArray[np.float64]:

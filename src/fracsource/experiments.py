@@ -377,12 +377,19 @@ def synthesize_observation(
 
 
 def _add_noise(u: SpaceTimeField, mask: ObservationMask, delta: float, seed: int) -> SpaceTimeField:
-    """The noise step of :func:`synthesize_observation` on a solved ``u``."""
-    obs = np.zeros_like(u.values)
+    """The noise step of :func:`synthesize_observation` on a solved ``u``.
+
+    The draws are scaled in place, (1 + delta r) u in that order of operations,
+    so the call holds at most about two space-time arrays at once.
+    """
     active = np.flatnonzero(mask.indicator)
     n_times = u.tgrid.n_steps + 1
     r = splitmix64_uniform(seed, active.size * n_times).reshape(active.size, n_times).T
-    obs[:, active] = (1.0 + delta * r) * u.values[:, active]
+    r *= delta
+    r += 1.0
+    r *= u.values[:, active]
+    obs = np.zeros_like(u.values)
+    obs[:, active] = r
     return SpaceTimeField(u.grid, u.tgrid, obs)
 
 

@@ -28,8 +28,10 @@ distinct eigenvalues, and every spec with those values shares it read-only;
 the process keeps at most 8 factors (:func:`_time_factor`).  Per solve it
 costs r + 1 batched n x n transforms along each axis (n nodes per
 axis), r for the time modes and one for f or for the result, and one
-product with the n_t x r matrix a.  :func:`solve_adjoint` is the exact
-transpose of :func:`solve_forward`.  The normal map A^T A is quadratic in
+product with the n_t x r matrix a.  Each transform multiplies by a
+C-contiguous right factor that the grid holds (:func:`_along_axes`),
+since numpy's batched matmul is slower on a transposed view.
+:func:`solve_adjoint` is the exact transpose of :func:`solve_forward`.  The normal map A^T A is quadratic in
 sb, so :class:`NormalOperator` applies it through only the leading q rows
 of sb above float64 rounding (4 of 8 on 5.3a) and folds the other rows'
 data terms into quantities computed once; everything linear in sb, the
@@ -137,11 +139,11 @@ class ProblemSpec:
         """f_hat = P^T W f, the modal coefficients of f since P^T W P = I."""
         if f.grid != self.grid:
             raise ValueError("field grid does not match the problem grid")
-        return _along_axes(self.grid, self.grid.axis_modes.T * self.grid.axis_weights, f.values)
+        return _along_axes(self.grid, self.grid.axis_analysis, f.values)
 
     def to_nodal(self, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
         """P coeffs: nodal values of modal coefficients; leading axes are batched."""
-        return _along_axes(self.grid, self.grid.axis_modes, coeffs)
+        return _along_axes(self.grid, self.grid.axis_synthesis, coeffs)
 
     def observe(self, f_hat: NDArray[np.float64]) -> NDArray[np.float64]:
         """v with W_t^1/2 u(f) = a v for f_hat = P^T W f; shape (r, n_nodes)."""
@@ -217,16 +219,19 @@ def _step_l1(
 
 
 def _along_axes(
-    grid: SpaceGrid, mat: NDArray[np.float64], values: NDArray[np.float64]
+    grid: SpaceGrid, right: NDArray[np.float64], values: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Apply the n x n matrix ``mat`` along every spatial axis of ``values``.
+    """Apply the n x n matrix ``right.T`` along every spatial axis of ``values``.
 
     ``values[..., :]`` holds node-major samples (or modal coefficients) of
-    the grid; leading axes are batched.
+    the grid; leading axes are batched.  ``right`` is one of the grid's
+    C-contiguous right factors (:attr:`SpaceGrid.axis_synthesis`,
+    :attr:`SpaceGrid.axis_analysis`, :attr:`SpaceGrid.axis_modes`); on the
+    left, as on the first axis of a 2D grid, its transposed view is as fast.
     """
-    x = values.reshape(values.shape[:-1] + (grid.n_per_axis,) * grid.dim) @ mat.T
+    x = values.reshape(values.shape[:-1] + (grid.n_per_axis,) * grid.dim) @ right
     if grid.dim == 2:
-        x = mat @ x
+        x = right.T @ x
     return x.reshape(values.shape)
 
 
@@ -311,10 +316,13 @@ class NormalOperator:
     constant; with d_q = :meth:`observe` (f_hat) - c_q the misfit is
     :meth:`misfit` (d_q) - 2 f_hat . t + const and A^T (A f - u_obs) is
     :meth:`transpose` (d_q) - t, stated once for ``objective``, ``gradient``
-    and ``iterate`` by ``inversion._phi``.  An application costs q batched transforms
-    along every axis; the results match :func:`solve_forward`,
-    :func:`solve_adjoint` and :func:`masked_inner_product` to rounding.
-    Everything linear in sb (the solves, c and t) keeps all r rows.
+    and ``iterate`` by ``inversion._phi``, which forms W_omega d_q once for
+    the misfit and for :meth:`transpose_weighted`.  An application costs q
+    batched transforms along every axis and a pass per elementwise step; the
+    results match :func:`solve_forward`, :func:`solve_adjoint` and
+    :func:`masked_inner_product` to rounding.  :meth:`project` forms
+    y - a c as W_t^-1/2 a c - u_obs in the one space-time array it
+    allocates.  Everything linear in sb (the solves, c and t) keeps all r rows.
     """
 
     def __init__(self, spec: ProblemSpec, mask: ObservationMask) -> None:
@@ -349,11 +357,17 @@ class NormalOperator:
         if u_obs.grid != self.spec.grid or u_obs.tgrid != self.spec.tgrid:
             raise ValueError("observation grids do not match the problem spec")
         a, sb = self.spec.time_factor
-        y = np.sqrt(self.spec.tgrid.quad_weights)[:, None] * u_obs.values
-        c = a.T @ y
+        w_t = self.spec.tgrid.quad_weights
+        sqrt_w_t = np.sqrt(w_t)[:, None]
+        c = (sqrt_w_t * a).T @ u_obs.values
+        # ||y - a c||^2_omega = sum_n w_n ||(W_t^-1/2 a c)_n - u_n||^2_omega, formed
+        # in place in the one space-time array the call allocates
+        res = (a / sqrt_w_t) @ c
+        res -= u_obs.values
+        res *= res
         q = self.rank
-        const = self.misfit(y - a @ c) + self.misfit(c[q:])
-        return c[:q], self._transpose(sb[q:], c[q:]), const
+        const = float((w_t @ res) @ self.weights) + self.misfit(c[q:])
+        return c[:q], self._transpose(sb[q:], self.weights * c[q:]), const
 
     def misfit(self, d: NDArray[np.float64]) -> float:
         """sum_l ||d_l||^2_omega over the rows of ``d``."""
@@ -365,10 +379,17 @@ class NormalOperator:
         ``d`` holds the leading rows of a history in the time factor: all r
         for :func:`solve_adjoint`, q for the iteration.
         """
-        return self._transpose(self.spec.time_factor[1][: len(d)], d)
+        return self.transpose_weighted(self.weights * d)
+
+    def transpose_weighted(self, wd: NDArray[np.float64]) -> NDArray[np.float64]:
+        """:meth:`transpose` of d given as its weighted rows ``wd`` = W_omega d_l.
+
+        The iteration forms them once, for the misfit and for this product.
+        """
+        return self._transpose(self.spec.time_factor[1][: len(wd)], wd)
 
     def _transpose(
-        self, sb: NDArray[np.float64], d: NDArray[np.float64]
+        self, sb: NDArray[np.float64], wd: NDArray[np.float64]
     ) -> NDArray[np.float64]:
-        d_hat = _along_axes(self.spec.grid, self.spec.grid.axis_modes.T, self.weights * d)
-        return np.sum(sb * d_hat, axis=0)
+        wd_hat = _along_axes(self.spec.grid, self.spec.grid.axis_modes, wd)
+        return np.einsum("ij,ij->j", sb, wd_hat)

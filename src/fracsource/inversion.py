@@ -12,8 +12,12 @@ forming no space-time history.  A^T A is quadratic in the time factor, whose
 rows decay geometrically, so the operator applies it through only the leading
 q rows above rounding (q of r: 4 of 8 on 5.3a, 7 of 13 on table 2) and folds
 the data's share of the other rows into a modal vector and a constant,
-computed once per call: a step costs 2q batched transforms.  Only
-:func:`estimate_m` runs the forward and adjoint solves (r + 1 batched
+computed once per call: a step costs 2q batched transforms and one pass
+each for the residual (formed in place), its omega-weighted rows, the
+misfit and the transpose's sum over the rows.  The misfit is an einsum
+rather than a BLAS dot, whose sum OpenBLAS splits by thread count past
+10,000 terms (7 x 1681 on table 2), so the results do not depend on it.
+Only :func:`estimate_m` runs the forward and adjoint solves (r + 1 batched
 transforms each): the benchmark's tracer counts them and forces the
 reference LU on each, so its move onto the operator waits for a tracer fix.
 """
@@ -99,17 +103,24 @@ class ReconstructionResult:
 
 def _phi(
     normal: NormalOperator, projection: tuple, f_hat: NDArray[np.float64], rho: float
-) -> tuple[NDArray[np.float64], float]:
-    """(d_q, Phi(f)) at f_hat = P^T W f, for (c_q, t, const) = ``normal.project(u_obs)``.
+) -> tuple[NDArray[np.float64], float, float]:
+    """(W_omega d_q, f_hat . f_hat, Phi(f)) at f_hat = P^T W f.
 
+    ``projection`` is (c_q, t, const) = ``normal.project(u_obs)``, and
     d_q = observe(f_hat) - c_q is the leading q rows of W_t^1/2 (u(f) - u_obs) in
     the time factor; with the tail rows in t and const (:class:`NormalOperator`),
     ||A f - u_obs||^2 = misfit(d_q) - 2 f_hat . t + const and
-    A^T (A f - u_obs) = transpose(d_q) - t.
+    A^T (A f - u_obs) = transpose_weighted(W_omega d_q) - t.  The misfit is
+    sum (W_omega d_q) * d_q by einsum, which unlike a BLAS dot of q n_nodes
+    terms does not split its sum by the BLAS thread count.
     """
     c, t, const = projection
-    d = normal.observe(f_hat) - c
-    return d, normal.misfit(d) - 2.0 * float(f_hat @ t) + const + rho * float(f_hat @ f_hat)
+    d = normal.observe(f_hat)
+    d -= c
+    wd = normal.weights * d
+    ff = float(f_hat @ f_hat)
+    misfit = float(np.einsum("ij,ij->", wd, d))
+    return wd, ff, misfit - 2.0 * float(f_hat @ t) + const + rho * ff
 
 
 def objective(
@@ -121,7 +132,7 @@ def objective(
 ) -> float:
     """Phi(f) = ||u(f) - u_obs||^2 over omega x (0,T) plus rho ||f||^2."""
     normal = NormalOperator(spec, mask)
-    return _phi(normal, normal.project(u_obs), spec.to_modal(f), rho)[1]
+    return _phi(normal, normal.project(u_obs), spec.to_modal(f), rho)[2]
 
 
 def gradient(
@@ -134,15 +145,19 @@ def gradient(
     """int_0^T mu z(f) dt + rho f, i.e. half the Frechet derivative of Phi."""
     normal = NormalOperator(spec, mask)
     projection = normal.project(u_obs)
-    d, _ = _phi(normal, projection, spec.to_modal(f), rho)
-    return Field(spec.grid, spec.to_nodal(normal.transpose(d) - projection[1]) + rho * f.values)
+    wd, _, _ = _phi(normal, projection, spec.to_modal(f), rho)
+    data_term = normal.transpose_weighted(wd) - projection[1]
+    return Field(spec.grid, spec.to_nodal(data_term) + rho * f.values)
 
 
 def threshold_update(
     f: NDArray[np.float64], data_term: NDArray[np.float64], m: float, rho: float
 ) -> NDArray[np.float64]:
     """One thresholding step: (M f - data_term) / (M + rho)."""
-    return (m * f - data_term) / (m + rho)
+    out = m * f
+    out -= data_term
+    out /= m + rho
+    return out
 
 
 def iterate(
@@ -178,7 +193,7 @@ def iterate(
     status = "max_iter"
     k = 0
     for k in range(1, cfg.max_iter + 1):
-        d, phi = _phi(normal, projection, f_hat, cfg.rho)
+        wd, ff, phi = _phi(normal, projection, f_hat, cfg.rho)
         phi_history.append(phi)
         if not math.isfinite(phi) or phi > 1e12 * (phi_history[0] + 1.0):
             logger.warning(
@@ -188,10 +203,13 @@ def iterate(
             )
             status = "diverged"
             break
-        f_next = threshold_update(f_hat, normal.transpose(d) - projection[1], cfg.m, cfg.rho)
-        step = float(np.linalg.norm(f_next - f_hat))
+        data_term = normal.transpose_weighted(wd)
+        data_term -= projection[1]
+        f_next = threshold_update(f_hat, data_term, cfg.m, cfg.rho)
+        diff = f_next - f_hat
+        step = math.sqrt(diff @ diff)
         # stopping ratio ||f_{k+1}-f_k|| / ||f_k|| with a floor at f_k = 0
-        f_norm = max(float(np.linalg.norm(f_hat)), _ZERO_NORM_FLOOR)
+        f_norm = max(math.sqrt(ff), _ZERO_NORM_FLOOR)
         logger.info("k=%d phi=%.6e step_ratio=%.3e", k - 1, phi, step / f_norm)
         f_hat = f_next
         if step < cfg.eps * f_norm:
@@ -199,7 +217,7 @@ def iterate(
             break
     # a diverged run stops before updating f, so its last phi is already Phi(f)
     phi_history.append(
-        phi_history[-1] if status == "diverged" else _phi(normal, projection, f_hat, cfg.rho)[1]
+        phi_history[-1] if status == "diverged" else _phi(normal, projection, f_hat, cfg.rho)[2]
     )
     f = Field(spec.grid, spec.to_nodal(f_hat))
     # no relative error against a source that is identically zero
@@ -233,7 +251,7 @@ def estimate_m(
     vector is the ``seed``'s :func:`splitmix64_uniform` draws.
     """
     if not (is_a(numbers.Integral, iters) and iters >= 1):
-        raise ValueError("iters must be an integer >= 1")
+        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
     w = spec.grid.quad_weights
     q = np.empty((min(iters, spec.grid.n_nodes), spec.grid.n_nodes))
     r = splitmix64_uniform(seed, spec.grid.n_nodes)

@@ -215,6 +215,8 @@ def duhamel_check(
     analytic theta is integrated exactly against piecewise-linear v, and the
     result is compared on the coarse nodes.
     """
+    if not (is_a(numbers.Integral, refine) and refine >= 1):
+        raise ValueError(f"refine must be an integer >= 1, got {refine!r}")
     spec = ProblemSpec(alpha=alpha, tgrid=tgrid, grid=grid, mu=mu.sample(tgrid))
     u_direct = solve_forward(spec, f)
     tg_fine = TimeGrid(tgrid.T, tgrid.n_steps * refine)

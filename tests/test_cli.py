@@ -11,6 +11,8 @@ import fracsource
 from fracsource import cli
 from fracsource.cli import main
 
+from conftest import subprocess_env
+
 
 def test_forward_writes_csv(tmp_path):
     out = tmp_path / "u.csv"
@@ -236,3 +238,24 @@ def test_integer_power_tower_is_rejected_at_once(tmp_path):
     assert result.returncode == 1, result.stderr
     assert result.stderr == "Error: f_true '9**9**9**9 + x1' is not finite at every grid node\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # the misfit sums q n_nodes = 7 * 1681 terms, past the 10,000 above which
+    # OpenBLAS splits a dot across threads, so it must not be a BLAS dot
+    fields = {"dim": 2, "alpha": 0.8, "f_true": "exp_ridge_2d", "omega": "frame_0.05_0.95",
+              "delta": 0.01, "m": 2.0, "eps": 0.002}
+    outputs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"threads{threads}"
+        path = tmp_path / f"threads{threads}.json"
+        path.write_text(json.dumps({**fields, "outdir": str(outdir)}))
+        result = subprocess.run(
+            [sys.executable, "-m", "fracsource.cli", "reconstruct", "--config", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**subprocess_env(), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("K=28 "), result.stdout
+        outputs.append({p.name: p.read_bytes() for p in outdir.glob("*.csv")})
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]

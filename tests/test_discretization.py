@@ -192,16 +192,20 @@ class TestOperator:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_modal_data_cached_and_read_only(self, dim):
-        # every spec built on one grid shares these arrays, so none may write them
+        # every spec built on one grid shares these arrays, so none may write them;
+        # the transforms multiply by the matrices on the right, fastest when C-contiguous
         grid = SpaceGrid(dim, 7)
-        for name in ("axis_modes", "axis_eigenvalues"):
+        for name in ("axis_modes", "axis_eigenvalues", "axis_synthesis", "axis_analysis"):
             data = getattr(grid, name)
             assert getattr(grid, name) is data
+            assert data.flags.c_contiguous
             with pytest.raises(ValueError, match="read-only"):
                 data[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 data *= 2.0
         assert grid.axis_eigenvalues[0] == 0.0 and np.all(grid.axis_modes[:, 0] == 1.0)
+        assert np.array_equal(grid.axis_synthesis, grid.axis_modes.T)
+        assert np.array_equal(grid.axis_analysis, grid.axis_weights[:, None] * grid.axis_modes)
 
     @pytest.mark.parametrize("n", [3, 7, 11])
     def test_closed_form_basis_diagonalises_2d_stencil(self, n):

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +28,19 @@ from fracsource.experiments import (
     table_base_config,
     write_forward_csv,
 )
+from fracsource.forward import NormalOperator
 
 _MASK64 = (1 << 64) - 1
+
+
+def _peak_traced(call):
+    """(peak bytes that ``tracemalloc`` traced during ``call()``, its result); numpy traces its buffers."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 class SplitMix64:
@@ -265,6 +278,21 @@ class TestSynthesizeObservation:
         assert np.max(np.abs(oo[nz] / uu[nz] - 1.0)) <= delta
         outside = mask.indicator == 0.0
         assert np.all(obs.values[:, outside] == 0.0)
+
+    def test_row_setup_holds_at_most_two_space_time_arrays(self):
+        # a table row's noise and projection run on 0.55 MB space-time arrays;
+        # each extra temporary costs page faults once the heap is trimmed
+        base = table_base_config(2)
+        spec, f_true = experiments.build_forward_problem(base)
+        u = solve_forward(spec, f_true)
+        for delta, omega, _, _ in TABLE_ROWS[2]:
+            mask = experiments.build_mask(replace(base, omega=omega), spec.grid)
+            noise_peak, u_obs = _peak_traced(lambda: experiments._add_noise(u, mask, delta, 1))
+            normal = NormalOperator(spec, mask)
+            normal.project(u_obs)  # builds the operator's cached data
+            project_peak, _ = _peak_traced(lambda: normal.project(u_obs))
+            assert noise_peak <= 2 * u.values.nbytes, (omega, noise_peak / u.values.nbytes)
+            assert project_peak <= 2 * u_obs.values.nbytes, (omega, project_peak / u_obs.values.nbytes)
 
 
 class TestMasksFromPresets:

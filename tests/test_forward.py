@@ -19,7 +19,7 @@ from fracsource import (
     solve_homogeneous,
 )
 from fracsource import forward
-from fracsource.experiments import build_problem, config_from_preset
+from fracsource.experiments import build_problem, config_from_preset, run_experiment
 from fracsource.fraccalc import l1_scale, l1_weights
 from fracsource.oracle import eigen_forward, modes_up_to
 
@@ -367,3 +367,21 @@ class TestSolveHomogeneous:
         amplitude = v.values[:, 0]  # value at x = 0 where cos = 1
         assert np.all(amplitude > 0.0)
         assert np.all(np.diff(amplitude) <= 1e-14)
+
+
+def test_transforms_multiply_by_c_contiguous_matrices(tmp_path, monkeypatch):
+    # numpy's batched matmul takes a slower path for a transposed right operand,
+    # so every transform gets its right factor C-contiguous from the grid
+    right_factors = []
+    along_axes = forward._along_axes
+
+    def recording(grid, right, values):
+        right_factors.append(right)
+        return along_axes(grid, right, values)
+
+    monkeypatch.setattr(forward, "_along_axes", recording)
+    cfg = config_from_preset("5.3a", n_per_axis=21, m=16.8, outdir=str(tmp_path))
+    run_experiment(cfg)
+    spec, f_true, mask = build_problem(cfg)
+    solve_adjoint(spec, solve_forward(spec, f_true), mask)
+    assert right_factors and all(m.flags.c_contiguous for m in right_factors)

@@ -166,12 +166,12 @@ class TestDuhamelCheck:
         assert val == 0.0
 
     def test_rejects_bad_refine_and_field_grid(self):
-        # the time grid, the convolution stride and the problem spec own these checks
+        # refine is checked by name before any solve; the problem spec owns the grid check
         grid = SpaceGrid(1, 11)
         tgrid = TimeGrid(1.0, 10)
         f = cos_field(grid)
         for refine in (0, 1.5, True):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"refine must be an integer >= 1, got {refine!r}"):
                 duhamel_check(FractionalOrder(0.5), f, MU_STD, tgrid, grid, refine=refine)
         with pytest.raises(ValueError, match="grid"):
             duhamel_check(FractionalOrder(0.5), cos_field(SpaceGrid(1, 21)), MU_STD, tgrid, grid)
