@@ -3,6 +3,23 @@
 The presets reproduce the published 1D/2D test cases; all of them share
 T = 1, mu(t) = 1 + 10 pi t^2, rho = 1e-5 and the constant initial guess
 f_0 = 2 on a 41-nodes-per-axis, 40-step space-time mesh.
+
+A sweep reruns one forward problem over noise seeds, delta and omega, so a
+process builds each piece of seed-free data once, in a bounded
+``functools.lru_cache`` keyed by config values, and shares it read-only:
+
+- :func:`_u_true`, the noise-free solution u(f_true), keyed by (dim,
+  n_per_axis, n_steps, T, alpha, f_true): 8 (n_t + 1) N bytes, 0.55 MB at
+  41^2 x 40; at most 2 entries;
+- :func:`_mask`, the frozen :class:`ObservationMask`, keyed by (dim,
+  n_per_axis, omega), omega a preset name or its boxes as nested tuples:
+  2 x 8 N bytes, 27 KB at 41^2; at most 32 entries;
+- :func:`_profile_cells`, the joined ``x1[,x2],f_true`` cells of the profile
+  CSV, keyed by (f_true, dim, n_per_axis): about 0.15 MB at 41^2; at most 8.
+
+Every run draws its own noise on the shared u (:func:`_add_noise`), the
+arithmetic :func:`synthesize_observation` does, so the outputs are the bits
+a run without the caches writes.
 """
 
 from __future__ import annotations
@@ -337,26 +354,75 @@ def config_from_file(path: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
+def _omega_key(omega) -> object:
+    """``omega`` as a hashable cache key: a preset name, or the boxes as nested tuples."""
+    if isinstance(omega, str):
+        return omega
+    return tuple(tuple(tuple(interval) for interval in box) for box in omega)
+
+
+# An entry holds the indicator and the quadrature weights, 2 x 8 N bytes:
+# 27 KB at 41^2 and 105 KB at 81^2.  The four presets and the two published
+# tables use 8 distinct (grid, omega) pairs at paper size and 7 more on the
+# smoke grid, so 32 entries hold them all, under 1 MB at paper size.
+@lru_cache(maxsize=32)
+def _mask(dim: int, n_per_axis: int, omega) -> ObservationMask:
+    """The frozen mask of ``omega`` (:func:`_omega_key`) on the grid; shared by every caller."""
+    boxes, _ = _omega_boxes_and_label(omega)
+    return ObservationMask.from_boxes(SpaceGrid(dim, n_per_axis), boxes)
+
+
 def build_mask(cfg: ExperimentConfig, grid: SpaceGrid) -> ObservationMask:
-    boxes, _ = _omega_boxes_and_label(cfg.omega)
-    return ObservationMask.from_boxes(grid, boxes)
+    """The observation mask of ``cfg.omega`` on ``grid``, shared and frozen (:func:`_mask`)."""
+    return _mask(grid.dim, grid.n_per_axis, _omega_key(cfg.omega))
+
+
+def _forward_key(cfg: ExperimentConfig) -> tuple:
+    """The config values that fix the forward problem and u(f_true)."""
+    return cfg.dim, cfg.n_per_axis, cfg.n_steps, cfg.T, cfg.alpha, cfg.f_true
+
+
+def _forward_problem(
+    dim: int, n_per_axis: int, n_steps: int, T: float, alpha: float, f_true: str
+) -> tuple[ProblemSpec, Field]:
+    grid = SpaceGrid(dim=dim, n_per_axis=n_per_axis)
+    tgrid = TimeGrid(T=T, n_steps=n_steps)
+    spec = ProblemSpec(alpha=FractionalOrder(alpha), tgrid=tgrid, grid=grid, mu=MU.sample(tgrid))
+    return spec, Field(grid, _sample_f_true(f_true, dim, n_per_axis))
 
 
 def build_forward_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field]:
     """Problem spec and true source field for a config, without omega."""
-    grid = SpaceGrid(dim=cfg.dim, n_per_axis=cfg.n_per_axis)
-    tgrid = TimeGrid(T=cfg.T, n_steps=cfg.n_steps)
-    spec = ProblemSpec(
-        alpha=FractionalOrder(cfg.alpha), tgrid=tgrid, grid=grid, mu=MU.sample(tgrid)
-    )
-    f_true = Field(grid, _sample_f_true(cfg.f_true, cfg.dim, cfg.n_per_axis))
-    return spec, f_true
+    return _forward_problem(*_forward_key(cfg))
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field, ObservationMask]:
-    """Problem spec, true source field and observation mask for a config."""
+    """Problem spec, true source field and observation mask for a config.
+
+    The mask is shared with every config of the same grid and omega and is
+    frozen, its arrays read-only (:func:`build_mask`).
+    """
     spec, f_true = build_forward_problem(cfg)
     return spec, f_true, build_mask(cfg, spec.grid)
+
+
+# An entry holds u, 8 (n_t + 1) N bytes: 0.55 MB at 41^2 x 40 and 5.4 MB at
+# 41^2 x 400.  A sweep over delta, omega and the noise seed on one
+# discretization needs one entry and a run of both published tables two, so
+# 2 entries hold them and pin at most 11 MB at 41^2 x 400; a process that
+# alternates between more problems solves each again.
+@lru_cache(maxsize=2)
+def _u_true(
+    dim: int, n_per_axis: int, n_steps: int, T: float, alpha: float, f_true: str
+) -> SpaceTimeField:
+    """u(f_true) of the forward problem with these values (:func:`_forward_key`), read-only.
+
+    It is solved through this module's global ``solve_forward``, so a wrapper
+    set there sees the first solve of each problem.
+    """
+    u = solve_forward(*_forward_problem(dim, n_per_axis, n_steps, T, alpha, f_true))
+    u.values.flags.writeable = False
+    return u
 
 
 def synthesize_observation(
@@ -399,21 +465,14 @@ def run_reconstruction(cfg: ExperimentConfig) -> tuple[ReconstructionResult, Fie
 
 
 def _reconstruct(
-    cfg: ExperimentConfig,
-    spec: ProblemSpec,
-    f_true: Field,
-    mask: ObservationMask,
-    u: SpaceTimeField | None = None,
+    cfg: ExperimentConfig, spec: ProblemSpec, f_true: Field, mask: ObservationMask
 ) -> tuple[ReconstructionResult, Field, Field]:
     """Synthesis and iteration on a built problem; see :func:`run_reconstruction`.
 
-    ``u`` is u(f_true) when the caller has solved it already, as the rows of a
-    table share one solve; the observation is the same bits either way.
+    The noise is drawn on the process's one u(f_true) of the problem
+    (:func:`_u_true`), the same bits :func:`synthesize_observation` gives.
     """
-    if u is None:
-        u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
-    else:
-        u_obs = _add_noise(u, mask, cfg.delta, cfg.seed)
+    u_obs = _add_noise(_u_true(*_forward_key(cfg)), mask, cfg.delta, cfg.seed)
     f0 = Field.constant(spec.grid, cfg.f0)
     rcfg = ReconstructionConfig(
         rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=f0, max_iter=cfg.max_iter
@@ -459,6 +518,17 @@ def _node_reprs(grid: SpaceGrid, tgrid: TimeGrid | None = None):
     return product(*map(_reprs, axes))
 
 
+# An entry holds N str of ``x1[,x2],f_true`` and a tuple of N pointers:
+# 0.14-0.16 MB at 41^2 and 0.57 MB at 81^2.  One entry serves every run of a
+# problem, and 8 hold the four presets' with room to spare, about 1.3 MB.
+@lru_cache(maxsize=8)
+def _profile_cells(f_true: str, dim: int, n_per_axis: int) -> tuple[str, ...]:
+    """The joined ``x1[,x2],f_true`` cells of each profile row, in node order."""
+    grid = SpaceGrid(dim, n_per_axis)
+    f_cells = zip(_reprs(_sample_f_true(f_true, dim, n_per_axis)))
+    return tuple(map(",".join, map(operator.add, _node_reprs(grid), f_cells)))
+
+
 def _axes(grid: SpaceGrid) -> list[str]:
     return [f"x{i + 1}" for i in range(grid.dim)]
 
@@ -489,13 +559,12 @@ def run_experiment(cfg: ExperimentConfig) -> ReconstructionResult:
     """
     problem = build_problem(cfg)
     os.makedirs(cfg.outdir or ".", exist_ok=True)
-    result, f_true, _ = _reconstruct(cfg, *problem)
-    grid = f_true.grid
+    result, _, _ = _reconstruct(cfg, *problem)
     tag = cfg.label or "run"
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_profile.csv"),
-        [*_axes(grid), "f_true", "f_k"],
-        map(operator.add, _node_reprs(grid), zip(_reprs(f_true.values), _reprs(result.f_k.values))),
+        [*_axes(problem[0].grid), "f_true", "f_k"],
+        zip(_profile_cells(cfg.f_true, cfg.dim, cfg.n_per_axis), _reprs(result.f_k.values)),
     )
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_iterations.csv"),
@@ -529,7 +598,6 @@ def run_table(
     base = table_base_config(table_id, smoke=smoke)
     os.makedirs(outdir or ".", exist_ok=True)
     spec, f_true = build_forward_problem(base)
-    u = solve_forward(spec, f_true)  # every row draws its own noise on this one solve
     rows = []
     for delta, omega, ref_err, ref_k in TABLE_ROWS[table_id]:
         eps = base.eps
@@ -543,7 +611,7 @@ def run_table(
             logger.warning("table %d row %s: not run: %s", table_id, label, exc)
             rows.append([_fmt(delta), label, "", "", _fmt(ref_err), ref_k])
             continue
-        result, _, _ = _reconstruct(cfg, spec, f_true, mask, u)
+        result, _, _ = _reconstruct(cfg, spec, f_true, mask)
         rows.append([
             _fmt(delta),
             label,

@@ -218,6 +218,13 @@ def _step_l1(
     return u
 
 
+# OpenBLAS runs a dgemm of m k n <= 2^18 products on one thread (65536 times
+# its default GEMM_MULTITHREAD_THRESHOLD of 4).  Above that it splits the
+# product across threads, and on some shapes the split changes the rounding:
+# a 101 x 101 product differs in the last bits between 1 and 2 threads.
+_ONE_THREAD_MKN = 2**18
+
+
 def _along_axes(
     grid: SpaceGrid, right: NDArray[np.float64], values: NDArray[np.float64]
 ) -> NDArray[np.float64]:
@@ -228,11 +235,23 @@ def _along_axes(
     C-contiguous right factors (:attr:`SpaceGrid.axis_synthesis`,
     :attr:`SpaceGrid.axis_analysis`, :attr:`SpaceGrid.axis_modes`); on the
     left, as on the first axis of a 2D grid, its transposed view is as fast.
+    On a 2D grid each n x n x n product runs as blocks of w output columns
+    (rows, on the left), w = 2^18 // n^2 clamped to [1, n], so that up to
+    512 nodes per axis each block runs on one thread and its bits do not
+    depend on the BLAS thread count; up to 64 nodes per axis w = n, one
+    product.
     """
-    x = values.reshape(values.shape[:-1] + (grid.n_per_axis,) * grid.dim) @ right
-    if grid.dim == 2:
-        x = right.T @ x
-    return x.reshape(values.shape)
+    if grid.dim == 1:
+        return values @ right
+    n = grid.n_per_axis
+    x = values.reshape(values.shape[:-1] + (n, n))
+    w = max(1, min(n, _ONE_THREAD_MKN // (n * n)))
+    y, z = np.empty_like(x), np.empty_like(x)
+    for j in range(0, n, w):
+        np.matmul(x, right[:, j : j + w], out=y[..., j : j + w])
+    for i in range(0, n, w):
+        np.matmul(right.T[i : i + w], y, out=z[..., i : i + w, :])
+    return z.reshape(values.shape)
 
 
 def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
@@ -321,8 +340,9 @@ class NormalOperator:
     batched transforms along every axis and a pass per elementwise step; the
     results match :func:`solve_forward`, :func:`solve_adjoint` and
     :func:`masked_inner_product` to rounding.  :meth:`project` forms
-    y - a c as W_t^-1/2 a c - u_obs in the one space-time array it
-    allocates.  Everything linear in sb (the solves, c and t) keeps all r rows.
+    y - a c as W_t^-1/2 a c - u_obs on the columns of nonzero omega weight
+    only, since the others add nothing to the misfit.  Everything linear in
+    sb (the solves, c and t) keeps all r rows.
     """
 
     def __init__(self, spec: ProblemSpec, mask: ObservationMask) -> None:
@@ -361,17 +381,18 @@ class NormalOperator:
         sqrt_w_t = np.sqrt(w_t)[:, None]
         c = (sqrt_w_t * a).T @ u_obs.values
         # ||y - a c||^2_omega = sum_n w_n ||(W_t^-1/2 a c)_n - u_n||^2_omega, formed
-        # in place in the one space-time array the call allocates
-        res = (a / sqrt_w_t) @ c
-        res -= u_obs.values
+        # in place on the columns of nonzero omega weight only
+        cols = np.flatnonzero(self.weights)
+        res = (a / sqrt_w_t) @ c[:, cols]
+        res -= u_obs.values[:, cols]
         res *= res
         q = self.rank
-        const = float((w_t @ res) @ self.weights) + self.misfit(c[q:])
+        const = float(np.einsum("j,j->", w_t @ res, self.weights[cols])) + self.misfit(c[q:])
         return c[:q], self._transpose(sb[q:], self.weights * c[q:]), const
 
     def misfit(self, d: NDArray[np.float64]) -> float:
         """sum_l ||d_l||^2_omega over the rows of ``d``."""
-        return float(np.sum(d * d, axis=0) @ self.weights)
+        return float(np.einsum("j,j->", np.sum(d * d, axis=0), self.weights))
 
     def transpose(self, d: NDArray[np.float64]) -> NDArray[np.float64]:
         """sum_l sb_l * P^T (W_omega d_l): modal A^T of the history a d.

@@ -16,7 +16,10 @@ computed once per call: a step costs 2q batched transforms and one pass
 each for the residual (formed in place), its omega-weighted rows, the
 misfit and the transpose's sum over the rows.  The misfit is an einsum
 rather than a BLAS dot, whose sum OpenBLAS splits by thread count past
-10,000 terms (7 x 1681 on table 2), so the results do not depend on it.
+10,000 terms (7 x 1681 on table 2), and so is every dot of N terms
+(f_hat . f_hat, f_hat . t, the step, the weighted products of
+:func:`estimate_m`; :func:`_dot`), so the results do not depend on the
+thread count.
 Only :func:`estimate_m` runs the forward and adjoint solves (r + 1 batched
 transforms each): the benchmark's tracer counts them and forces the
 reference LU on each, so its move onto the operator waits for a tracer fix.
@@ -88,6 +91,12 @@ class ReconstructionResult:
     out.  ``converged`` is true for the first only.  ``err`` is
     ||f_K - f_true|| / ||f_true||, or None without f_true or when f_true is
     identically zero.
+
+    Each ``phi_history`` entry is a sum of terms of the size of Phi_0
+    (``_phi``), so it carries absolute rounding of order eps Phi_0, eps the
+    float64 machine epsilon: once Phi has fallen far below Phi_0 (58.9 to
+    0.0018 on 5.1a) its last digits are rounding and move with any change
+    in the order of the sums.
     """
 
     f_k: Field
@@ -112,15 +121,20 @@ def _phi(
     ||A f - u_obs||^2 = misfit(d_q) - 2 f_hat . t + const and
     A^T (A f - u_obs) = transpose_weighted(W_omega d_q) - t.  The misfit is
     sum (W_omega d_q) * d_q by einsum, which unlike a BLAS dot of q n_nodes
-    terms does not split its sum by the BLAS thread count.
+    terms does not split its sum by the BLAS thread count; nor does :func:`_dot`.
     """
     c, t, const = projection
     d = normal.observe(f_hat)
     d -= c
     wd = normal.weights * d
-    ff = float(f_hat @ f_hat)
+    ff = _dot(f_hat, f_hat)
     misfit = float(np.einsum("ij,ij->", wd, d))
-    return wd, ff, misfit - 2.0 * float(f_hat @ t) + const + rho * ff
+    return wd, ff, misfit - 2.0 * _dot(f_hat, t) + const + rho * ff
+
+
+def _dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
+    """a . b by einsum, which unlike a BLAS dot does not split its sum by the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def objective(
@@ -207,7 +221,7 @@ def iterate(
         data_term -= projection[1]
         f_next = threshold_update(f_hat, data_term, cfg.m, cfg.rho)
         diff = f_next - f_hat
-        step = math.sqrt(diff @ diff)
+        step = math.sqrt(_dot(diff, diff))
         # stopping ratio ||f_{k+1}-f_k|| / ||f_k|| with a floor at f_k = 0
         f_norm = max(math.sqrt(ff), _ZERO_NORM_FLOOR)
         logger.info("k=%d phi=%.6e step_ratio=%.3e", k - 1, phi, step / f_norm)
@@ -255,16 +269,16 @@ def estimate_m(
     w = spec.grid.quad_weights
     q = np.empty((min(iters, spec.grid.n_nodes), spec.grid.n_nodes))
     r = splitmix64_uniform(seed, spec.grid.n_nodes)
-    beta = math.sqrt(r @ (w * r))
+    beta = math.sqrt(_dot(r, w * r))
     diag: list[float] = []
     off: list[float] = []
     for k in range(q.shape[0]):
         q[k] = r / beta
         r = solve_adjoint(spec, solve_forward(spec, Field(spec.grid, q[k])), mask).values
-        diag.append(float(q[k] @ (w * r)))
+        diag.append(_dot(q[k], w * r))
         for _ in range(2):  # twice is enough (Parlett, The Symmetric Eigenvalue Problem)
-            r = r - q[: k + 1].T @ (q[: k + 1] @ (w * r))
-        beta = math.sqrt(r @ (w * r))
+            r = r - q[: k + 1].T @ np.einsum("ij,j->i", q[: k + 1], w * r)
+        beta = math.sqrt(_dot(r, w * r))
         ritz, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         if beta * abs(vectors[-1, -1]) <= 1e-12 * ritz[-1] or beta == 0.0:
             break

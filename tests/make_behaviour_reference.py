@@ -21,11 +21,10 @@ import pathlib
 import subprocess
 from dataclasses import replace
 
-from fracsource import experiments, solve_forward
+from fracsource import experiments
 from fracsource.experiments import (
     TABLE_ROWS,
-    build_forward_problem,
-    build_mask,
+    build_problem,
     config_from_preset,
     table_base_config,
 )
@@ -56,21 +55,15 @@ def cases() -> list:
 def record(seeds=SEEDS) -> dict:
     """name -> {"K", "status"} per seed, plus "f_seed" and "f" once converged.
 
-    Cases that share a mesh, order and f_true share one built problem and one
-    solve of u(f_true), as the rows of ``run_table`` do.
+    Each case runs on the problem ``build_problem`` builds, through the
+    ``_reconstruct`` that ``run_experiment`` and ``run_table`` call.
     """
-    problems = {}
     recorded = {}
     for name, base in cases():
-        key = (base.dim, base.n_per_axis, base.n_steps, base.T, base.alpha, base.f_true)
-        if key not in problems:
-            spec, f_true = build_forward_problem(base)
-            problems[key] = spec, f_true, solve_forward(spec, f_true)
-        spec, f_true, u = problems[key]
-        mask = build_mask(base, spec.grid)
+        problem = build_problem(base)
         entry = {"K": [], "status": []}
         for seed in seeds:
-            result, _, _ = experiments._reconstruct(replace(base, seed=seed), spec, f_true, mask, u)
+            result, _, _ = experiments._reconstruct(replace(base, seed=seed), *problem)
             entry["K"].append(result.iterations)
             entry["status"].append(result.status)
             if result.converged and "f" not in entry:

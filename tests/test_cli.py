@@ -242,20 +242,28 @@ def test_integer_power_tower_is_rejected_at_once(tmp_path):
 
 def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     # the misfit sums q n_nodes = 7 * 1681 terms, past the 10,000 above which
-    # OpenBLAS splits a dot across threads, so it must not be a BLAS dot
-    fields = {"dim": 2, "alpha": 0.8, "f_true": "exp_ridge_2d", "omega": "frame_0.05_0.95",
-              "delta": 0.01, "m": 2.0, "eps": 0.002}
-    outputs = []
-    for threads in ("1", "2"):
-        outdir = tmp_path / f"threads{threads}"
-        path = tmp_path / f"threads{threads}.json"
-        path.write_text(json.dumps({**fields, "outdir": str(outdir)}))
-        result = subprocess.run(
-            [sys.executable, "-m", "fracsource.cli", "reconstruct", "--config", str(path)],
-            capture_output=True, text=True, timeout=120,
-            env={**subprocess_env(), "OPENBLAS_NUM_THREADS": threads},
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.startswith("K=28 "), result.stdout
-        outputs.append({p.name: p.read_bytes() for p in outdir.glob("*.csv")})
-    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+    # OpenBLAS splits a dot across threads, so it must not be a BLAS dot; on
+    # the 101^2 grid the 101 x 101 x 101 transform products would split too,
+    # and over 60 steps so would the dots of N terms in each step
+    grid_101 = {"preset": "5.3a", "n_per_axis": 101, "n_steps": 10, "m": 16.8}
+    cases = [
+        ({"dim": 2, "alpha": 0.8, "f_true": "exp_ridge_2d", "omega": "frame_0.05_0.95",
+          "delta": 0.01, "m": 2.0, "eps": 0.002}, "K=28 ", 0),
+        (grid_101, "K=23 ", 0),
+        ({**grid_101, "eps": 1e-9, "max_iter": 60}, "K=60 ", 2),
+    ]
+    for case, (fields, stdout, returncode) in enumerate(cases):
+        outputs = []
+        for threads in ("1", "2"):
+            outdir = tmp_path / f"case{case}_threads{threads}"
+            path = tmp_path / f"case{case}_threads{threads}.json"
+            path.write_text(json.dumps({**fields, "outdir": str(outdir)}))
+            result = subprocess.run(
+                [sys.executable, "-m", "fracsource.cli", "reconstruct", "--config", str(path)],
+                capture_output=True, text=True, timeout=120,
+                env={**subprocess_env(), "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert result.returncode == returncode, result.stderr
+            assert result.stdout.startswith(stdout), result.stdout
+            outputs.append({p.name: p.read_bytes() for p in outdir.glob("*.csv")})
+        assert len(outputs[0]) == 3 and outputs[0] == outputs[1], fields

@@ -216,8 +216,9 @@ def test_process_caches_are_bounded():
             if kind != "lru_cache" or id(node) not in bounded:
                 unbounded.append(f"{path.name}:{node.lineno}")
     assert not unbounded, f"functools caches without a literal positive maxsize: {unbounded}"
-    # the guard sees the caches it checks: the f_true samples and the time factors
-    assert found == 2
+    # the guard sees the caches it checks: the f_true samples, the time
+    # factors, and u(f_true), the masks and the profile cells of each problem
+    assert found == 5
 
 
 def test_only_estimate_m_solves_in_inversion():

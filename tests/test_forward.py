@@ -385,3 +385,18 @@ def test_transforms_multiply_by_c_contiguous_matrices(tmp_path, monkeypatch):
     spec, f_true, mask = build_problem(cfg)
     solve_adjoint(spec, solve_forward(spec, f_true), mask)
     assert right_factors and all(m.flags.c_contiguous for m in right_factors)
+
+
+@pytest.mark.parametrize("n", [64, 65, 101, 513])
+def test_transform_blocks_give_the_plain_product(n):
+    # past 64 nodes per axis a 2D transform cuts each n x n x n product into
+    # column (then row) blocks of at most 2^18 multiply-adds, the size
+    # OpenBLAS runs on one thread, and past 512 into blocks of one column;
+    # the blocks give the whole product to rounding
+    grid = SpaceGrid(2, n)
+    values = np.random.default_rng(n).standard_normal((3 if n < 512 else 1, grid.n_nodes))
+    right = grid.axis_synthesis
+    got = forward._along_axes(grid, right, values)
+    want = (right.T @ (values.reshape(-1, n, n) @ right)).reshape(values.shape)
+    assert got.shape == values.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
