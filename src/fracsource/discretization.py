@@ -288,6 +288,34 @@ class ObservationMask:
             w[corner] += (0.5 * self.grid.h) ** dim * cells
         return _read_only(w.ravel())
 
+    @cached_property
+    def gram(self) -> tuple[float, NDArray[np.float64]]:
+        """(s, terms) with P^T W_omega P = s I + sum_k kron(*terms[k]) (read-only).
+
+        P^T W P = I, so G = s I + P^T (W_omega - s W) P, with the n x n^(dim-1)
+        unfolding of W_omega - s W = sum_k x_k y_k^T by its SVD over the R
+        singular values above ``matrix_rank``'s tolerance; s in {0, 1} gives
+        the smaller R (0 on a tie), and terms[k] stacks P1^T diag(x_k) P1 and
+        P1^T diag(y_k) P1 per axis (in 1D y_k = 1).  Every published 2D mask
+        has R = 1 (s = 1: its complement is one box of cells).
+        """
+        grid, n = self.grid, self.grid.n_per_axis
+        choices = []
+        for s in (0.0, 1.0):
+            unfolded = (self.quad_weights - s * grid.quad_weights).reshape(n, -1)
+            u, sigma, vt = np.linalg.svd(unfolded, full_matrices=False)
+            keep = sigma > sigma.max(initial=0.0) * n * np.finfo(float).eps
+            sign = np.copysign(1.0, vt[keep].sum(axis=1))[:, None]  # in 1D, y_k = +1
+            choices.append((s, u[:, keep].T * sigma[keep, None] * sign, vt[keep] * sign))
+        s, xs, ys = min(choices, key=lambda choice: len(choice[1]))
+        # einsum: OpenBLAS would split a product past 2^18 multiply-adds by thread count
+        synthesis, modes = grid.axis_synthesis, grid.axis_modes
+        terms = [
+            [np.einsum("ai,ib->ab", synthesis * d, modes) for d in (x, y)[: grid.dim]]
+            for x, y in zip(xs, ys)
+        ]
+        return s, _read_only(np.reshape(terms, (len(terms), grid.dim, n, n)))
+
     @classmethod
     def from_boxes(cls, grid: SpaceGrid, boxes: Iterable[Box]) -> "ObservationMask":
         """Nodes whose coordinates lie in any of the closed boxes.

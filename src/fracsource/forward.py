@@ -21,7 +21,7 @@ spec states the mask-free half of the observation map A: f -> u(f)|_omega
 once: :meth:`ProblemSpec.to_modal` (f_hat = P^T W f),
 :meth:`ProblemSpec.to_nodal` (P) and :meth:`ProblemSpec.observe` (v with
 W_t^1/2 u(f) = a v); :class:`NormalOperator` adds the omega-weighted half,
-the misfit and the transpose, which the thresholding iteration needs.  The
+applied through the mask's modal Gram matrix G = P^T W_omega P.  The
 factor depends on (alpha, time grid, space grid, mu) alone, so a process
 builds it once per distinct such tuple, one O(n_t^2 D) table over the D
 distinct eigenvalues, and every spec with those values shares it read-only;
@@ -233,24 +233,28 @@ def _along_axes(
     ``values[..., :]`` holds node-major samples (or modal coefficients) of
     the grid; leading axes are batched.  ``right`` is one of the grid's
     C-contiguous right factors (:attr:`SpaceGrid.axis_synthesis`,
-    :attr:`SpaceGrid.axis_analysis`, :attr:`SpaceGrid.axis_modes`); on the
-    left, as on the first axis of a 2D grid, its transposed view is as fast.
+    :attr:`SpaceGrid.axis_analysis`, :attr:`SpaceGrid.axis_modes`), or a
+    C-contiguous (dim, n, n) stack of one right factor per axis, axis 0
+    first (a term of :attr:`ObservationMask.gram`); on the left, as on the
+    first axis of a 2D grid, the transposed view is as fast.
     On a 2D grid each n x n x n product runs as blocks of w output columns
     (rows, on the left), w = 2^18 // n^2 clamped to [1, n], so that up to
     512 nodes per axis each block runs on one thread and its bits do not
     depend on the BLAS thread count; up to 64 nodes per axis w = n, one
     product.
     """
+    rights = right if right.ndim == 3 else [right] * grid.dim
     if grid.dim == 1:
-        return values @ right
+        return values @ rights[0]
+    first, last = rights
     n = grid.n_per_axis
     x = values.reshape(values.shape[:-1] + (n, n))
     w = max(1, min(n, _ONE_THREAD_MKN // (n * n)))
     y, z = np.empty_like(x), np.empty_like(x)
     for j in range(0, n, w):
-        np.matmul(x, right[:, j : j + w], out=y[..., j : j + w])
+        np.matmul(x, last[:, j : j + w], out=y[..., j : j + w])
     for i in range(0, n, w):
-        np.matmul(right.T[i : i + w], y, out=z[..., i : i + w, :])
+        np.matmul(first.T[i : i + w], y, out=z[..., i : i + w, :])
     return z.reshape(values.shape)
 
 
@@ -315,30 +319,33 @@ class NormalOperator:
     equals f_hat . g_hat with g_hat = sum_l sb_l * P^T (W_omega d_l),
     :meth:`transpose`.  Since <f, P g_hat> = f_hat . g_hat in the
     mass-weighted product, A^T r = P g_hat (:func:`solve_adjoint`), and
-    <A f, r> = <f, A^T r> holds to rounding.  For A^T A f, d = v.
+    <A f, r> = <f, A^T r> holds to rounding.
 
     Misfit: since a has orthonormal columns, the space-time misfit against
     y = W_t^1/2 u_obs is sum_l ||v_l - c_l||^2_omega + ||y - a c||^2_omega
     with c = a^T y, and A^T (A f - u_obs) is the transpose of d = v - c.
+    With d_l = P e_l on omega, e_l = sb_l * f_hat - c_hat_l, these are
+    sum_l e_l . G e_l and sum_l sb_l * G e_l, G = P^T W_omega P the mask's
+    modal Gram matrix (:attr:`ObservationMask.gram`, :meth:`gram`), and
+    c_hat = :meth:`anchor` (c, f_a) the modal form of c.
 
-    Rank cut: row l enters A^T A f as sb_l * P^T W_omega P (sb_l * f_hat),
-    quadratic in sb_l, and the rows of sb decay geometrically.  Past the
-    leading q rows (:attr:`rank`) every row has
-    max|sb_l|^2 <= eps max|sb_0|^2, eps the float64 machine epsilon, so its
-    term is below the rounding of row 0's and is dropped.  What the tail
-    rows l >= q add to the misfit and to A^T (A f - u_obs) is then
-    independent of f, apart from the cross term linear in sb_l:
+    Rank cut: row l enters A^T A f as sb_l * G (sb_l * f_hat), quadratic in
+    sb_l, and the rows of sb decay geometrically.  Past the leading q rows
+    (:attr:`rank`) every row has max|sb_l|^2 <= eps max|sb_0|^2, eps the
+    float64 machine epsilon, so its term is below the rounding of row 0's
+    and is dropped.  What the tail rows l >= q add to the misfit and to
+    A^T (A f - u_obs) is then independent of f, apart from the cross term
+    linear in sb_l:
     sum_{l>=q} ||v_l - c_l||^2 = sum_{l>=q} ||c_l||^2 - 2 f_hat . t and
     sum_{l>=q} sb_l * P^T W_omega (v_l - c_l) = -t, with
     t = sum_{l>=q} sb_l * P^T (W_omega c_l) the transpose over the tail.
-    :meth:`project` returns c_q (the leading q rows of c), t and the
-    constant; with d_q = :meth:`observe` (f_hat) - c_q the misfit is
-    :meth:`misfit` (d_q) - 2 f_hat . t + const and A^T (A f - u_obs) is
-    :meth:`transpose` (d_q) - t, stated once for ``objective``, ``gradient``
-    and ``iterate`` by ``inversion._phi``, which forms W_omega d_q once for
-    the misfit and for :meth:`transpose_weighted`.  An application costs q
-    batched transforms along every axis and a pass per elementwise step; the
-    results match :func:`solve_forward`, :func:`solve_adjoint` and
+    :meth:`project` returns c_q, t and the constant, and ``inversion._phi``
+    states the misfit and A^T (A f - u_obs) once for ``objective``,
+    ``gradient`` and ``iterate``.  A step costs one product with G per row:
+    2 R n^3 multiply-adds on a 2D grid, n^2 in 1D, in place of the 4 n^3
+    and 2 n^2 of the transforms P and P^T W_omega, so a custom mask of rank
+    R >= 3 costs more per step than those.  The results match
+    :func:`solve_forward`, :func:`solve_adjoint` and
     :func:`masked_inner_product` to rounding.  :meth:`project` forms
     y - a c as W_t^-1/2 a c - u_obs on the columns of nonzero omega weight
     only, since the others add nothing to the misfit.  Everything linear in
@@ -349,6 +356,7 @@ class NormalOperator:
         if mask.grid != spec.grid:
             raise ValueError("mask grid does not match the problem grid")
         self.spec = spec
+        self.mask = mask
         self.weights = mask.quad_weights
 
     @cached_property
@@ -362,10 +370,6 @@ class NormalOperator:
         above = np.flatnonzero(peak > np.finfo(float).eps * peak[:1])
         return int(np.max(above, initial=-1)) + 1
 
-    def observe(self, f_hat: NDArray[np.float64]) -> NDArray[np.float64]:
-        """v_q, the leading q rows of :meth:`ProblemSpec.observe`."""
-        return self.spec.to_nodal(self.spec.time_factor[1][: self.rank] * f_hat)
-
     def project(
         self, u_obs: SpaceTimeField
     ) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:
@@ -376,7 +380,7 @@ class NormalOperator:
         """
         if u_obs.grid != self.spec.grid or u_obs.tgrid != self.spec.tgrid:
             raise ValueError("observation grids do not match the problem spec")
-        a, sb = self.spec.time_factor
+        a = self.spec.time_factor[0]
         w_t = self.spec.tgrid.quad_weights
         sqrt_w_t = np.sqrt(w_t)[:, None]
         c = (sqrt_w_t * a).T @ u_obs.values
@@ -388,29 +392,44 @@ class NormalOperator:
         res *= res
         q = self.rank
         const = float(np.einsum("j,j->", w_t @ res, self.weights[cols])) + self.misfit(c[q:])
-        return c[:q], self._transpose(sb[q:], self.weights * c[q:]), const
+        return c[:q], self.transpose(c[q:], q), const
+
+    def anchor(
+        self, c: NDArray[np.float64], f_hat: NDArray[np.float64] | None = None
+    ) -> NDArray[np.float64]:
+        """P^T W c', c' = ``c`` with its values off omega's columns set to P (sb * f_hat) if given.
+
+        Only omega's columns of c enter, so this modal form of c serves for
+        every f; anchored at f it keeps e small off omega (:class:`NormalOperator`).
+        """
+        grid = self.spec.grid
+        if f_hat is not None:
+            nodal = self.spec.to_nodal(self.spec.time_factor[1][: len(c)] * f_hat)
+            cols = np.flatnonzero(self.weights)
+            nodal[:, cols] = c[:, cols]
+            c = nodal
+        return _along_axes(grid, grid.axis_analysis, c)
+
+    def gram(self, e: NDArray[np.float64]) -> NDArray[np.float64]:
+        """G e_l for every row e_l of ``e``, G = P^T W_omega P (:attr:`ObservationMask.gram`)."""
+        s, terms = self.mask.gram
+        g = _along_axes(self.spec.grid, terms[0], e) if len(terms) else np.zeros_like(e)
+        for term in terms[1:]:
+            g += _along_axes(self.spec.grid, term, e)
+        if s:
+            g += e
+        return g
 
     def misfit(self, d: NDArray[np.float64]) -> float:
         """sum_l ||d_l||^2_omega over the rows of ``d``."""
         return float(np.einsum("j,j->", np.sum(d * d, axis=0), self.weights))
 
-    def transpose(self, d: NDArray[np.float64]) -> NDArray[np.float64]:
+    def transpose(self, d: NDArray[np.float64], first: int = 0) -> NDArray[np.float64]:
         """sum_l sb_l * P^T (W_omega d_l): modal A^T of the history a d.
 
-        ``d`` holds the leading rows of a history in the time factor: all r
-        for :func:`solve_adjoint`, q for the iteration.
+        ``d`` holds the rows l = first, first + 1, ... of a history in the
+        time factor: all r for :func:`solve_adjoint`, the tail for t.
         """
-        return self.transpose_weighted(self.weights * d)
-
-    def transpose_weighted(self, wd: NDArray[np.float64]) -> NDArray[np.float64]:
-        """:meth:`transpose` of d given as its weighted rows ``wd`` = W_omega d_l.
-
-        The iteration forms them once, for the misfit and for this product.
-        """
-        return self._transpose(self.spec.time_factor[1][: len(wd)], wd)
-
-    def _transpose(
-        self, sb: NDArray[np.float64], wd: NDArray[np.float64]
-    ) -> NDArray[np.float64]:
-        wd_hat = _along_axes(self.spec.grid, self.spec.grid.axis_modes, wd)
-        return np.einsum("ij,ij->j", sb, wd_hat)
+        grid = self.spec.grid
+        wd_hat = _along_axes(grid, grid.axis_modes, self.weights * d)
+        return np.einsum("ij,ij->j", self.spec.time_factor[1][first : first + len(d)], wd_hat)

@@ -12,14 +12,13 @@ forming no space-time history.  A^T A is quadratic in the time factor, whose
 rows decay geometrically, so the operator applies it through only the leading
 q rows above rounding (q of r: 4 of 8 on 5.3a, 7 of 13 on table 2) and folds
 the data's share of the other rows into a modal vector and a constant,
-computed once per call: a step costs 2q batched transforms and one pass
-each for the residual (formed in place), its omega-weighted rows, the
-misfit and the transpose's sum over the rows.  The misfit is an einsum
-rather than a BLAS dot, whose sum OpenBLAS splits by thread count past
+computed once per call: a step costs one product of the q rows with the
+mask's modal Gram matrix G = P^T W_omega P (:attr:`ObservationMask.gram`,
+2 R n^3 multiply-adds per row, R = 1 on every published mask) and passes
+for the residual, the misfit and the data term.  Those sums are einsums
+rather than BLAS dots, whose sums OpenBLAS splits by thread count past
 10,000 terms (7 x 1681 on table 2), and so is every dot of N terms
-(f_hat . f_hat, f_hat . t, the step, the weighted products of
-:func:`estimate_m`; :func:`_dot`), so the results do not depend on the
-thread count.
+(:func:`_dot`), so the results do not depend on the thread count.
 Only :func:`estimate_m` runs the forward and adjoint solves (r + 1 batched
 transforms each): the benchmark's tracer counts them and forces the
 reference LU on each, so its move onto the operator waits for a tracer fix.
@@ -59,6 +58,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _ZERO_NORM_FLOOR = 1e-14
+# e . e / Phi above which _phi re-anchors: its misfit's rounding stays near 64 eps Phi
+_ANCHOR_SLACK = 64.0
 
 
 @dataclass
@@ -111,25 +112,32 @@ class ReconstructionResult:
 
 
 def _phi(
-    normal: NormalOperator, projection: tuple, f_hat: NDArray[np.float64], rho: float
-) -> tuple[NDArray[np.float64], float, float]:
-    """(W_omega d_q, f_hat . f_hat, Phi(f)) at f_hat = P^T W f.
+    normal: NormalOperator, projection: tuple, f_hat: NDArray[np.float64], rho: float, c_hat=None
+) -> tuple[NDArray[np.float64], float, float, NDArray[np.float64]]:
+    """(A^T (A f - u_obs) in modal form, f_hat . f_hat, Phi(f), c_hat) at f_hat = P^T W f.
 
-    ``projection`` is (c_q, t, const) = ``normal.project(u_obs)``, and
-    d_q = observe(f_hat) - c_q is the leading q rows of W_t^1/2 (u(f) - u_obs) in
-    the time factor; with the tail rows in t and const (:class:`NormalOperator`),
-    ||A f - u_obs||^2 = misfit(d_q) - 2 f_hat . t + const and
-    A^T (A f - u_obs) = transpose_weighted(W_omega d_q) - t.  The misfit is
-    sum (W_omega d_q) * d_q by einsum, which unlike a BLAS dot of q n_nodes
-    terms does not split its sum by the BLAS thread count; nor does :func:`_dot`.
+    ``projection`` = ``normal.project(u_obs)`` = (c_q, t, const) and c_hat
+    is c_q's modal form :meth:`NormalOperator.anchor`, anchored at f when
+    None.  With e = sb_q * f_hat - c_hat and g = G e (:meth:`NormalOperator.gram`),
+    ||A f - u_obs||^2 = sum e * g - 2 f_hat . t + const and
+    A^T (A f - u_obs) = sum_l sb_l * g_l - t.  sum e * g carries rounding of
+    order eps e . e, and e . e grows off omega as f leaves the anchor, so
+    past _ANCHOR_SLACK Phi it is recomputed anchored at f (e . e <= 2^dim Phi).
     """
     c, t, const = projection
-    d = normal.observe(f_hat)
-    d -= c
-    wd = normal.weights * d
+    anchored = c_hat is None
+    c_hat = normal.anchor(c, f_hat) if anchored else c_hat
+    sb = normal.spec.time_factor[1][: len(c)]
+    e = sb * f_hat
+    e -= c_hat
+    g = normal.gram(e)
     ff = _dot(f_hat, f_hat)
-    misfit = float(np.einsum("ij,ij->", wd, d))
-    return wd, ff, misfit - 2.0 * _dot(f_hat, t) + const + rho * ff
+    phi = float(np.einsum("ij,ij->", e, g)) - 2.0 * _dot(f_hat, t) + const + rho * ff
+    if not anchored and np.einsum("ij,ij->", e, e) > _ANCHOR_SLACK * phi:
+        return _phi(normal, projection, f_hat, rho)
+    data_term = np.einsum("ij,ij->j", sb, g)
+    data_term -= t
+    return data_term, ff, phi, c_hat
 
 
 def _dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
@@ -158,9 +166,7 @@ def gradient(
 ) -> Field:
     """int_0^T mu z(f) dt + rho f, i.e. half the Frechet derivative of Phi."""
     normal = NormalOperator(spec, mask)
-    projection = normal.project(u_obs)
-    wd, _, _ = _phi(normal, projection, spec.to_modal(f), rho)
-    data_term = normal.transpose_weighted(wd) - projection[1]
+    data_term = _phi(normal, normal.project(u_obs), spec.to_modal(f), rho)[0]
     return Field(spec.grid, spec.to_nodal(data_term) + rho * f.values)
 
 
@@ -195,7 +201,8 @@ def iterate(
     Phi(f_{K-1}).
 
     The iterates stay in the modal coordinates f_hat = P^T W f, so a step
-    costs q transforms each way instead of a forward and an adjoint solve,
+    costs one product of q rows with the mask's Gram matrix G = P^T W_omega P
+    (:attr:`ObservationMask.gram`) instead of a forward and an adjoint solve,
     q <= r the time modes above rounding in A^T A (:attr:`NormalOperator.rank`).
     """
     if f_true is not None and f_true.grid != spec.grid:
@@ -203,22 +210,22 @@ def iterate(
     f_hat = spec.to_modal(cfg.f0)
     normal = NormalOperator(spec, mask)
     projection = normal.project(u_obs)
+    c_hat = normal.anchor(projection[0])
     phi_history: list[float] = []
     status = "max_iter"
     k = 0
     for k in range(1, cfg.max_iter + 1):
-        wd, ff, phi = _phi(normal, projection, f_hat, cfg.rho)
+        data_term, ff, phi, c_hat = _phi(normal, projection, f_hat, cfg.rho, c_hat)
         phi_history.append(phi)
         if not math.isfinite(phi) or phi > 1e12 * (phi_history[0] + 1.0):
             logger.warning(
-                "iteration diverged at k=%d (phi=%.3e); M is too small for this operator",
+                "iteration diverged at k=%d (phi=%.3e); M is too small for this operator: "
+                "it converges only if ||A||^2 < 2M + rho. See docs/decisions.md.",
                 k - 1,
                 phi,
             )
             status = "diverged"
             break
-        data_term = normal.transpose_weighted(wd)
-        data_term -= projection[1]
         f_next = threshold_update(f_hat, data_term, cfg.m, cfg.rho)
         diff = f_next - f_hat
         step = math.sqrt(_dot(diff, diff))
@@ -229,10 +236,9 @@ def iterate(
         if step < cfg.eps * f_norm:
             status = "converged"
             break
-    # a diverged run stops before updating f, so its last phi is already Phi(f)
-    phi_history.append(
-        phi_history[-1] if status == "diverged" else _phi(normal, projection, f_hat, cfg.rho)[2]
-    )
+    if status != "diverged":  # a diverged run stops before updating f: phi is Phi(f)
+        phi = _phi(normal, projection, f_hat, cfg.rho, c_hat)[2]
+    phi_history.append(phi)
     f = Field(spec.grid, spec.to_nodal(f_hat))
     # no relative error against a source that is identically zero
     true_norm = norm_l2(f_true) if f_true is not None else 0.0

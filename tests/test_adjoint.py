@@ -141,21 +141,25 @@ class TestNormalOperator:
         assert (normal.rank, spec.time_factor[1].shape[0]) == (4, 7)
         f_hat = spec.to_modal(f)
         assert_allclose(spec.to_nodal(f_hat), f.values, rtol=1e-12)
-        v = normal.observe(f_hat)
+        # the leading q rows of the history in modal form, e, and G e
+        sb = spec.time_factor[1][: normal.rank]
+        e = sb * f_hat
         assert_allclose(
-            spec.to_nodal(normal.transpose(v)),
+            spec.to_nodal(np.einsum("ij,ij->j", sb, normal.gram(e))),
             (a.T @ (weights * (a @ f.values))) / grid.quad_weights,
             rtol=1e-12,
         )
         c, t, const = normal.project(u_obs)
+        e -= normal.anchor(c, f_hat)
+        g = normal.gram(e)
         assert_allclose(
-            spec.to_nodal(normal.transpose(v - c) - t),
+            spec.to_nodal(np.einsum("ij,ij->j", sb, g) - t),
             (a.T @ (weights * residual)) / grid.quad_weights,
             rtol=1e-12,
         )
         r = SpaceTimeField(grid, tgrid, residual.reshape(u_obs.values.shape))
         assert_allclose(
-            normal.misfit(v - c) - 2.0 * (f_hat @ t) + const,
+            np.sum(e * g) - 2.0 * (f_hat @ t) + const,
             masked_inner_product(r, r, mask),
             rtol=1e-12,
         )
@@ -182,14 +186,19 @@ class TestNormalOperator:
         c_q, t, const = normal.project(u_obs)
         for _ in range(3):
             f_hat = rng.standard_normal(spec.grid.n_nodes)
-            v = normal.observe(f_hat)
+            # the leading q rows in modal form, e, and G e against all r rows
+            # through the transforms
+            e = sb[:q] * f_hat
             full = normal.transpose(spec.observe(f_hat))
-            assert np.linalg.norm(normal.transpose(v) - full) <= 1e-14 * np.linalg.norm(full)
+            cut = np.einsum("ij,ij->j", sb[:q], normal.gram(e))
+            assert np.linalg.norm(cut - full) <= 1e-14 * np.linalg.norm(full)
+            e -= normal.anchor(c_q, f_hat)
+            g = normal.gram(e)
             full = normal.transpose(spec.observe(f_hat) - c)
-            cut = normal.transpose(v - c_q) - t
+            cut = np.einsum("ij,ij->j", sb[:q], g) - t
             assert np.linalg.norm(cut - full) <= 1e-14 * np.linalg.norm(full)
             full = normal.misfit(spec.observe(f_hat) - c) + normal.misfit(y - a @ c)
-            cut = normal.misfit(v - c_q) - 2.0 * (f_hat @ t) + const
+            cut = np.sum(e * g) - 2.0 * (f_hat @ t) + const
             assert abs(cut - full) <= 1e-14 * full
 
     def test_grid_mismatch(self, grid21):

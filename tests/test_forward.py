@@ -19,7 +19,12 @@ from fracsource import (
     solve_homogeneous,
 )
 from fracsource import forward
-from fracsource.experiments import build_problem, config_from_preset, run_experiment
+from fracsource.experiments import (
+    OMEGA_PRESETS,
+    build_problem,
+    config_from_preset,
+    run_experiment,
+)
 from fracsource.fraccalc import l1_scale, l1_weights
 from fracsource.oracle import eigen_forward, modes_up_to
 
@@ -400,3 +405,27 @@ def test_transform_blocks_give_the_plain_product(n):
     want = (right.T @ (values.reshape(-1, n, n) @ right)).reshape(values.shape)
     assert got.shape == values.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+_PUBLISHED_MASKS = [(len(p["boxes"][0]), name) for name, p in OMEGA_PRESETS.items()]
+
+
+@pytest.mark.parametrize(
+    "dim, boxes, rank",
+    [(dim, OMEGA_PRESETS[name]["boxes"], 1) for dim, name in _PUBLISHED_MASKS]
+    + [(2, [[[lo, lo + 0.2]] * 2 for lo in (0.1, 0.4, 0.7)], 3)],
+    ids=[name for _, name in _PUBLISHED_MASKS] + ["three_diagonal_boxes"],
+)
+def test_mask_gram_is_the_dense_gram_matrix(dim, boxes, rank):
+    # G = P^T W_omega P, applied as s I plus R Kronecker terms through the
+    # transforms' blocks, against the dense product: one term on every
+    # published mask (in 1D, G itself), three for three disjoint boxes
+    grid = SpaceGrid(dim, 41)
+    mask = ObservationMask.from_boxes(grid, boxes)
+    modes = grid.axis_modes if dim == 1 else np.kron(grid.axis_modes, grid.axis_modes)
+    dense = modes.T @ (mask.quad_weights[:, None] * modes)
+    s, terms = mask.gram
+    identity = np.eye(grid.n_nodes)
+    got = s * identity + sum(forward._along_axes(grid, term, identity) for term in terms)
+    assert len(terms) == rank
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))

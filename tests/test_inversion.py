@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -219,8 +220,9 @@ class TestIterate:
             results[1].f_k.values, 2.0 * results[0].f_k.values, rtol=1e-12
         )
 
-    def test_divergence_guard_reports(self, grid21):
+    def test_divergence_guard_reports(self, grid21, caplog):
         # M far below the stability threshold: bail out with converged=False
+        # and a warning that names the bound and where it is derived
         spec = make_spec(0.5, grid21, n_steps=20)
         mask = edge_mask(grid21)
         f_true = Field.constant(grid21, 2.0)
@@ -231,9 +233,15 @@ class TestIterate:
         cfg = ReconstructionConfig(
             rho=1e-5, m=0.05, eps=1e-6, f0=Field.constant(grid21, 0.0), max_iter=1000
         )
-        res = iterate(spec, u_obs, mask, cfg)
+        with caplog.at_level(logging.WARNING, logger="fracsource.inversion"):
+            res = iterate(spec, u_obs, mask, cfg)
         assert not res.converged
         assert res.iterations < 1000
+        [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert record.getMessage().endswith(
+            "M is too small for this operator: it converges only if "
+            "||A||^2 < 2M + rho. See docs/decisions.md."
+        )
 
     def test_zero_source_has_no_relative_error(self, grid21):
         # ||f_K - f_true|| / ||f_true|| is undefined for f_true = 0
