@@ -289,6 +289,11 @@ class ObservationMask:
         return _read_only(w.ravel())
 
     @cached_property
+    def weighted_nodes(self) -> NDArray[np.intp]:
+        """Flat indices of the nodes of nonzero omega weight, ascending (read-only)."""
+        return _read_only(np.flatnonzero(self.quad_weights))
+
+    @cached_property
     def gram(self) -> tuple[float, NDArray[np.float64]]:
         """(s, terms) with P^T W_omega P = s I + sum_k kron(*terms[k]) (read-only).
 

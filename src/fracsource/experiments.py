@@ -8,18 +8,22 @@ A sweep reruns one forward problem over noise seeds, delta and omega, so a
 process builds each piece of seed-free data once, in a bounded
 ``functools.lru_cache`` keyed by config values, and shares it read-only:
 
-- :func:`_u_true`, the noise-free solution u(f_true), keyed by (dim,
-  n_per_axis, n_steps, T, alpha, f_true): 8 (n_t + 1) N bytes, 0.55 MB at
-  41^2 x 40; at most 2 entries;
-- :func:`_mask`, the frozen :class:`ObservationMask`, keyed by (dim,
-  n_per_axis, omega), omega a preset name or its boxes as nested tuples:
-  2 x 8 N bytes, 27 KB at 41^2; at most 32 entries;
-- :func:`_profile_cells`, the joined ``x1[,x2],f_true`` cells of the profile
-  CSV, keyed by (f_true, dim, n_per_axis): about 0.15 MB at 41^2; at most 8.
+- per problem, :func:`_spec`, the one :class:`ProblemSpec` of (dim,
+  n_per_axis, n_steps, T, alpha) with its grid's modes, time factor and q:
+  0.15-0.22 MB at 41^2 x 40; at most 8 entries;
+- :func:`_u_true`, the noise-free solution u(f_true), keyed by (spec,
+  f_true): 8 (n_t + 1) N bytes, 0.55 MB at 41^2 x 40; at most 2 entries;
+- per omega, :func:`_mask`, the frozen :class:`ObservationMask` on the
+  spec's grid with its Gram factors and weighted nodes, keyed by (grid,
+  omega), omega a preset name or its boxes as nested tuples: 2 x 8 N bytes
+  and 27 KB of factors at 41^2; at most 32 entries;
+- :func:`_profile_cells`, the ``x1[,x2],f_true,`` prefix of each profile
+  row, keyed by (f_true, dim, n_per_axis): about 0.15 MB at 41^2; at most 8.
 
 Every run draws its own noise on the shared u (:func:`_add_noise`), the
-arithmetic :func:`synthesize_observation` does, so the outputs are the bits
-a run without the caches writes.
+arithmetic :func:`synthesize_observation` does, and a table's rows read
+prefixes of one stream of draws, so the outputs are the bits a run without
+the caches writes.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import operator
 import os
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from itertools import count, product
+from itertools import count, islice, product, repeat
 
 import numpy as np
 
@@ -366,41 +370,44 @@ def _omega_key(omega) -> object:
 # tables use 8 distinct (grid, omega) pairs at paper size and 7 more on the
 # smoke grid, so 32 entries hold them all, under 1 MB at paper size.
 @lru_cache(maxsize=32)
-def _mask(dim: int, n_per_axis: int, omega) -> ObservationMask:
-    """The frozen mask of ``omega`` (:func:`_omega_key`) on the grid; shared by every caller."""
-    boxes, _ = _omega_boxes_and_label(omega)
-    return ObservationMask.from_boxes(SpaceGrid(dim, n_per_axis), boxes)
+def _mask(grid: SpaceGrid, omega) -> ObservationMask:
+    """The frozen mask of ``omega`` (:func:`_omega_key`) on the first equal ``grid`` passed, a spec's.
+
+    Its Gram matrix reuses that grid's 1D modes; every caller shares it.
+    """
+    return ObservationMask.from_boxes(grid, _omega_boxes_and_label(omega)[0])
 
 
 def build_mask(cfg: ExperimentConfig, grid: SpaceGrid) -> ObservationMask:
     """The observation mask of ``cfg.omega`` on ``grid``, shared and frozen (:func:`_mask`)."""
-    return _mask(grid.dim, grid.n_per_axis, _omega_key(cfg.omega))
+    return _mask(grid, _omega_key(cfg.omega))
 
 
-def _forward_key(cfg: ExperimentConfig) -> tuple:
-    """The config values that fix the forward problem and u(f_true)."""
-    return cfg.dim, cfg.n_per_axis, cfg.n_steps, cfg.T, cfg.alpha, cfg.f_true
-
-
-def _forward_problem(
-    dim: int, n_per_axis: int, n_steps: int, T: float, alpha: float, f_true: str
-) -> tuple[ProblemSpec, Field]:
-    grid = SpaceGrid(dim=dim, n_per_axis=n_per_axis)
+# An entry holds the spec, its grid's modal data and its time factor: 0.15-0.22 MB at 41^2 x 40,
+# about 0.6 MB at 81^2 x 80.  A sweep over delta, omega and the noise seed needs one entry
+# and the two published tables two, so 8 covers them while bounding what a process holds.
+@lru_cache(maxsize=8)
+def _spec(dim: int, n_per_axis: int, n_steps: int, T: float, alpha: float) -> ProblemSpec:
+    """The process's one spec with these values, shared by every problem and run of them."""
     tgrid = TimeGrid(T=T, n_steps=n_steps)
-    spec = ProblemSpec(alpha=FractionalOrder(alpha), tgrid=tgrid, grid=grid, mu=MU.sample(tgrid))
-    return spec, Field(grid, _sample_f_true(f_true, dim, n_per_axis))
+    grid = SpaceGrid(dim=dim, n_per_axis=n_per_axis)
+    return ProblemSpec(alpha=FractionalOrder(alpha), tgrid=tgrid, grid=grid, mu=MU.sample(tgrid))
 
 
 def build_forward_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field]:
-    """Problem spec and true source field for a config, without omega."""
-    return _forward_problem(*_forward_key(cfg))
+    """Problem spec and true source field for a config, without omega.
+
+    The spec is the process's one spec of its problem (:func:`_spec`), so its time factor is built once.
+    """
+    spec = _spec(cfg.dim, cfg.n_per_axis, cfg.n_steps, cfg.T, cfg.alpha)
+    return spec, Field(spec.grid, _sample_f_true(cfg.f_true, cfg.dim, cfg.n_per_axis))
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field, ObservationMask]:
     """Problem spec, true source field and observation mask for a config.
 
-    The mask is shared with every config of the same grid and omega and is
-    frozen, its arrays read-only (:func:`build_mask`).
+    Both are shared: the spec by every config of its problem (:func:`build_forward_problem`),
+    the mask, frozen with its arrays read-only, by those of its grid and omega (:func:`build_mask`).
     """
     spec, f_true = build_forward_problem(cfg)
     return spec, f_true, build_mask(cfg, spec.grid)
@@ -412,15 +419,13 @@ def build_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field, Observatio
 # 2 entries hold them and pin at most 11 MB at 41^2 x 400; a process that
 # alternates between more problems solves each again.
 @lru_cache(maxsize=2)
-def _u_true(
-    dim: int, n_per_axis: int, n_steps: int, T: float, alpha: float, f_true: str
-) -> SpaceTimeField:
-    """u(f_true) of the forward problem with these values (:func:`_forward_key`), read-only.
+def _u_true(spec: ProblemSpec, f_true: str) -> SpaceTimeField:
+    """u(f_true) on a problem's one ``spec`` (:func:`_spec`), read-only.
 
     It is solved through this module's global ``solve_forward``, so a wrapper
     set there sees the first solve of each problem.
     """
-    u = solve_forward(*_forward_problem(dim, n_per_axis, n_steps, T, alpha, f_true))
+    u = solve_forward(spec, Field(spec.grid, _sample_f_true(f_true, spec.grid.dim, spec.grid.n_per_axis)))
     u.values.flags.writeable = False
     return u
 
@@ -439,19 +444,19 @@ def synthesize_observation(
     masked nodes by ascending flat index, and for each node all time nodes
     0..n_steps, so a fixed seed reproduces the observation bitwise.
     """
-    return _add_noise(solve_forward(spec, f_true), mask, delta, seed)
+    draws = splitmix64_uniform(seed, mask.n_active * (spec.tgrid.n_steps + 1))
+    return _add_noise(solve_forward(spec, f_true), mask, delta, draws)
 
 
-def _add_noise(u: SpaceTimeField, mask: ObservationMask, delta: float, seed: int) -> SpaceTimeField:
+def _add_noise(u: SpaceTimeField, mask: ObservationMask, delta: float, draws) -> SpaceTimeField:
     """The noise step of :func:`synthesize_observation` on a solved ``u``.
 
-    The draws are scaled in place, (1 + delta r) u in that order of operations,
-    so the call holds at most about two space-time arrays at once.
+    ``draws`` starts with the seed's draws, of which the mask reads a prefix; they are
+    scaled, (1 + delta r) u in that order, holding at most about two space-time arrays.
     """
     active = np.flatnonzero(mask.indicator)
     n_times = u.tgrid.n_steps + 1
-    r = splitmix64_uniform(seed, active.size * n_times).reshape(active.size, n_times).T
-    r *= delta
+    r = draws[: active.size * n_times].reshape(active.size, n_times).T * delta
     r += 1.0
     r *= u.values[:, active]
     obs = np.zeros_like(u.values)
@@ -465,14 +470,16 @@ def run_reconstruction(cfg: ExperimentConfig) -> tuple[ReconstructionResult, Fie
 
 
 def _reconstruct(
-    cfg: ExperimentConfig, spec: ProblemSpec, f_true: Field, mask: ObservationMask
+    cfg: ExperimentConfig, spec: ProblemSpec, f_true: Field, mask: ObservationMask, draws=None
 ) -> tuple[ReconstructionResult, Field, Field]:
     """Synthesis and iteration on a built problem; see :func:`run_reconstruction`.
 
     The noise is drawn on the process's one u(f_true) of the problem
-    (:func:`_u_true`), the same bits :func:`synthesize_observation` gives.
+    (:func:`_u_true`), the same bits :func:`synthesize_observation` gives;
+    ``draws``, when given, starts with at least the run's draws of ``cfg.seed``.
     """
-    u_obs = _add_noise(_u_true(*_forward_key(cfg)), mask, cfg.delta, cfg.seed)
+    draws = splitmix64_uniform(cfg.seed, mask.n_active * (cfg.n_steps + 1)) if draws is None else draws
+    u_obs = _add_noise(_u_true(spec, cfg.f_true), mask, cfg.delta, draws)
     f0 = Field.constant(spec.grid, cfg.f0)
     rcfg = ReconstructionConfig(
         rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=f0, max_iter=cfg.max_iter
@@ -484,19 +491,28 @@ def _reconstruct(
 def _write_csv(path: str, header: list[str], rows, labelled: bool = False) -> None:
     """The one CSV writer: a header row, then ``rows``, with CRLF line ends.
 
-    Number rows hold only str cells that need no quoting, so each row is
-    joined and the lines are streamed to the file.  ``labelled`` rows may hold
-    an omega label with commas, which :mod:`csv` quotes.  Both paths give the
+    Number rows hold only cells that need no quoting and arrive joined, one
+    str per row (:func:`_prefixes`), so they are joined by line ends and
+    streamed to the file 8192 rows at a time.  ``labelled`` rows may hold an
+    omega label with commas, which :mod:`csv` quotes.  Both paths give the
     bytes ``csv.writer`` gives.
     """
-    with open(path, "w", newline="") as fh:
+    # written over and cut at its new end, an existing file gets the bytes "w" gives without the
+    # writeback ext4 starts on closing a file truncated to zero (auto_da_alloc): 0.1-0.15 ms a file
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags, 0o666), "w", newline="") as fh:
         if labelled:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
         else:
-            fh.write(",".join(header) + "\r\n")
-            fh.writelines(",".join(row) + "\r\n" for row in rows)
+            fh.write(",".join(header))
+            rows = iter(rows)
+            while chunk := list(islice(rows, 8192)):
+                fh.write("\r\n")
+                fh.write("\r\n".join(chunk))
+            fh.write("\r\n")
+        fh.truncate()
 
 
 def _fmt(x: float) -> str:
@@ -518,15 +534,20 @@ def _node_reprs(grid: SpaceGrid, tgrid: TimeGrid | None = None):
     return product(*map(_reprs, axes))
 
 
-# An entry holds N str of ``x1[,x2],f_true`` and a tuple of N pointers:
+def _prefixes(cells):
+    """Each row of ``cells`` joined, with the comma before one more cell."""
+    return map(",".join, map(operator.add, cells, repeat(("",))))
+
+
+# An entry holds N str of ``x1[,x2],f_true,`` and a tuple of N pointers:
 # 0.14-0.16 MB at 41^2 and 0.57 MB at 81^2.  One entry serves every run of a
 # problem, and 8 hold the four presets' with room to spare, about 1.3 MB.
 @lru_cache(maxsize=8)
 def _profile_cells(f_true: str, dim: int, n_per_axis: int) -> tuple[str, ...]:
-    """The joined ``x1[,x2],f_true`` cells of each profile row, in node order."""
+    """The ``x1[,x2],f_true,`` prefix of each profile row, in node order (:func:`_prefixes`)."""
     grid = SpaceGrid(dim, n_per_axis)
     f_cells = zip(_reprs(_sample_f_true(f_true, dim, n_per_axis)))
-    return tuple(map(",".join, map(operator.add, _node_reprs(grid), f_cells)))
+    return tuple(_prefixes(map(operator.add, _node_reprs(grid), f_cells)))
 
 
 def _axes(grid: SpaceGrid) -> list[str]:
@@ -538,7 +559,7 @@ def write_forward_csv(path: str, u: SpaceTimeField) -> None:
     _write_csv(
         path,
         ["t", *_axes(u.grid), "value"],
-        map(operator.add, _node_reprs(u.grid, u.tgrid), zip(_reprs(u.values))),
+        map(operator.add, _prefixes(_node_reprs(u.grid, u.tgrid)), _reprs(u.values)),
     )
 
 
@@ -564,12 +585,12 @@ def run_experiment(cfg: ExperimentConfig) -> ReconstructionResult:
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_profile.csv"),
         [*_axes(problem[0].grid), "f_true", "f_k"],
-        zip(_profile_cells(cfg.f_true, cfg.dim, cfg.n_per_axis), _reprs(result.f_k.values)),
+        map(operator.add, _profile_cells(cfg.f_true, cfg.dim, cfg.n_per_axis), _reprs(result.f_k.values)),
     )
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_iterations.csv"),
         ["k", "phi"],
-        zip(map(str, count()), _reprs(result.phi_history)),
+        map("{},{}".format, count(), _reprs(result.phi_history)),
     )
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_summary.csv"),
@@ -598,28 +619,20 @@ def run_table(
     base = table_base_config(table_id, smoke=smoke)
     os.makedirs(outdir or ".", exist_ok=True)
     spec, f_true = build_forward_problem(base)
-    rows = []
+    rows, runs = [], []
     for delta, omega, ref_err, ref_k in TABLE_ROWS[table_id]:
-        eps = base.eps
-        if table_id == 2:
-            eps = delta / 5.0
+        eps = delta / 5.0 if table_id == 2 else base.eps
         cfg = replace(base, delta=delta, omega=omega, eps=eps, seed=seed)
-        label = _omega_boxes_and_label(omega)[1]
+        rows.append([_fmt(delta), _omega_boxes_and_label(omega)[1], "", "", _fmt(ref_err), ref_k])
         try:
-            mask = build_mask(cfg, spec.grid)
+            runs.append((rows[-1], cfg, build_mask(cfg, spec.grid)))
         except ValueError as exc:
-            logger.warning("table %d row %s: not run: %s", table_id, label, exc)
-            rows.append([_fmt(delta), label, "", "", _fmt(ref_err), ref_k])
-            continue
-        result, _, _ = _reconstruct(cfg, spec, f_true, mask)
-        rows.append([
-            _fmt(delta),
-            label,
-            _err_cell(result),
-            result.iterations,
-            _fmt(ref_err),
-            ref_k,
-        ])
+            logger.warning("table %d row %s: not run: %s", table_id, rows[-1][1], exc)
+    # the rows share the seed, so each row's draws are a prefix of one stream
+    draws = splitmix64_uniform(seed, max((m.n_active for *_, m in runs), default=0) * (base.n_steps + 1))
+    for row, cfg, mask in runs:
+        result, _, _ = _reconstruct(cfg, spec, f_true, mask, draws)
+        row[2:4] = _err_cell(result), result.iterations
     name = f"table{table_id}_seed{seed}" + ("_smoke" if smoke else "") + ".csv"
     path = os.path.join(outdir, name)
     _write_csv(

@@ -21,11 +21,10 @@ spec states the mask-free half of the observation map A: f -> u(f)|_omega
 once: :meth:`ProblemSpec.to_modal` (f_hat = P^T W f),
 :meth:`ProblemSpec.to_nodal` (P) and :meth:`ProblemSpec.observe` (v with
 W_t^1/2 u(f) = a v); :class:`NormalOperator` adds the omega-weighted half,
-applied through the mask's modal Gram matrix G = P^T W_omega P.  The
-factor depends on (alpha, time grid, space grid, mu) alone, so a process
-builds it once per distinct such tuple, one O(n_t^2 D) table over the D
-distinct eigenvalues, and every spec with those values shares it read-only;
-the process keeps at most 8 factors (:func:`_time_factor`).  Per solve it
+applied through the mask's modal Gram matrix G = P^T W_omega P.  A spec
+builds its factor on first use, one O(n_t^2 D) table over the D distinct
+eigenvalues, and holds it read-only; ``experiments`` keeps one spec per
+problem, so a process builds each problem's factor once.  Per solve it
 costs r + 1 batched n x n transforms along each axis (n nodes per
 axis), r for the time modes and one for f or for the result, and one
 product with the n_t x r matrix a.  Each transform multiplies by a
@@ -47,7 +46,7 @@ accessed, so importing this module and running the modal solves load no scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -84,10 +83,7 @@ class ProblemSpec:
     mu: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        # a read-only copy: its bytes key the shared time factor, so a later
-        # write to the caller's array must not change them
-        self.mu = np.array(self.mu, dtype=float)
-        self.mu.flags.writeable = False
+        self.mu = np.asarray(self.mu, dtype=float)
         if self.mu.shape != (self.tgrid.n_steps + 1,):
             raise ValueError("mu must be sampled on the time grid nodes")
         if not np.all(np.isfinite(self.mu)):
@@ -130,10 +126,32 @@ class ProblemSpec:
         n >= 1 hold the r leading left singular vectors of those rows of
         X = W_t^1/2 R (singular value above 1e-15 of the largest).
         ``sb = a^T X`` has shape (r, n_nodes).  Both are computed from the
-        distinct eigenvalues only, are read-only, and are shared with every
-        spec of equal (alpha, tgrid, grid, mu) (:func:`_time_factor`).
+        distinct eigenvalues only, on first use, and are read-only.
         """
-        return _time_factor(self.alpha, self.tgrid, self.grid, self.mu.tobytes())
+        lam, inverse, counts = np.unique(self.grid.eigenvalues, return_inverse=True, return_counts=True)
+        w_t = self.tgrid.quad_weights
+        x = np.sqrt(w_t[1:, None]) * _step_l1(self.alpha, self.tgrid, lam, self.mu, 0.0)[1:]
+        # X = x[:, inverse] has Gram matrix X X^T = (x sqrt(counts)) (x sqrt(counts))^T,
+        # and (x sqrt(counts))^T = Q T, so X shares its left singular vectors with T^T
+        tri = np.linalg.qr((np.sqrt(counts) * x).T, mode="r")
+        u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
+        a = u[:, s > _RANK_RTOL * s[0]]
+        # unlike [:, inverse], take returns sb C-contiguous, which the transforms run faster on
+        factor = np.vstack([np.zeros((1, a.shape[1])), a]), np.take(a.T @ x, inverse, axis=1)
+        for part in factor:
+            part.flags.writeable = False  # every user of the spec shares it
+        return factor
+
+    @cached_property
+    def normal_rank(self) -> int:
+        """q: the leading rows of sb through the last with max|sb_l|^2 > eps max|sb_0|^2.
+
+        Every row past them is below that bound, so it drops out of A^T A
+        (:class:`NormalOperator`); q = 0 when sb has no rows (mu = 0 makes r = 0).
+        """
+        peak = np.max(np.abs(self.time_factor[1]), axis=1, initial=0.0) ** 2
+        above = np.flatnonzero(peak > np.finfo(float).eps * peak[:1])
+        return int(np.max(above, initial=-1)) + 1
 
     def to_modal(self, f: Field) -> NDArray[np.float64]:
         """f_hat = P^T W f, the modal coefficients of f since P^T W P = I."""
@@ -159,30 +177,6 @@ def splu(matrix):
     from scipy.sparse import linalg
 
     return linalg.splu(matrix)
-
-
-# An entry holds O(r (n_t + N)) floats, 0.11 MB at 41^2 x 40 and about
-# 0.5 MB at 81^2 x 80.  A sweep over delta, omega and the noise seed on one
-# discretization needs one entry and the two published tables two, so 8
-# covers them while bounding what the cache adds to a process.
-@lru_cache(maxsize=8)
-def _time_factor(
-    alpha: FractionalOrder, tgrid: TimeGrid, grid: SpaceGrid, mu_bytes: bytes
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """:attr:`ProblemSpec.time_factor` of the spec with these values and mu = ``mu_bytes``."""
-    mu = np.frombuffer(mu_bytes)
-    lam, inverse, counts = np.unique(grid.eigenvalues, return_inverse=True, return_counts=True)
-    x = np.sqrt(tgrid.quad_weights[1:, None]) * _step_l1(alpha, tgrid, lam, mu, 0.0)[1:]
-    # X = x[:, inverse] has Gram matrix X X^T = (x sqrt(counts)) (x sqrt(counts))^T,
-    # and (x sqrt(counts))^T = Q T, so X shares its left singular vectors with T^T
-    tri = np.linalg.qr((np.sqrt(counts) * x).T, mode="r")
-    u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
-    a = u[:, s > _RANK_RTOL * s[0]]
-    # unlike [:, inverse], take returns sb C-contiguous, which the transforms run faster on
-    factor = np.vstack([np.zeros((1, a.shape[1])), a]), np.take(a.T @ x, inverse, axis=1)
-    for part in factor:
-        part.flags.writeable = False  # every spec with these values shares it
-    return factor
 
 
 def _step_l1(
@@ -225,8 +219,24 @@ def _step_l1(
 _ONE_THREAD_MKN = 2**18
 
 
+def _matmul(left: NDArray[np.float64], right: NDArray[np.float64], out=None) -> NDArray[np.float64]:
+    """``left @ right`` (into ``out`` if given) in blocks of w = 2^18 // (m k) columns of ``right``.
+
+    ``left`` is m x k, leading axes are batched, w is clamped to [1, n]: each block runs on one
+    thread, so its bits do not depend on the thread count.  2D transforms and ``project`` use it.
+    """
+    m, k = left.shape[-2:]
+    n = right.shape[-1]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(left.shape[:-2], right.shape[:-2]) + (m, n))
+    w = max(1, min(n, _ONE_THREAD_MKN // (m * k)))
+    for j in range(0, n, w):
+        np.matmul(left, right[..., j : j + w], out=out[..., j : j + w])
+    return out
+
+
 def _along_axes(
-    grid: SpaceGrid, right: NDArray[np.float64], values: NDArray[np.float64]
+    grid: SpaceGrid, right: NDArray[np.float64], values: NDArray[np.float64], out=None, scratch=None
 ) -> NDArray[np.float64]:
     """Apply the n x n matrix ``right.T`` along every spatial axis of ``values``.
 
@@ -236,26 +246,22 @@ def _along_axes(
     :attr:`SpaceGrid.axis_analysis`, :attr:`SpaceGrid.axis_modes`), or a
     C-contiguous (dim, n, n) stack of one right factor per axis, axis 0
     first (a term of :attr:`ObservationMask.gram`); on the left, as on the
-    first axis of a 2D grid, the transposed view is as fast.
-    On a 2D grid each n x n x n product runs as blocks of w output columns
-    (rows, on the left), w = 2^18 // n^2 clamped to [1, n], so that up to
-    512 nodes per axis each block runs on one thread and its bits do not
-    depend on the BLAS thread count; up to 64 nodes per axis w = n, one
-    product.
+    first axis of a 2D grid, the transposed view is as fast.  ``out`` and
+    ``scratch``, C arrays of the shape of ``values``, take the result and a
+    2D grid's intermediate if given.  On a 2D grid each n x n x n product
+    runs in :func:`_matmul`'s blocks, so up to 512 nodes per axis its bits do
+    not depend on the thread count; up to 64 nodes per axis it is one product.
     """
     rights = right if right.ndim == 3 else [right] * grid.dim
+    out = np.empty(values.shape) if out is None else out
     if grid.dim == 1:
-        return values @ rights[0]
+        return np.matmul(values, rights[0], out=out)
     first, last = rights
-    n = grid.n_per_axis
-    x = values.reshape(values.shape[:-1] + (n, n))
-    w = max(1, min(n, _ONE_THREAD_MKN // (n * n)))
-    y, z = np.empty_like(x), np.empty_like(x)
-    for j in range(0, n, w):
-        np.matmul(x, last[:, j : j + w], out=y[..., j : j + w])
-    for i in range(0, n, w):
-        np.matmul(first.T[i : i + w], y, out=z[..., i : i + w, :])
-    return z.reshape(values.shape)
+    shape = values.shape[:-1] + (grid.n_per_axis,) * 2
+    y = np.empty(shape) if scratch is None else scratch.reshape(shape)
+    _matmul(values.reshape(shape), last, y)
+    _matmul(first.T, y, out.reshape(shape))
+    return out
 
 
 def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
@@ -331,7 +337,7 @@ class NormalOperator:
 
     Rank cut: row l enters A^T A f as sb_l * G (sb_l * f_hat), quadratic in
     sb_l, and the rows of sb decay geometrically.  Past the leading q rows
-    (:attr:`rank`) every row has max|sb_l|^2 <= eps max|sb_0|^2, eps the
+    (:attr:`ProblemSpec.normal_rank`) every row has max|sb_l|^2 <= eps max|sb_0|^2, eps the
     float64 machine epsilon, so its term is below the rounding of row 0's
     and is dropped.  What the tail rows l >= q add to the misfit and to
     A^T (A f - u_obs) is then independent of f, apart from the cross term
@@ -346,10 +352,10 @@ class NormalOperator:
     and 2 n^2 of the transforms P and P^T W_omega, so a custom mask of rank
     R >= 3 costs more per step than those.  The results match
     :func:`solve_forward`, :func:`solve_adjoint` and
-    :func:`masked_inner_product` to rounding.  :meth:`project` forms
-    y - a c as W_t^-1/2 a c - u_obs on the columns of nonzero omega weight
-    only, since the others add nothing to the misfit.  Everything linear in
-    sb (the solves, c and t) keeps all r rows.
+    :func:`masked_inner_product` to rounding.  :meth:`project` reads u_obs
+    on omega's columns only (:attr:`ObservationMask.weighted_nodes`), since
+    the others add nothing: c and y - a c are formed on that block, and c
+    is zero off it.  Everything linear in sb (the solves, c and t) keeps all r rows.
     """
 
     def __init__(self, spec: ProblemSpec, mask: ObservationMask) -> None:
@@ -359,21 +365,15 @@ class NormalOperator:
         self.mask = mask
         self.weights = mask.quad_weights
 
-    @cached_property
+    @property
     def rank(self) -> int:
-        """q: the leading rows of sb through the last with max|sb_l|^2 > eps max|sb_0|^2.
-
-        Every row past them is below that bound; q = 0 when sb has no rows
-        (mu = 0 makes r = 0).
-        """
-        peak = np.max(np.abs(self.spec.time_factor[1]), axis=1, initial=0.0) ** 2
-        above = np.flatnonzero(peak > np.finfo(float).eps * peak[:1])
-        return int(np.max(above, initial=-1)) + 1
+        """q, the rows of sb that A^T A keeps (:attr:`ProblemSpec.normal_rank`)."""
+        return self.spec.normal_rank
 
     def project(
         self, u_obs: SpaceTimeField
     ) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:
-        """(c_q, t, const) of y = W_t^1/2 u_obs, with c = a^T y over all r rows.
+        """(c_q, t, const) of y = W_t^1/2 u_obs on omega, with c = a^T y over all r rows.
 
         c_q = c[:q], t = sum_{l>=q} sb_l * P^T (W_omega c_l) and
         const = ||y - a c||^2_omega + sum_{l>=q} ||c_l||^2_omega.
@@ -383,14 +383,15 @@ class NormalOperator:
         a = self.spec.time_factor[0]
         w_t = self.spec.tgrid.quad_weights
         sqrt_w_t = np.sqrt(w_t)[:, None]
-        c = (sqrt_w_t * a).T @ u_obs.values
-        # ||y - a c||^2_omega = sum_n w_n ||(W_t^-1/2 a c)_n - u_n||^2_omega, formed
-        # in place on the columns of nonzero omega weight only
-        cols = np.flatnonzero(self.weights)
-        res = (a / sqrt_w_t) @ c[:, cols]
-        res -= u_obs.values[:, cols]
+        cols = self.mask.weighted_nodes
+        res = np.take(u_obs.values, cols, axis=1)  # C-contiguous, unlike [:, cols]
+        c = np.zeros((a.shape[1], self.spec.grid.n_nodes))
+        c[:, cols] = c_cols = _matmul((sqrt_w_t * a).T, res)
+        # ||y - a c||^2_omega = sum_n w_n ||u_n - (W_t^-1/2 a c)_n||^2_omega, formed
+        # in place on omega's columns
+        res -= _matmul(a / sqrt_w_t, c_cols)
         res *= res
-        q = self.rank
+        q = self.spec.normal_rank
         const = float(np.einsum("j,j->", w_t @ res, self.weights[cols])) + self.misfit(c[q:])
         return c[:q], self.transpose(c[q:], q), const
 
@@ -405,17 +406,21 @@ class NormalOperator:
         grid = self.spec.grid
         if f_hat is not None:
             nodal = self.spec.to_nodal(self.spec.time_factor[1][: len(c)] * f_hat)
-            cols = np.flatnonzero(self.weights)
+            cols = self.mask.weighted_nodes
             nodal[:, cols] = c[:, cols]
             c = nodal
         return _along_axes(grid, grid.axis_analysis, c)
 
-    def gram(self, e: NDArray[np.float64]) -> NDArray[np.float64]:
-        """G e_l for every row e_l of ``e``, G = P^T W_omega P (:attr:`ObservationMask.gram`)."""
+    def gram(self, e: NDArray[np.float64], out=None, scratch=None) -> NDArray[np.float64]:
+        """G e_l for every row e_l of ``e``, G = P^T W_omega P (:attr:`ObservationMask.gram`).
+
+        ``out`` and ``scratch`` are :func:`_along_axes`'s.
+        """
         s, terms = self.mask.gram
-        g = _along_axes(self.spec.grid, terms[0], e) if len(terms) else np.zeros_like(e)
+        grid = self.spec.grid
+        g = _along_axes(grid, terms[0], e, out, scratch) if len(terms) else np.zeros_like(e)
         for term in terms[1:]:
-            g += _along_axes(self.spec.grid, term, e)
+            g += _along_axes(grid, term, e, scratch=scratch)
         if s:
             g += e
         return g

@@ -112,7 +112,7 @@ class ReconstructionResult:
 
 
 def _phi(
-    normal: NormalOperator, projection: tuple, f_hat: NDArray[np.float64], rho: float, c_hat=None
+    normal: NormalOperator, projection: tuple, f_hat, rho: float, c_hat=None, work=None
 ) -> tuple[NDArray[np.float64], float, float, NDArray[np.float64]]:
     """(A^T (A f - u_obs) in modal form, f_hat . f_hat, Phi(f), c_hat) at f_hat = P^T W f.
 
@@ -123,19 +123,22 @@ def _phi(
     A^T (A f - u_obs) = sum_l sb_l * g_l - t.  sum e * g carries rounding of
     order eps e . e, and e . e grows off omega as f leaves the anchor, so
     past _ANCHOR_SLACK Phi it is recomputed anchored at f (e . e <= 2^dim Phi).
+    The step writes ``work``, arrays of e, G e and the transform's intermediate
+    and the data term returned; fresh ones if None.
     """
     c, t, const = projection
     anchored = c_hat is None
     c_hat = normal.anchor(c, f_hat) if anchored else c_hat
     sb = normal.spec.time_factor[1][: len(c)]
-    e = sb * f_hat
+    e, g, scratch, data_term = work = work or (*np.empty((3,) + c.shape), np.empty_like(f_hat))
+    np.multiply(sb, f_hat, out=e)
     e -= c_hat
-    g = normal.gram(e)
+    g = normal.gram(e, g, scratch)
     ff = _dot(f_hat, f_hat)
     phi = float(np.einsum("ij,ij->", e, g)) - 2.0 * _dot(f_hat, t) + const + rho * ff
     if not anchored and np.einsum("ij,ij->", e, e) > _ANCHOR_SLACK * phi:
-        return _phi(normal, projection, f_hat, rho)
-    data_term = np.einsum("ij,ij->j", sb, g)
+        return _phi(normal, projection, f_hat, rho, work=work)
+    np.einsum("ij,ij->j", sb, g, out=data_term)
     data_term -= t
     return data_term, ff, phi, c_hat
 
@@ -171,10 +174,10 @@ def gradient(
 
 
 def threshold_update(
-    f: NDArray[np.float64], data_term: NDArray[np.float64], m: float, rho: float
+    f: NDArray[np.float64], data_term: NDArray[np.float64], m: float, rho: float, out=None
 ) -> NDArray[np.float64]:
-    """One thresholding step: (M f - data_term) / (M + rho)."""
-    out = m * f
+    """One thresholding step: (M f - data_term) / (M + rho), into ``out`` if given."""
+    out = np.multiply(m, f, out=out)
     out -= data_term
     out /= m + rho
     return out
@@ -203,7 +206,7 @@ def iterate(
     The iterates stay in the modal coordinates f_hat = P^T W f, so a step
     costs one product of q rows with the mask's Gram matrix G = P^T W_omega P
     (:attr:`ObservationMask.gram`) instead of a forward and an adjoint solve,
-    q <= r the time modes above rounding in A^T A (:attr:`NormalOperator.rank`).
+    q <= r the time modes above rounding in A^T A (:attr:`ProblemSpec.normal_rank`).
     """
     if f_true is not None and f_true.grid != spec.grid:
         raise ValueError("true source grid does not match the problem grid")
@@ -211,11 +214,14 @@ def iterate(
     normal = NormalOperator(spec, mask)
     projection = normal.project(u_obs)
     c_hat = normal.anchor(projection[0])
+    # the arrays every step writes, allocated once per call
+    f_next, diff, data_term = np.empty((3,) + f_hat.shape)
+    work = (*np.empty((3,) + projection[0].shape), data_term)
     phi_history: list[float] = []
     status = "max_iter"
     k = 0
     for k in range(1, cfg.max_iter + 1):
-        data_term, ff, phi, c_hat = _phi(normal, projection, f_hat, cfg.rho, c_hat)
+        data_term, ff, phi, c_hat = _phi(normal, projection, f_hat, cfg.rho, c_hat, work)
         phi_history.append(phi)
         if not math.isfinite(phi) or phi > 1e12 * (phi_history[0] + 1.0):
             logger.warning(
@@ -226,18 +232,18 @@ def iterate(
             )
             status = "diverged"
             break
-        f_next = threshold_update(f_hat, data_term, cfg.m, cfg.rho)
-        diff = f_next - f_hat
+        threshold_update(f_hat, data_term, cfg.m, cfg.rho, f_next)
+        np.subtract(f_next, f_hat, out=diff)
         step = math.sqrt(_dot(diff, diff))
         # stopping ratio ||f_{k+1}-f_k|| / ||f_k|| with a floor at f_k = 0
         f_norm = max(math.sqrt(ff), _ZERO_NORM_FLOOR)
         logger.info("k=%d phi=%.6e step_ratio=%.3e", k - 1, phi, step / f_norm)
-        f_hat = f_next
+        f_hat, f_next = f_next, f_hat
         if step < cfg.eps * f_norm:
             status = "converged"
             break
     if status != "diverged":  # a diverged run stops before updating f: phi is Phi(f)
-        phi = _phi(normal, projection, f_hat, cfg.rho, c_hat)[2]
+        phi = _phi(normal, projection, f_hat, cfg.rho, c_hat, work)[2]
     phi_history.append(phi)
     f = Field(spec.grid, spec.to_nodal(f_hat))
     # no relative error against a source that is identically zero

@@ -33,7 +33,7 @@ from fracsource.forward import NormalOperator
 _MASK64 = (1 << 64) - 1
 
 
-_PROCESS_CACHES = (experiments._u_true, experiments._mask, experiments._profile_cells)
+_PROCESS_CACHES = (experiments._spec, experiments._u_true, experiments._mask, experiments._profile_cells)
 
 
 def _clear_process_caches() -> None:
@@ -109,6 +109,13 @@ class TestSplitMix64:
         r = splitmix64_uniform(2**63 + 5, 1000)
         assert r.tolist() == expected
         assert np.all((-1.0 <= r) & (r < 1.0))
+
+    @pytest.mark.parametrize("seed", [0, 123, 2**64 - 1])
+    def test_shorter_stream_is_a_prefix(self, seed):
+        # a table's rows share a seed, so each row reads a prefix of one stream
+        longest = splitmix64_uniform(seed, 1000)
+        for k in (0, 1, 517, 1000):
+            assert longest[:k].tobytes() == splitmix64_uniform(seed, k).tobytes()
 
     def test_observation_matches_scalar_draw_order(self):
         # masked nodes by ascending flat index, all time nodes per node
@@ -295,9 +302,10 @@ class TestSynthesizeObservation:
         base = table_base_config(2)
         spec, f_true = experiments.build_forward_problem(base)
         u = solve_forward(spec, f_true)
+        draws = splitmix64_uniform(1, u.values.size)  # the rows' one stream, drawn before them
         for delta, omega, _, _ in TABLE_ROWS[2]:
             mask = experiments.build_mask(replace(base, omega=omega), spec.grid)
-            noise_peak, u_obs = _peak_traced(lambda: experiments._add_noise(u, mask, delta, 1))
+            noise_peak, u_obs = _peak_traced(lambda: experiments._add_noise(u, mask, delta, draws))
             normal = NormalOperator(spec, mask)
             normal.project(u_obs)  # builds the operator's cached data
             project_peak, _ = _peak_traced(lambda: normal.project(u_obs))
@@ -442,6 +450,31 @@ class TestProcessCaches:
         run_experiment(self._cfg(tmp_path, 2))
         assert (len(solved), len(built)) == (1, 1)
 
+    def test_second_experiment_computes_no_modes(self, tmp_path, monkeypatch):
+        # one spec per problem, and each mask built on its grid: a warm run
+        # computes no 1D modes, for the transforms or the masks' Gram matrices
+        _clear_process_caches()
+        computed = []
+        modes = SpaceGrid.axis_modes.func
+        monkeypatch.setattr(SpaceGrid.axis_modes, "func", lambda grid: computed.append(grid) or modes(grid))
+        spec, _, mask = build_problem(self._cfg(tmp_path, 1))
+        assert mask.grid is spec.grid
+        run_experiment(self._cfg(tmp_path, 1))
+        assert len(computed) == 1 and computed[0] is spec.grid
+        run_experiment(self._cfg(tmp_path, 2))
+        assert len(computed) == 1
+
+    def test_table_draws_one_noise_stream(self, tmp_path, monkeypatch):
+        # the rows share the seed, so the longest row's stream serves every row
+        drawn = []
+        original = experiments.splitmix64_uniform
+        monkeypatch.setattr(
+            experiments, "splitmix64_uniform", lambda seed, n: drawn.append(n) or original(seed, n)
+        )
+        run_table(2, seed=0, outdir=str(tmp_path), smoke=True)
+        masks = [build_problem(replace(table_base_config(2, smoke=True), omega=o))[2] for _, o, _, _ in TABLE_ROWS[2]]
+        assert drawn == [max(mask.n_active for mask in masks) * 41]
+
     def test_tables_at_two_seeds_solve_once_and_build_each_omega_once(self, tmp_path, monkeypatch):
         _clear_process_caches()
         solved, built = _count_solves(monkeypatch), _count_mask_builds(monkeypatch)
@@ -462,9 +495,9 @@ class TestProcessCaches:
     def test_cached_arrays_are_read_only(self, tmp_path):
         cfg = self._cfg(tmp_path, 1)
         run_experiment(cfg)
-        u = experiments._u_true(*experiments._forward_key(cfg))
-        _, _, mask = build_problem(cfg)
-        for values in (u.values, mask.indicator, mask.quad_weights):
+        spec, _, mask = build_problem(cfg)
+        u = experiments._u_true(spec, cfg.f_true)
+        for values in (u.values, mask.indicator, mask.quad_weights, mask.weighted_nodes):
             assert not values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
@@ -521,6 +554,15 @@ class TestCSV:
             for coords, ft, fk in zip(f_true.grid.coords, f_true.values, result.f_k.values)
         ]
         assert rows[1:] == expected
+
+    def test_rewrite_leaves_only_the_new_bytes(self, tmp_path):
+        # an existing file is written over in place and cut at its new end
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"\xff" * 10_000)
+        experiments._write_csv(str(path), ["k", "phi"], ["0,1.5", "1,0.25"])
+        assert path.read_bytes() == b"k,phi\r\n0,1.5\r\n1,0.25\r\n"
+        experiments._write_csv(str(path), ["delta", "omega"], [["0.01", "a,b"]], labelled=True)
+        assert path.read_bytes() == b'delta,omega\r\n0.01,"a,b"\r\n'
 
     def test_iteration_log_bytes_are_csv_writer_bytes(self, tmp_path):
         # the number-only rows are joined, not written by csv; the bytes, CRLF

@@ -18,7 +18,7 @@ from fracsource import (
     solve_forward,
     solve_homogeneous,
 )
-from fracsource import forward
+from fracsource import experiments, forward
 from fracsource.experiments import (
     OMEGA_PRESETS,
     build_problem,
@@ -74,15 +74,6 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(FractionalOrder(0.5), tg, grid41, np.full(41, np.nan))
 
-    def test_mu_is_a_read_only_copy(self, grid41):
-        # its bytes key the shared time factor, so the caller's array must not reach it
-        mu = np.ones(41)
-        spec = ProblemSpec(FractionalOrder(0.5), TimeGrid(1.0, 40), grid41, mu)
-        mu[0] = 5.0
-        assert np.all(spec.mu == 1.0)
-        with pytest.raises(ValueError):
-            spec.mu[0] = 1.0
-
     def test_step_solver_cached(self, grid41):
         spec = make_spec(0.5, grid41)
         assert spec.step_solver is spec.step_solver
@@ -115,8 +106,7 @@ class TestProblemSpec:
             assert np.linalg.norm(lu.solve(rhs) - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_modal_data_cached(self, monkeypatch):
-        # one L1 recursion per distinct problem, over the distinct eigenvalues only
-        forward._time_factor.cache_clear()
+        # one L1 recursion per spec, over the distinct eigenvalues only
         widths, uniques = [], []
         original, unique = forward._step_l1, np.unique
 
@@ -144,9 +134,9 @@ class TestProblemSpec:
         assert widths == [lam.size] and len(uniques) == 1
 
     def test_equal_problems_share_one_time_factor(self, monkeypatch):
-        # a sweep over delta, omega and the noise seed builds fresh specs of one
-        # problem; the O(n_t^2 D) table behind their factor is built once
-        forward._time_factor.cache_clear()
+        # a sweep over delta, omega and the noise seed builds one problem many
+        # times; every build returns the one spec, so its factor is built once
+        experiments._spec.cache_clear()
         calls = []
         original = forward._step_l1
 
@@ -159,30 +149,26 @@ class TestProblemSpec:
         second, _, _ = build_problem(
             config_from_preset("5.3a", n_per_axis=11, n_steps=10, delta=0.05, seed=7)
         )
-        assert first is not second
+        assert first is second
         assert first.time_factor[1] is second.time_factor[1]
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "field, value",
-        [("alpha", 0.7), ("T", 2.0), ("n_steps", 12), ("n_per_axis", 9), ("dim", 1), ("mu_sample", 5)],
+        [("alpha", 0.7), ("T", 2.0), ("n_steps", 12), ("n_per_axis", 9), ("dim", 1)],
     )
     def test_each_value_keys_its_own_time_factor(self, field, value):
-        base = {"alpha": 0.5, "T": 1.0, "n_steps": 10, "n_per_axis": 11, "dim": 2, "mu_sample": None}
+        base = {"alpha": 0.5, "T": 1.0, "n_steps": 10, "n_per_axis": 11, "dim": 2}
 
-        def spec_of(alpha, T, n_steps, n_per_axis, dim, mu_sample):
-            tgrid = TimeGrid(T, n_steps)
-            samples = MU_STD.sample(tgrid)
-            if mu_sample is not None:
-                samples[mu_sample] += 0.5
-            return ProblemSpec(FractionalOrder(alpha), tgrid, SpaceGrid(dim, n_per_axis), samples)
+        def factor_of(alpha, T, n_steps, n_per_axis, dim):
+            return experiments._spec(dim, n_per_axis, n_steps, T, alpha).time_factor
 
-        forward._time_factor.cache_clear()
-        shared = spec_of(**base).time_factor
-        changed = spec_of(**{**base, field: value}).time_factor
+        experiments._spec.cache_clear()
+        shared = factor_of(**base)
+        changed = factor_of(**{**base, field: value})
         assert changed is not shared and not np.array_equal(changed[1], shared[1])
-        forward._time_factor.cache_clear()
-        cold = spec_of(**{**base, field: value}).time_factor
+        experiments._spec.cache_clear()
+        cold = factor_of(**{**base, field: value})
         assert cold is not changed
         assert all(np.array_equal(c, w) for c, w in zip(cold, changed))
 
@@ -380,9 +366,9 @@ def test_transforms_multiply_by_c_contiguous_matrices(tmp_path, monkeypatch):
     right_factors = []
     along_axes = forward._along_axes
 
-    def recording(grid, right, values):
+    def recording(grid, right, values, *buffers):
         right_factors.append(right)
-        return along_axes(grid, right, values)
+        return along_axes(grid, right, values, *buffers)
 
     monkeypatch.setattr(forward, "_along_axes", recording)
     cfg = config_from_preset("5.3a", n_per_axis=21, m=16.8, outdir=str(tmp_path))
