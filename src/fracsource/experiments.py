@@ -444,19 +444,22 @@ def synthesize_observation(
     masked nodes by ascending flat index, and for each node all time nodes
     0..n_steps, so a fixed seed reproduces the observation bitwise.
     """
-    draws = splitmix64_uniform(seed, mask.n_active * (spec.tgrid.n_steps + 1))
-    return _add_noise(solve_forward(spec, f_true), mask, delta, draws)
+    return _add_noise(solve_forward(spec, f_true), mask, delta, seed)
 
 
-def _add_noise(u: SpaceTimeField, mask: ObservationMask, delta: float, draws) -> SpaceTimeField:
+def _add_noise(
+    u: SpaceTimeField, mask: ObservationMask, delta: float, seed: int, draws=None
+) -> SpaceTimeField:
     """The noise step of :func:`synthesize_observation` on a solved ``u``.
 
-    ``draws`` starts with the seed's draws, of which the mask reads a prefix; they are
-    scaled, (1 + delta r) u in that order, holding at most about two space-time arrays.
+    ``draws``, when given, starts with the draws of ``seed`` and the mask reads
+    its prefix; otherwise the call draws them.  They are scaled, (1 + delta r) u
+    in that order, holding at most about two space-time arrays.
     """
     active = np.flatnonzero(mask.indicator)
-    n_times = u.tgrid.n_steps + 1
-    r = draws[: active.size * n_times].reshape(active.size, n_times).T * delta
+    n = active.size * (u.tgrid.n_steps + 1)
+    r = splitmix64_uniform(seed, n) if draws is None else draws[:n]
+    r = r.reshape(active.size, -1).T * delta
     r += 1.0
     r *= u.values[:, active]
     obs = np.zeros_like(u.values)
@@ -478,8 +481,7 @@ def _reconstruct(
     (:func:`_u_true`), the same bits :func:`synthesize_observation` gives;
     ``draws``, when given, starts with at least the run's draws of ``cfg.seed``.
     """
-    draws = splitmix64_uniform(cfg.seed, mask.n_active * (cfg.n_steps + 1)) if draws is None else draws
-    u_obs = _add_noise(_u_true(spec, cfg.f_true), mask, cfg.delta, draws)
+    u_obs = _add_noise(_u_true(spec, cfg.f_true), mask, cfg.delta, cfg.seed, draws)
     f0 = Field.constant(spec.grid, cfg.f0)
     rcfg = ReconstructionConfig(
         rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=f0, max_iter=cfg.max_iter
@@ -497,10 +499,7 @@ def _write_csv(path: str, header: list[str], rows, labelled: bool = False) -> No
     omega label with commas, which :mod:`csv` quotes.  Both paths give the
     bytes ``csv.writer`` gives.
     """
-    # written over and cut at its new end, an existing file gets the bytes "w" gives without the
-    # writeback ext4 starts on closing a file truncated to zero (auto_da_alloc): 0.1-0.15 ms a file
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-    with open(os.open(path, flags, 0o666), "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         if labelled:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -512,7 +511,6 @@ def _write_csv(path: str, header: list[str], rows, labelled: bool = False) -> No
                 fh.write("\r\n")
                 fh.write("\r\n".join(chunk))
             fh.write("\r\n")
-        fh.truncate()
 
 
 def _fmt(x: float) -> str:

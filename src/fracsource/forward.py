@@ -365,11 +365,6 @@ class NormalOperator:
         self.mask = mask
         self.weights = mask.quad_weights
 
-    @property
-    def rank(self) -> int:
-        """q, the rows of sb that A^T A keeps (:attr:`ProblemSpec.normal_rank`)."""
-        return self.spec.normal_rank
-
     def project(
         self, u_obs: SpaceTimeField
     ) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:

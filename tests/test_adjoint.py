@@ -138,11 +138,11 @@ class TestNormalOperator:
         residual = a @ f.values - u_obs.values.ravel()
         normal = NormalOperator(spec, mask)
         # the dense map's time factor has 7 rows, of which A^T A keeps 4
-        assert (normal.rank, spec.time_factor[1].shape[0]) == (4, 7)
+        assert (spec.normal_rank, spec.time_factor[1].shape[0]) == (4, 7)
         f_hat = spec.to_modal(f)
         assert_allclose(spec.to_nodal(f_hat), f.values, rtol=1e-12)
         # the leading q rows of the history in modal form, e, and G e
-        sb = spec.time_factor[1][: normal.rank]
+        sb = spec.time_factor[1][: spec.normal_rank]
         e = sb * f_hat
         assert_allclose(
             spec.to_nodal(np.einsum("ij,ij->j", sb, normal.gram(e))),
@@ -175,7 +175,7 @@ class TestNormalOperator:
         spec, _, mask = build_problem(config)
         normal = NormalOperator(spec, mask)
         a, sb = spec.time_factor
-        assert (normal.rank, sb.shape[0]) == (q, r)
+        assert (spec.normal_rank, sb.shape[0]) == (q, r)
         peak = np.max(np.abs(sb), axis=1) ** 2
         assert np.all(peak[q:] <= np.finfo(float).eps * peak[0])
         rng = np.random.default_rng(5)

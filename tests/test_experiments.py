@@ -302,10 +302,9 @@ class TestSynthesizeObservation:
         base = table_base_config(2)
         spec, f_true = experiments.build_forward_problem(base)
         u = solve_forward(spec, f_true)
-        draws = splitmix64_uniform(1, u.values.size)  # the rows' one stream, drawn before them
         for delta, omega, _, _ in TABLE_ROWS[2]:
             mask = experiments.build_mask(replace(base, omega=omega), spec.grid)
-            noise_peak, u_obs = _peak_traced(lambda: experiments._add_noise(u, mask, delta, draws))
+            noise_peak, u_obs = _peak_traced(lambda: experiments._add_noise(u, mask, delta, 1))
             normal = NormalOperator(spec, mask)
             normal.project(u_obs)  # builds the operator's cached data
             project_peak, _ = _peak_traced(lambda: normal.project(u_obs))
@@ -554,15 +553,6 @@ class TestCSV:
             for coords, ft, fk in zip(f_true.grid.coords, f_true.values, result.f_k.values)
         ]
         assert rows[1:] == expected
-
-    def test_rewrite_leaves_only_the_new_bytes(self, tmp_path):
-        # an existing file is written over in place and cut at its new end
-        path = tmp_path / "x.csv"
-        path.write_bytes(b"\xff" * 10_000)
-        experiments._write_csv(str(path), ["k", "phi"], ["0,1.5", "1,0.25"])
-        assert path.read_bytes() == b"k,phi\r\n0,1.5\r\n1,0.25\r\n"
-        experiments._write_csv(str(path), ["delta", "omega"], [["0.01", "a,b"]], labelled=True)
-        assert path.read_bytes() == b'delta,omega\r\n0.01,"a,b"\r\n'
 
     def test_iteration_log_bytes_are_csv_writer_bytes(self, tmp_path):
         # the number-only rows are joined, not written by csv; the bytes, CRLF
