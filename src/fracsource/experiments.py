@@ -5,25 +5,20 @@ T = 1, mu(t) = 1 + 10 pi t^2, rho = 1e-5 and the constant initial guess
 f_0 = 2 on a 41-nodes-per-axis, 40-step space-time mesh.
 
 A sweep reruns one forward problem over noise seeds, delta and omega, so a
-process builds each piece of seed-free data once, in a bounded
-``functools.lru_cache`` keyed by config values, and shares it read-only:
+process builds its seed-free data once, in two bounded ``functools.lru_cache``s
+keyed by config values, and shares it read-only:
 
-- per problem, :func:`_spec`, the one :class:`ProblemSpec` of (dim,
-  n_per_axis, n_steps, T, alpha) with its grid's modes, time factor and q:
-  0.15-0.22 MB at 41^2 x 40; at most 8 entries;
-- :func:`_u_true`, the noise-free solution u(f_true), keyed by (spec,
-  f_true): 8 (n_t + 1) N bytes, 0.55 MB at 41^2 x 40; at most 2 entries;
-- per omega, :func:`_mask`, the frozen :class:`ObservationMask` on the
-  spec's grid with its Gram factors and weighted nodes, keyed by (grid,
-  omega), omega a preset name or its boxes as nested tuples: 2 x 8 N bytes
-  and 27 KB of factors at 41^2; at most 32 entries;
-- :func:`_profile_cells`, the ``x1[,x2],f_true,`` prefix of each profile
-  row, keyed by (f_true, dim, n_per_axis): about 0.15 MB at 41^2; at most 8.
+- :data:`_problem`, keyed by (dim, n_per_axis, n_steps, T, alpha, f_true): the
+  one :class:`ProblemSpec` of those values with its time factor, the f_true
+  samples, u(f_true) and the profile rows' prefixes, about 0.9 MB at
+  41^2 x 40 (0.55 MB of it u); at most 4 entries.  A sweep over f_true on one
+  discretization thus builds one time factor (3-5 ms, 0.12 MB) per f_true;
+- :func:`_mask`, keyed by (grid, omega), omega a preset name or its boxes as
+  nested tuples: the frozen :class:`ObservationMask` with its Gram factors,
+  27 KB at 41^2; at most 32.
 
-Every run draws its own noise on the shared u (:func:`_add_noise`), the
-arithmetic :func:`synthesize_observation` does, and a table's rows read
-prefixes of one stream of draws, so the outputs are the bits a run without
-the caches writes.
+Every run draws its own noise on the shared u (:func:`_add_noise`) as
+:func:`synthesize_observation` does, so it writes the bits of a run without the caches.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ import numbers
 import operator
 import os
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count, islice, product, repeat
 
 import numpy as np
@@ -162,18 +157,15 @@ def _eval_expr(node: ast.AST, names: dict):
     raise ValueError(f"f_true expression may not contain {_quote(ast.unparse(node))}")
 
 
-# every config, including each replace() of a table row, samples its f_true,
-# so each distinct expression is parsed and evaluated once per grid
-@lru_cache(maxsize=64)
-def _sample_f_true(f_true: str, dim: int, n_per_axis: int) -> np.ndarray:
+def _sample_f_true(f_true: str, grid: SpaceGrid) -> np.ndarray:
     """A preset name or expression over sin, cos, exp, pi and x1[, x2],
-    sampled at the grid nodes; the array is read-only."""
+    sampled at the nodes of ``grid``; the array is read-only."""
     expr = f_true
     if f_true in F_TRUE_PRESETS:
         preset_dim, expr = F_TRUE_PRESETS[f_true]
-        if preset_dim != dim:
-            raise ValueError(f"f_true preset {f_true!r} is {preset_dim}-D, but dim is {dim}")
-    coords = SpaceGrid(dim, n_per_axis).coords.T
+        if preset_dim != grid.dim:
+            raise ValueError(f"f_true preset {f_true!r} is {preset_dim}-D, but dim is {grid.dim}")
+    coords = grid.coords.T
     names = {"pi": np.float64(np.pi), **{f"x{i + 1}": x for i, x in enumerate(coords)}}
     quoted = _quote(expr)
     try:
@@ -187,6 +179,49 @@ def _sample_f_true(f_true: str, dim: int, n_per_axis: int) -> np.ndarray:
         raise ValueError(f"f_true {quoted} is not finite at every grid node")
     values.flags.writeable = False
     return values
+
+
+class _Problem:
+    """The seed-free data of one problem: the spec and the read-only f_true
+    samples, then u(f_true) and the profile rows' prefixes on first use."""
+
+    def __init__(
+        self, dim: int, n_per_axis: int, n_steps: int, T: float, alpha: float, f_true: str
+    ) -> None:
+        alpha, tgrid = FractionalOrder(alpha), TimeGrid(T, n_steps)
+        self.spec = ProblemSpec(alpha, tgrid, SpaceGrid(dim, n_per_axis), MU.sample(tgrid))
+        self.f_true = _sample_f_true(f_true, self.spec.grid)
+
+    @cached_property
+    def u(self) -> SpaceTimeField:
+        """u(f_true), read-only, solved through the module's global ``solve_forward``."""
+        u = solve_forward(self.spec, Field(self.spec.grid, self.f_true))
+        u.values.flags.writeable = False
+        return u
+
+    @cached_property
+    def profile_cells(self) -> tuple[str, ...]:
+        """The ``x1[,x2],f_true,`` prefix of each profile row, in node order (:func:`_prefixes`)."""
+        f_cells = zip(_reprs(self.f_true))
+        return tuple(_prefixes(map(operator.add, _node_reprs(self.spec.grid), f_cells)))
+
+
+# An entry holds the spec with its grid's modes and time factor (0.15-0.22 MB
+# at 41^2 x 40), u(f_true), 8 (n_t + 1) N bytes (0.55 MB at 41^2 x 40, 5.4 MB
+# at 41^2 x 400), and the profile prefixes (0.14-0.16 MB at 41^2).  The four
+# presets, or both published tables and one sweep, are 4 problems, so 4
+# entries hold them and pin at most 22 MB of u at 41^2 x 400.  ``typed`` keeps
+# a value of another type, such as dim=True, from finding a checked problem.
+_problem = lru_cache(maxsize=4, typed=True)(_Problem)
+
+
+def _problem_of(cfg: ExperimentConfig) -> _Problem:
+    """The process's one problem of ``cfg`` (:data:`_problem`), shared by every run of it."""
+    key = (cfg.dim, cfg.n_per_axis, cfg.n_steps, cfg.T, cfg.alpha, cfg.f_true)
+    try:
+        return _problem(*key)
+    except TypeError:  # an unhashable value, which building the problem rejects
+        return _Problem(*key)
 
 
 def _omega_boxes_and_label(omega) -> tuple[list, str]:
@@ -208,7 +243,8 @@ class ExperimentConfig:
     ``f_true`` is a preset name or an expression over sin, cos, exp, pi and
     x1[, x2]; ``omega`` is a preset name or a list of closed coordinate boxes
     inside [0,1]^dim.  The types that consume the other fields are built to
-    check them, so a config that cannot run fails when it is made.
+    check them, so a config that cannot run fails when it is made; its problem
+    (:func:`_problem_of`) checks alpha, the grids and f_true, building no time factor and no u.
     """
 
     dim: int
@@ -243,11 +279,8 @@ class ExperimentConfig:
             raise ValueError(f"f0 must be a finite number, got {self.f0!r}")
         if not is_a(numbers.Integral, self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        FractionalOrder(self.alpha)
-        TimeGrid(self.T, self.n_steps)
-        f0 = Field.constant(SpaceGrid(self.dim, self.n_per_axis), self.f0)
+        f0 = Field.constant(_problem_of(self).spec.grid, self.f0)
         ReconstructionConfig(self.rho, self.m, self.eps, f0, self.max_iter)
-        _sample_f_true(self.f_true, self.dim, self.n_per_axis)  # raises on bad preset/expression
         preset = isinstance(self.omega, str)
         boxes = _omega_boxes_and_label(self.omega)[0] if preset else self.omega
         seq = (list, tuple)
@@ -358,49 +391,33 @@ def config_from_file(path: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def _omega_key(omega) -> object:
-    """``omega`` as a hashable cache key: a preset name, or the boxes as nested tuples."""
-    if isinstance(omega, str):
-        return omega
-    return tuple(tuple(tuple(interval) for interval in box) for box in omega)
-
-
 # An entry holds the indicator and the quadrature weights, 2 x 8 N bytes:
 # 27 KB at 41^2 and 105 KB at 81^2.  The four presets and the two published
 # tables use 8 distinct (grid, omega) pairs at paper size and 7 more on the
 # smoke grid, so 32 entries hold them all, under 1 MB at paper size.
 @lru_cache(maxsize=32)
 def _mask(grid: SpaceGrid, omega) -> ObservationMask:
-    """The frozen mask of ``omega`` (:func:`_omega_key`) on the first equal ``grid`` passed, a spec's.
-
-    Its Gram matrix reuses that grid's 1D modes; every caller shares it.
-    """
+    """The shared frozen mask of ``omega`` (as :func:`build_mask` keys it) on the first equal
+    ``grid`` passed, a spec's, so its Gram matrix reuses that grid's 1D modes."""
     return ObservationMask.from_boxes(grid, _omega_boxes_and_label(omega)[0])
 
 
 def build_mask(cfg: ExperimentConfig, grid: SpaceGrid) -> ObservationMask:
     """The observation mask of ``cfg.omega`` on ``grid``, shared and frozen (:func:`_mask`)."""
-    return _mask(grid, _omega_key(cfg.omega))
-
-
-# An entry holds the spec, its grid's modal data and its time factor: 0.15-0.22 MB at 41^2 x 40,
-# about 0.6 MB at 81^2 x 80.  A sweep over delta, omega and the noise seed needs one entry
-# and the two published tables two, so 8 covers them while bounding what a process holds.
-@lru_cache(maxsize=8)
-def _spec(dim: int, n_per_axis: int, n_steps: int, T: float, alpha: float) -> ProblemSpec:
-    """The process's one spec with these values, shared by every problem and run of them."""
-    tgrid = TimeGrid(T=T, n_steps=n_steps)
-    grid = SpaceGrid(dim=dim, n_per_axis=n_per_axis)
-    return ProblemSpec(alpha=FractionalOrder(alpha), tgrid=tgrid, grid=grid, mu=MU.sample(tgrid))
+    omega = cfg.omega  # a preset name, or the boxes as nested tuples, keys the mask
+    if not isinstance(omega, str):
+        omega = tuple(tuple(map(tuple, box)) for box in omega)
+    return _mask(grid, omega)
 
 
 def build_forward_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field]:
     """Problem spec and true source field for a config, without omega.
 
-    The spec is the process's one spec of its problem (:func:`_spec`), so its time factor is built once.
+    The spec is the process's one spec of its problem (:func:`_problem_of`), so its
+    time factor is built once; the field is fresh over the shared read-only samples.
     """
-    spec = _spec(cfg.dim, cfg.n_per_axis, cfg.n_steps, cfg.T, cfg.alpha)
-    return spec, Field(spec.grid, _sample_f_true(cfg.f_true, cfg.dim, cfg.n_per_axis))
+    problem = _problem_of(cfg)
+    return problem.spec, Field(problem.spec.grid, problem.f_true)
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field, ObservationMask]:
@@ -411,23 +428,6 @@ def build_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, Field, Observatio
     """
     spec, f_true = build_forward_problem(cfg)
     return spec, f_true, build_mask(cfg, spec.grid)
-
-
-# An entry holds u, 8 (n_t + 1) N bytes: 0.55 MB at 41^2 x 40 and 5.4 MB at
-# 41^2 x 400.  A sweep over delta, omega and the noise seed on one
-# discretization needs one entry and a run of both published tables two, so
-# 2 entries hold them and pin at most 11 MB at 41^2 x 400; a process that
-# alternates between more problems solves each again.
-@lru_cache(maxsize=2)
-def _u_true(spec: ProblemSpec, f_true: str) -> SpaceTimeField:
-    """u(f_true) on a problem's one ``spec`` (:func:`_spec`), read-only.
-
-    It is solved through this module's global ``solve_forward``, so a wrapper
-    set there sees the first solve of each problem.
-    """
-    u = solve_forward(spec, Field(spec.grid, _sample_f_true(f_true, spec.grid.dim, spec.grid.n_per_axis)))
-    u.values.flags.writeable = False
-    return u
 
 
 def synthesize_observation(
@@ -469,23 +469,23 @@ def _add_noise(
 
 def run_reconstruction(cfg: ExperimentConfig) -> tuple[ReconstructionResult, Field, Field]:
     """Full pipeline without file output; returns (result, f_true, f0 field)."""
-    return _reconstruct(cfg, *build_problem(cfg))
+    return _reconstruct(cfg, build_problem(cfg)[2])
 
 
 def _reconstruct(
-    cfg: ExperimentConfig, spec: ProblemSpec, f_true: Field, mask: ObservationMask, draws=None
+    cfg: ExperimentConfig, mask: ObservationMask, draws=None
 ) -> tuple[ReconstructionResult, Field, Field]:
-    """Synthesis and iteration on a built problem; see :func:`run_reconstruction`.
+    """Synthesis and iteration on ``cfg``'s problem and ``mask``; see :func:`run_reconstruction`.
 
     The noise is drawn on the process's one u(f_true) of the problem
-    (:func:`_u_true`), the same bits :func:`synthesize_observation` gives;
+    (:attr:`_Problem.u`), the same bits :func:`synthesize_observation` gives;
     ``draws``, when given, starts with at least the run's draws of ``cfg.seed``.
     """
-    u_obs = _add_noise(_u_true(spec, cfg.f_true), mask, cfg.delta, cfg.seed, draws)
+    problem = _problem_of(cfg)
+    spec, f_true = problem.spec, Field(problem.spec.grid, problem.f_true)
+    u_obs = _add_noise(problem.u, mask, cfg.delta, cfg.seed, draws)
     f0 = Field.constant(spec.grid, cfg.f0)
-    rcfg = ReconstructionConfig(
-        rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=f0, max_iter=cfg.max_iter
-    )
+    rcfg = ReconstructionConfig(rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=f0, max_iter=cfg.max_iter)
     result = iterate(spec, u_obs, mask, rcfg, f_true=f_true)
     return result, f_true, f0
 
@@ -537,17 +537,6 @@ def _prefixes(cells):
     return map(",".join, map(operator.add, cells, repeat(("",))))
 
 
-# An entry holds N str of ``x1[,x2],f_true,`` and a tuple of N pointers:
-# 0.14-0.16 MB at 41^2 and 0.57 MB at 81^2.  One entry serves every run of a
-# problem, and 8 hold the four presets' with room to spare, about 1.3 MB.
-@lru_cache(maxsize=8)
-def _profile_cells(f_true: str, dim: int, n_per_axis: int) -> tuple[str, ...]:
-    """The ``x1[,x2],f_true,`` prefix of each profile row, in node order (:func:`_prefixes`)."""
-    grid = SpaceGrid(dim, n_per_axis)
-    f_cells = zip(_reprs(_sample_f_true(f_true, dim, n_per_axis)))
-    return tuple(_prefixes(map(operator.add, _node_reprs(grid), f_cells)))
-
-
 def _axes(grid: SpaceGrid) -> list[str]:
     return [f"x{i + 1}" for i in range(grid.dim)]
 
@@ -576,14 +565,14 @@ def run_experiment(cfg: ExperimentConfig) -> ReconstructionResult:
     (k, phi) and ``<label>_summary.csv`` with the fixed column order
     (delta, omega, err_percent, K).
     """
-    problem = build_problem(cfg)
+    spec, _, mask = build_problem(cfg)
     os.makedirs(cfg.outdir or ".", exist_ok=True)
-    result, _, _ = _reconstruct(cfg, *problem)
+    result, _, _ = _reconstruct(cfg, mask)
     tag = cfg.label or "run"
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_profile.csv"),
-        [*_axes(problem[0].grid), "f_true", "f_k"],
-        map(operator.add, _profile_cells(cfg.f_true, cfg.dim, cfg.n_per_axis), _reprs(result.f_k.values)),
+        [*_axes(spec.grid), "f_true", "f_k"],
+        map(operator.add, _problem_of(cfg).profile_cells, _reprs(result.f_k.values)),
     )
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_iterations.csv"),
@@ -593,20 +582,14 @@ def run_experiment(cfg: ExperimentConfig) -> ReconstructionResult:
     _write_csv(
         os.path.join(cfg.outdir, f"{tag}_summary.csv"),
         ["delta", "omega", "err_percent", "K"],
-        [[
-            _fmt(cfg.delta),
-            _omega_boxes_and_label(cfg.omega)[1],
-            _err_cell(result),
-            result.iterations,
-        ]],
+        [[_fmt(cfg.delta), _omega_boxes_and_label(cfg.omega)[1], _err_cell(result),
+          result.iterations]],
         labelled=True,
     )
     return result
 
 
-def run_table(
-    table_id: int, seed: int = 0, outdir: str = "results", smoke: bool = False
-) -> str:
+def run_table(table_id: int, seed: int = 0, outdir: str = "results", smoke: bool = False) -> str:
     """Run every row of a published table and write one summary CSV.
 
     Columns: delta, omega, err_percent, K, ref_err_percent, ref_K.  A row
@@ -616,7 +599,7 @@ def run_table(
     """
     base = table_base_config(table_id, smoke=smoke)
     os.makedirs(outdir or ".", exist_ok=True)
-    spec, f_true = build_forward_problem(base)
+    spec, _ = build_forward_problem(base)
     rows, runs = [], []
     for delta, omega, ref_err, ref_k in TABLE_ROWS[table_id]:
         eps = delta / 5.0 if table_id == 2 else base.eps
@@ -629,14 +612,10 @@ def run_table(
     # the rows share the seed, so each row's draws are a prefix of one stream
     draws = splitmix64_uniform(seed, max((m.n_active for *_, m in runs), default=0) * (base.n_steps + 1))
     for row, cfg, mask in runs:
-        result, _, _ = _reconstruct(cfg, spec, f_true, mask, draws)
+        result, _, _ = _reconstruct(cfg, mask, draws)
         row[2:4] = _err_cell(result), result.iterations
     name = f"table{table_id}_seed{seed}" + ("_smoke" if smoke else "") + ".csv"
     path = os.path.join(outdir, name)
-    _write_csv(
-        path,
-        ["delta", "omega", "err_percent", "K", "ref_err_percent", "ref_K"],
-        rows,
-        labelled=True,
-    )
+    header = ["delta", "omega", "err_percent", "K", "ref_err_percent", "ref_K"]
+    _write_csv(path, header, rows, labelled=True)
     return path

@@ -75,7 +75,8 @@ _RANK_RTOL = 1e-15
 
 @dataclass(eq=False)
 class ProblemSpec:
-    """Fractional order, time grid, space grid (with the operator's modes) and sampled mu."""
+    """Fractional order, time grid, space grid (with the operator's modes) and sampled mu;
+    two equal specs built by hand build the time factor twice (``experiments`` keeps one per problem)."""
 
     alpha: FractionalOrder
     tgrid: TimeGrid
@@ -390,21 +391,16 @@ class NormalOperator:
         const = float(np.einsum("j,j->", w_t @ res, self.weights[cols])) + self.misfit(c[q:])
         return c[:q], self.transpose(c[q:], q), const
 
-    def anchor(
-        self, c: NDArray[np.float64], f_hat: NDArray[np.float64] | None = None
-    ) -> NDArray[np.float64]:
-        """P^T W c', c' = ``c`` with its values off omega's columns set to P (sb * f_hat) if given.
+    def anchor(self, c: NDArray[np.float64], f_hat: NDArray[np.float64]) -> NDArray[np.float64]:
+        """P^T W c', c' = ``c`` with its values off omega's columns set to P (sb * f_hat).
 
         Only omega's columns of c enter, so this modal form of c serves for
         every f; anchored at f it keeps e small off omega (:class:`NormalOperator`).
         """
-        grid = self.spec.grid
-        if f_hat is not None:
-            nodal = self.spec.to_nodal(self.spec.time_factor[1][: len(c)] * f_hat)
-            cols = self.mask.weighted_nodes
-            nodal[:, cols] = c[:, cols]
-            c = nodal
-        return _along_axes(grid, grid.axis_analysis, c)
+        nodal = self.spec.to_nodal(self.spec.time_factor[1][: len(c)] * f_hat)
+        cols = self.mask.weighted_nodes
+        nodal[:, cols] = c[:, cols]
+        return _along_axes(self.spec.grid, self.spec.grid.axis_analysis, nodal)
 
     def gram(self, e: NDArray[np.float64], out=None, scratch=None) -> NDArray[np.float64]:
         """G e_l for every row e_l of ``e``, G = P^T W_omega P (:attr:`ObservationMask.gram`).

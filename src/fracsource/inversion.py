@@ -213,7 +213,7 @@ def iterate(
     f_hat = spec.to_modal(cfg.f0)
     normal = NormalOperator(spec, mask)
     projection = normal.project(u_obs)
-    c_hat = normal.anchor(projection[0])
+    c_hat = None  # the first step anchors at f_0
     # the arrays every step writes, allocated once per call
     f_next, diff, data_term = np.empty((3,) + f_hat.shape)
     work = (*np.empty((3,) + projection[0].shape), data_term)

@@ -55,15 +55,15 @@ def cases() -> list:
 def record(seeds=SEEDS) -> dict:
     """name -> {"K", "status"} per seed, plus "f_seed" and "f" once converged.
 
-    Each case runs on the problem ``build_problem`` builds, through the
+    Each case runs on the mask ``build_problem`` builds, through the
     ``_reconstruct`` that ``run_experiment`` and ``run_table`` call.
     """
     recorded = {}
     for name, base in cases():
-        problem = build_problem(base)
+        mask = build_problem(base)[2]
         entry = {"K": [], "status": []}
         for seed in seeds:
-            result, _, _ = experiments._reconstruct(replace(base, seed=seed), *problem)
+            result, _, _ = experiments._reconstruct(replace(base, seed=seed), mask)
             entry["K"].append(result.iterations)
             entry["status"].append(result.status)
             if result.converged and "f" not in entry:

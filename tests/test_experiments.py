@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracsource import experiments, solve_forward
+from fracsource import experiments, forward, solve_forward
 from fracsource import discretization
 from fracsource.discretization import SpaceGrid, SpaceTimeField, TimeGrid, splitmix64_uniform
 from fracsource.experiments import (
@@ -33,7 +33,7 @@ from fracsource.forward import NormalOperator
 _MASK64 = (1 << 64) - 1
 
 
-_PROCESS_CACHES = (experiments._spec, experiments._u_true, experiments._mask, experiments._profile_cells)
+_PROCESS_CACHES = (experiments._problem, experiments._mask)
 
 
 def _clear_process_caches() -> None:
@@ -190,6 +190,16 @@ class TestConfig:
             with pytest.raises(ValueError):
                 run_experiment(config_from_preset("5.1a", outdir=str(outdir), **bad))
         assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "bad", [{"dim": True}, {"n_per_axis": 41.0}, {"n_steps": 40.0}, {"alpha": [0.3]}, {"T": [1.0]}]
+    )
+    def test_values_a_cached_problem_does_not_vouch_for(self, bad):
+        # 5.1a's problem is cached; a value equal to its key's but of another
+        # type, or an unhashable one, is still checked by the type it builds
+        config_from_preset("5.1a")
+        with pytest.raises(ValueError):
+            config_from_preset("5.1a", **bad)
 
     def test_f_true_expression(self):
         cfg = config_from_preset("5.1a", f_true="sin(pi*x1) + x1 - 3", n_steps=10)
@@ -494,15 +504,41 @@ class TestProcessCaches:
     def test_cached_arrays_are_read_only(self, tmp_path):
         cfg = self._cfg(tmp_path, 1)
         run_experiment(cfg)
-        spec, _, mask = build_problem(cfg)
-        u = experiments._u_true(spec, cfg.f_true)
-        for values in (u.values, mask.indicator, mask.quad_weights, mask.weighted_nodes):
+        spec, f_true, mask = build_problem(cfg)
+        problem = experiments._problem_of(cfg)
+        assert problem.spec is spec
+        for values in (problem.u.values, f_true.values, mask.indicator, mask.quad_weights, mask.weighted_nodes):
             assert not values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
-        cells = experiments._profile_cells(cfg.f_true, cfg.dim, cfg.n_per_axis)
+        cells = problem.profile_cells
         assert isinstance(cells, tuple) and len(cells) == 21 * 21
         assert all(isinstance(cell, str) for cell in cells)
+
+    def test_making_configs_builds_no_time_factor_and_solves_nothing(self, monkeypatch):
+        # a config finds or builds its problem to check itself; u and the time
+        # factor wait for the first run
+        _clear_process_caches()
+        steps, solved = [], _count_solves(monkeypatch)
+        original = forward._step_l1
+        monkeypatch.setattr(forward, "_step_l1", lambda *args: steps.append(args) or original(*args))
+        for name in EXPERIMENT_PRESETS:
+            config_from_preset(name, seed=3)
+        for table_id, rows in TABLE_ROWS.items():
+            base = table_base_config(table_id)
+            for delta, omega, _, _ in rows:
+                replace(base, delta=delta, omega=omega, eps=delta / 5.0, seed=1)
+        assert (steps, solved) == ([], [])
+
+    def test_each_build_hands_out_its_own_f_true_field(self):
+        # the samples are shared and read-only, so no caller can rebind or write cached state
+        cfg = config_from_preset("5.3a", n_per_axis=11, n_steps=10)
+        _, first, _ = build_problem(cfg)
+        _, second, _ = build_problem(cfg)
+        assert first is not second and first.values is second.values
+        assert not first.values.flags.writeable
+        first.values = np.zeros_like(first.values)
+        assert build_problem(cfg)[1].values is second.values
 
     def test_cold_run_writes_the_bytes_of_a_warm_run(self, tmp_path):
         def run(outdir):

@@ -216,9 +216,9 @@ def test_process_caches_are_bounded():
             if kind != "lru_cache" or id(node) not in bounded:
                 unbounded.append(f"{path.name}:{node.lineno}")
     assert not unbounded, f"functools caches without a literal positive maxsize: {unbounded}"
-    # the guard sees the caches it checks: the f_true samples, the time
-    # factors, and u(f_true), the masks and the profile cells of each problem
-    assert found == 5
+    # the guard sees the caches it checks: each problem's seed-free data
+    # (spec, f_true, u(f_true), profile cells) and each omega's mask
+    assert found == 2
 
 
 def test_only_estimate_m_solves_in_inversion():

@@ -136,7 +136,7 @@ class TestProblemSpec:
     def test_equal_problems_share_one_time_factor(self, monkeypatch):
         # a sweep over delta, omega and the noise seed builds one problem many
         # times; every build returns the one spec, so its factor is built once
-        experiments._spec.cache_clear()
+        experiments._problem.cache_clear()
         calls = []
         original = forward._step_l1
 
@@ -155,19 +155,24 @@ class TestProblemSpec:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("alpha", 0.7), ("T", 2.0), ("n_steps", 12), ("n_per_axis", 9), ("dim", 1)],
+        [
+            ("alpha", 0.7), ("T", 2.0), ("n_steps", 12), ("n_per_axis", 9), ("dim", 1),
+            ("f_true", "x1 + 2.0"),
+        ],
     )
     def test_each_value_keys_its_own_time_factor(self, field, value):
-        base = {"alpha": 0.5, "T": 1.0, "n_steps": 10, "n_per_axis": 11, "dim": 2}
+        base = {"alpha": 0.5, "T": 1.0, "n_steps": 10, "n_per_axis": 11, "dim": 2, "f_true": "x1 + 1.0"}
 
-        def factor_of(alpha, T, n_steps, n_per_axis, dim):
-            return experiments._spec(dim, n_per_axis, n_steps, T, alpha).time_factor
+        def factor_of(alpha, T, n_steps, n_per_axis, dim, f_true):
+            return experiments._problem(dim, n_per_axis, n_steps, T, alpha, f_true).spec.time_factor
 
-        experiments._spec.cache_clear()
+        experiments._problem.cache_clear()
         shared = factor_of(**base)
         changed = factor_of(**{**base, field: value})
-        assert changed is not shared and not np.array_equal(changed[1], shared[1])
-        experiments._spec.cache_clear()
+        assert changed is not shared
+        # f_true keys its own problem and factor, equal to the shared one in value
+        assert np.array_equal(changed[1], shared[1]) == (field == "f_true")
+        experiments._problem.cache_clear()
         cold = factor_of(**{**base, field: value})
         assert cold is not changed
         assert all(np.array_equal(c, w) for c, w in zip(cold, changed))
