@@ -16,25 +16,24 @@ kappa_i + kappa_k coincide) and is gathered to every mode.
 
 The time-weighted table X = W_t^1/2 R has low numerical rank r (8 of 41 rows
 on preset 5.3a), and every solve goes through its factor X = a sb,
-:attr:`ProblemSpec.time_factor` (one QR and one small SVD).  The
-spec states the mask-free half of the observation map A: f -> u(f)|_omega
-once: :meth:`ProblemSpec.to_modal` (f_hat = P^T W f),
-:meth:`ProblemSpec.to_nodal` (P) and :meth:`ProblemSpec.observe` (v with
-W_t^1/2 u(f) = a v); :class:`NormalOperator` adds the omega-weighted half,
-applied through the mask's modal Gram matrix G = P^T W_omega P.  A spec
-builds its factor on first use, one O(n_t^2 D) table over the D distinct
-eigenvalues, and holds it read-only; ``experiments`` keeps one spec per
-problem, so a process builds each problem's factor once.  Per solve it
-costs r + 1 batched n x n transforms along each axis (n nodes per
-axis), r for the time modes and one for f or for the result, and one
-product with the n_t x r matrix a.  Each transform multiplies by a
-C-contiguous right factor that the grid holds (:func:`_along_axes`),
-since numpy's batched matmul is slower on a transposed view.
-:func:`solve_adjoint` is the exact transpose of :func:`solve_forward`.  The normal map A^T A is quadratic in
-sb, so :class:`NormalOperator` applies it through only the leading q rows
-of sb above float64 rounding (4 of 8 on 5.3a) and folds the other rows'
-data terms into quantities computed once; everything linear in sb, the
-solves included, keeps all r rows.
+:attr:`ProblemSpec.time_factor`: one QR and one small SVD of an O(n_t^2 D)
+table over the D distinct eigenvalues, built on first use and held read-only
+(``experiments`` keeps one spec per problem).  The spec states the mask-free
+half of the observation map A: f -> u(f)|_omega once:
+:meth:`ProblemSpec.to_modal` (f_hat = P^T W f), :meth:`ProblemSpec.to_nodal`
+(P) and :meth:`ProblemSpec.observe` (v with W_t^1/2 u(f) = a v).  A solve
+costs r + 1 batched n x n transforms along each axis (:func:`_along_axes`,
+n nodes per axis) and one product with the n_t x r matrix a, and
+:func:`solve_adjoint` is the exact transpose of :func:`solve_forward`.
+:class:`NormalOperator` adds the omega-weighted half through the mask's modal
+Gram matrix G = P^T W_omega P, and applies A^T A, quadratic in sb, through
+only the leading q rows of sb above float64 rounding (4 of 8 on 5.3a).
+
+The solves and the thresholding step run their products in :func:`_blocks` of
+at most 2^18 multiply-adds and their sums as :func:`dot_plan`'s BLAS dots of at
+most 10,000 terms, sizes OpenBLAS runs on one thread, so their bits do not depend
+on the thread count.  Both give plans, (op, a, b, out) steps on fixed arrays
+(:func:`run_plan`), which the thresholding step builds once per run.
 
 The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`, factored by the
 module-level ``splu``) is reference code only: no solve here uses it, and the
@@ -213,56 +212,70 @@ def _step_l1(
     return u
 
 
-# OpenBLAS runs a dgemm of m k n <= 2^18 products on one thread (65536 times
-# its default GEMM_MULTITHREAD_THRESHOLD of 4).  Above that it splits the
-# product across threads, and on some shapes the split changes the rounding:
-# a 101 x 101 product differs in the last bits between 1 and 2 threads.
+# OpenBLAS runs a dgemm of m k n <= 2^18 products (65536 times its default
+# GEMM_MULTITHREAD_THRESHOLD of 4) and a ddot of at most 10,000 terms on one thread.
+# Past that it splits the work across threads, and on some shapes the split changes
+# the rounding: a 101 x 101 product differs in the last bits between 1 and 2 threads.
 _ONE_THREAD_MKN = 2**18
+_ONE_THREAD_TERMS = 10_000
 
 
-def _matmul(left: NDArray[np.float64], right: NDArray[np.float64], out=None) -> NDArray[np.float64]:
-    """``left @ right`` (into ``out`` if given) in blocks of w = 2^18 // (m k) columns of ``right``.
+def run_plan(plan: list) -> None:
+    """Run each step (op, a, b, out) of ``plan`` as ``op(a, b, out)``, in order."""
+    for op, a, b, out in plan:
+        op(a, b, out)  # out positionally: half the call overhead of out=
 
-    ``left`` is m x k, leading axes are batched, w is clamped to [1, n]: each block runs on one
-    thread, so its bits do not depend on the thread count.  2D transforms and ``project`` use it.
-    """
-    m, k = left.shape[-2:]
+
+def _blocks(left: NDArray[np.float64], right: NDArray[np.float64], out: NDArray[np.float64]) -> list:
+    """The plan of ``left @ right`` into ``out``: products of w = 2^18 // (m k) columns of ``right``,
+    ``left`` m x k (a vector one row), w in [1, n]; a transform up to 64 nodes per axis is one product."""
+    m, k = ((1,) + left.shape)[-2:]
     n = right.shape[-1]
-    if out is None:
-        out = np.empty(np.broadcast_shapes(left.shape[:-2], right.shape[:-2]) + (m, n))
-    w = max(1, min(n, _ONE_THREAD_MKN // (m * k)))
-    for j in range(0, n, w):
-        np.matmul(left, right[..., j : j + w], out=out[..., j : j + w])
+    w = max(1, min(n, _ONE_THREAD_MKN // max(1, m * k)))
+    if w == n:  # a whole operand, not a slice: 1 us less on a 1D step, 20 us on a run
+        return [(np.matmul, left, right, out)]
+    return [(np.matmul, left, right[..., j : j + w], out[..., j : j + w]) for j in range(0, n, w)]
+
+
+def _matmul(left: NDArray[np.float64], right: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``left @ right`` by :func:`_blocks`: every product of the solves, the transforms and ``project``
+    (one operand batched at most; np.broadcast_shapes costs as much as a 1D transform)."""
+    out = np.empty((left.shape[:-2] or right.shape[:-2]) + left.shape[-2:-1] + right.shape[-1:])
+    run_plan(_blocks(left, right, out))
     return out
 
 
-def _along_axes(
-    grid: SpaceGrid, right: NDArray[np.float64], values: NDArray[np.float64], out=None, scratch=None
-) -> NDArray[np.float64]:
-    """Apply the n x n matrix ``right.T`` along every spatial axis of ``values``.
+def dot_plan(x: NDArray[np.float64], y: NDArray[np.float64]) -> tuple[list, NDArray[np.float64]]:
+    """(plan, sums): the steps that write x_i . y into ``sums`` for each array x_i of the C-contiguous
+    stack ``x`` (or ``x`` itself), reading x and y when they run.  Each sum is cut into the fewest
+    equal rows of at most 10,000 terms, one BLAS dot each (a (7, 1681) stack: one per grid row; a
+    101^2 grid: one per grid line), and a dot with ones adds up each sum's rows."""
+    n = y.size
+    cut = 1 if n <= _ONE_THREAD_TERMS else next(p for p in range(-(-n // _ONE_THREAD_TERMS), n + 1) if n % p == 0)
+    rows = np.empty((x.size // n, cut))
+    plan = [(np.matmul, x.reshape(-1, cut, 1, n // cut), y.reshape(cut, n // cut, 1), rows.reshape(-1, cut, 1, 1))]
+    sums = rows.reshape(-1) if cut == 1 else np.empty(len(rows))
+    return plan + [(np.matmul, rows.reshape(-1, 1, cut), np.ones((cut, 1)), sums.reshape(-1, 1, 1))] * (cut > 1), sums
 
-    ``values[..., :]`` holds node-major samples (or modal coefficients) of
-    the grid; leading axes are batched.  ``right`` is one of the grid's
-    C-contiguous right factors (:attr:`SpaceGrid.axis_synthesis`,
-    :attr:`SpaceGrid.axis_analysis`, :attr:`SpaceGrid.axis_modes`), or a
-    C-contiguous (dim, n, n) stack of one right factor per axis, axis 0
-    first (a term of :attr:`ObservationMask.gram`); on the left, as on the
-    first axis of a 2D grid, the transposed view is as fast.  ``out`` and
-    ``scratch``, C arrays of the shape of ``values``, take the result and a
-    2D grid's intermediate if given.  On a 2D grid each n x n x n product
-    runs in :func:`_matmul`'s blocks, so up to 512 nodes per axis its bits do
-    not depend on the thread count; up to 64 nodes per axis it is one product.
+
+def dots(x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
+    """[x_i . y for x_i in x], by :func:`dot_plan`."""
+    plan, sums = dot_plan(x, y)
+    run_plan(plan)
+    return sums
+
+
+def _along_axes(grid: SpaceGrid, right: NDArray[np.float64], values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Apply the n x n matrix ``right.T`` along every spatial axis of ``values[..., :]`` (node-major).
+
+    ``right`` is one of the grid's C-contiguous right factors (:attr:`SpaceGrid.axis_synthesis`,
+    :attr:`SpaceGrid.axis_analysis`, :attr:`SpaceGrid.axis_modes`), since numpy's batched
+    matmul is slower on a transposed view; on the left, as on a 2D grid's first axis, it is as fast.
     """
-    rights = right if right.ndim == 3 else [right] * grid.dim
-    out = np.empty(values.shape) if out is None else out
     if grid.dim == 1:
-        return np.matmul(values, rights[0], out=out)
-    first, last = rights
+        return _matmul(values, right)
     shape = values.shape[:-1] + (grid.n_per_axis,) * 2
-    y = np.empty(shape) if scratch is None else scratch.reshape(shape)
-    _matmul(values.reshape(shape), last, y)
-    _matmul(first.T, y, out.reshape(shape))
-    return out
+    return _matmul(right.T, _matmul(values.reshape(shape), right)).reshape(values.shape)
 
 
 def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
@@ -275,7 +288,7 @@ def solve_forward(spec: ProblemSpec, f: Field) -> SpaceTimeField:
     """
     f_hat = spec.to_modal(f)  # checks the grid before the time factor is built
     a = spec.time_factor[0] / np.sqrt(spec.tgrid.quad_weights[:, None])
-    return SpaceTimeField(spec.grid, spec.tgrid, a @ spec.observe(f_hat))
+    return SpaceTimeField(spec.grid, spec.tgrid, _matmul(a, spec.observe(f_hat)))
 
 
 def solve_homogeneous(spec: ProblemSpec, a: Field) -> SpaceTimeField:
@@ -306,7 +319,7 @@ def solve_adjoint(
     if residual.grid != spec.grid or residual.tgrid != spec.tgrid:
         raise ValueError("residual grids do not match the problem spec")
     weighted_a = np.sqrt(spec.tgrid.quad_weights[:, None]) * spec.time_factor[0]
-    d = weighted_a.T @ residual.values
+    d = _matmul(weighted_a.T, residual.values)
     return Field(spec.grid, spec.to_nodal(NormalOperator(spec, mask).transpose(d)))
 
 
@@ -348,15 +361,12 @@ class NormalOperator:
     t = sum_{l>=q} sb_l * P^T (W_omega c_l) the transpose over the tail.
     :meth:`project` returns c_q, t and the constant, and ``inversion._phi``
     states the misfit and A^T (A f - u_obs) once for ``objective``,
-    ``gradient`` and ``iterate``.  A step costs one product with G per row:
-    2 R n^3 multiply-adds on a 2D grid, n^2 in 1D, in place of the 4 n^3
-    and 2 n^2 of the transforms P and P^T W_omega, so a custom mask of rank
-    R >= 3 costs more per step than those.  The results match
-    :func:`solve_forward`, :func:`solve_adjoint` and
-    :func:`masked_inner_product` to rounding.  :meth:`project` reads u_obs
-    on omega's columns only (:attr:`ObservationMask.weighted_nodes`), since
-    the others add nothing: c and y - a c are formed on that block, and c
-    is zero off it.  Everything linear in sb (the solves, c and t) keeps all r rows.
+    ``gradient`` and ``iterate``; the results match :func:`solve_forward`,
+    :func:`solve_adjoint` and :func:`masked_inner_product` to rounding.  A step
+    costs one product with G per row (:meth:`gram`): 2 R n^3 multiply-adds on
+    a 2D grid, n^2 in 1D.  :meth:`project` reads u_obs on omega's columns only
+    (:attr:`ObservationMask.weighted_nodes`), on which c and y - a c are formed,
+    since c is zero off them.  Everything linear in sb (the solves, c and t) keeps all r rows.
     """
 
     def __init__(self, spec: ProblemSpec, mask: ObservationMask) -> None:
@@ -402,19 +412,19 @@ class NormalOperator:
         nodal[:, cols] = c[:, cols]
         return _along_axes(self.spec.grid, self.spec.grid.axis_analysis, nodal)
 
-    def gram(self, e: NDArray[np.float64], out=None, scratch=None) -> NDArray[np.float64]:
-        """G e_l for every row e_l of ``e``, G = P^T W_omega P (:attr:`ObservationMask.gram`).
-
-        ``out`` and ``scratch`` are :func:`_along_axes`'s.
-        """
+    def gram(self, e: NDArray[np.float64], g: NDArray[np.float64]) -> list:
+        """The plan (:func:`run_plan`) that writes G e_l into g_l for every row e_l of the C array ``e``,
+        G = P^T W_omega P (:attr:`ObservationMask.gram`): per term, :func:`_blocks`' products by its
+        last factor on the right and, in 2D, its first on the left; then the sums."""
         s, terms = self.mask.gram
-        grid = self.spec.grid
-        g = _along_axes(grid, terms[0], e, out, scratch) if len(terms) else np.zeros_like(e)
-        for term in terms[1:]:
-            g += _along_axes(grid, term, e, scratch=scratch)
-        if s:
-            g += e
-        return g
+        shape = e.shape[:-1] + (self.spec.grid.n_per_axis,) * self.spec.grid.dim
+        x, out, mid = e.reshape(shape), g.reshape(shape), np.empty(shape)
+        plan, outs = [], [out] + [np.empty(shape) for _ in terms[1:]]
+        for (*firsts, last), out_k in zip(terms, outs):
+            plan += _blocks(x, last, mid if firsts else out_k)
+            plan += [step for first in firsts for step in _blocks(first.T, mid, out_k)]
+        plan += [(np.add, out, out_k, out) for out_k in outs[1:]] + [(np.add, out, x, out)] * int(s)
+        return plan if len(terms) else [(np.multiply, x, s, out)]
 
     def misfit(self, d: NDArray[np.float64]) -> float:
         """sum_l ||d_l||^2_omega over the rows of ``d``."""

@@ -15,10 +15,9 @@ the data's share of the other rows into a modal vector and a constant,
 computed once per call: a step costs one product of the q rows with the
 mask's modal Gram matrix G = P^T W_omega P (:attr:`ObservationMask.gram`,
 2 R n^3 multiply-adds per row, R = 1 on every published mask) and passes
-for the residual, the misfit and the data term.  Those sums are einsums
-rather than BLAS dots, whose sums OpenBLAS splits by thread count past
-10,000 terms (7 x 1681 on table 2), and so is every dot of N terms
-(:func:`_dot`), so the results do not depend on the thread count.
+for the residual, the misfit and the data term.  Its sums are BLAS dots of at
+most 10,000 terms (:func:`forward.dot_plan`), past which OpenBLAS splits a dot
+by thread count (7 x 1681 on table 2), and :func:`iterate` builds its plans once.
 Only :func:`estimate_m` runs the forward and adjoint solves (r + 1 batched
 transforms each): the benchmark's tracer counts them and forces the
 reference LU on each, so its move onto the operator waits for a tracer fix.
@@ -43,7 +42,7 @@ from .discretization import (
     norm_l2,
     splitmix64_uniform,
 )
-from .forward import NormalOperator, ProblemSpec, solve_adjoint, solve_forward
+from .forward import NormalOperator, ProblemSpec, dot_plan, dots, run_plan, solve_adjoint, solve_forward
 
 __all__ = [
     "ReconstructionConfig",
@@ -112,40 +111,44 @@ class ReconstructionResult:
 
 
 def _phi(
-    normal: NormalOperator, projection: tuple, f_hat, rho: float, c_hat=None, work=None
+    normal: NormalOperator, projection: tuple, work: tuple, rho: float, c_hat=None
 ) -> tuple[NDArray[np.float64], float, float, NDArray[np.float64]]:
-    """(A^T (A f - u_obs) in modal form, f_hat . f_hat, Phi(f), c_hat) at f_hat = P^T W f.
+    """(A^T (A f - u_obs) in modal form, f_hat . f_hat, Phi(f), c_hat) at the f_hat = P^T W f of ``work``.
 
-    ``projection`` = ``normal.project(u_obs)`` = (c_q, t, const) and c_hat
-    is c_q's modal form :meth:`NormalOperator.anchor`, anchored at f when
-    None.  With e = sb_q * f_hat - c_hat and g = G e (:meth:`NormalOperator.gram`),
+    ``projection`` = ``normal.project(u_obs)`` = (c_q, t, const) and c_hat is
+    c_q's modal form :meth:`NormalOperator.anchor`, anchored at f when None.
+    With e = sb_q * f_hat - c_hat and g = G e (:meth:`NormalOperator.gram`),
     ||A f - u_obs||^2 = sum e * g - 2 f_hat . t + const and
     A^T (A f - u_obs) = sum_l sb_l * g_l - t.  sum e * g carries rounding of
     order eps e . e, and e . e grows off omega as f leaves the anchor, so
     past _ANCHOR_SLACK Phi it is recomputed anchored at f (e . e <= 2^dim Phi).
-    The step writes ``work``, arrays of e, G e and the transform's intermediate
-    and the data term returned; fresh ones if None.
     """
     c, t, const = projection
+    sb, ft, ge, data_term, plan, sums = work
     anchored = c_hat is None
-    c_hat = normal.anchor(c, f_hat) if anchored else c_hat
-    sb = normal.spec.time_factor[1][: len(c)]
-    e, g, scratch, data_term = work = work or (*np.empty((3,) + c.shape), np.empty_like(f_hat))
-    np.multiply(sb, f_hat, out=e)
-    e -= c_hat
-    g = normal.gram(e, g, scratch)
-    ff = _dot(f_hat, f_hat)
-    phi = float(np.einsum("ij,ij->", e, g)) - 2.0 * _dot(f_hat, t) + const + rho * ff
-    if not anchored and np.einsum("ij,ij->", e, e) > _ANCHOR_SLACK * phi:
-        return _phi(normal, projection, f_hat, rho, work=work)
-    np.einsum("ij,ij->j", sb, g, out=data_term)
+    c_hat = normal.anchor(c, ft[0]) if anchored else c_hat
+    np.multiply(sb, ft[0], ge[1])
+    ge[1] -= c_hat
+    run_plan(plan)
+    (eg, ee), (ff, f_t) = sums[0].tolist(), sums[1].tolist()
+    phi = eg - 2.0 * f_t + const + rho * ff
+    if not anchored and ee > _ANCHOR_SLACK * phi:
+        return _phi(normal, projection, work, rho)
+    np.einsum("ij,ij->j", sb, ge[0], out=data_term)
     data_term -= t
     return data_term, ff, phi, c_hat
 
 
-def _dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
-    """a . b by einsum, which unlike a BLAS dot does not split its sum by the BLAS thread count."""
-    return float(np.einsum("i,i->", a, b))
+def _prepare(spec: ProblemSpec, u_obs: SpaceTimeField, mask: ObservationMask, f: Field) -> tuple:
+    """(normal, projection, work) for :func:`_phi` at f, work = (sb_q, ft = [f_hat, t], [G e, e], data term,
+    plan, sums): the plan is :meth:`NormalOperator.gram`'s, then :func:`forward.dot_plan`'s for the sums."""
+    normal = NormalOperator(spec, mask)
+    c, t, _ = projection = normal.project(u_obs)
+    ft, ge = np.empty((2,) + t.shape), np.empty((2,) + c.shape)
+    ft[0], ft[1] = spec.to_modal(f), t
+    (ge_plan, ge_sums), (ft_plan, ft_sums) = dot_plan(ge, ge[1]), dot_plan(ft, ft[0])
+    plan = normal.gram(ge[1], ge[0]) + ge_plan + ft_plan
+    return normal, projection, (spec.time_factor[1][: len(c)], ft, ge, np.empty_like(t), plan, (ge_sums, ft_sums))
 
 
 def objective(
@@ -156,8 +159,7 @@ def objective(
     rho: float,
 ) -> float:
     """Phi(f) = ||u(f) - u_obs||^2 over omega x (0,T) plus rho ||f||^2."""
-    normal = NormalOperator(spec, mask)
-    return _phi(normal, normal.project(u_obs), spec.to_modal(f), rho)[2]
+    return _phi(*_prepare(spec, u_obs, mask, f), rho)[2]
 
 
 def gradient(
@@ -168,8 +170,7 @@ def gradient(
     rho: float,
 ) -> Field:
     """int_0^T mu z(f) dt + rho f, i.e. half the Frechet derivative of Phi."""
-    normal = NormalOperator(spec, mask)
-    data_term = _phi(normal, normal.project(u_obs), spec.to_modal(f), rho)[0]
+    data_term = _phi(*_prepare(spec, u_obs, mask, f), rho)[0]
     return Field(spec.grid, spec.to_nodal(data_term) + rho * f.values)
 
 
@@ -177,7 +178,7 @@ def threshold_update(
     f: NDArray[np.float64], data_term: NDArray[np.float64], m: float, rho: float, out=None
 ) -> NDArray[np.float64]:
     """One thresholding step: (M f - data_term) / (M + rho), into ``out`` if given."""
-    out = np.multiply(m, f, out=out)
+    out = np.multiply(m, f, out)
     out -= data_term
     out /= m + rho
     return out
@@ -210,18 +211,16 @@ def iterate(
     """
     if f_true is not None and f_true.grid != spec.grid:
         raise ValueError("true source grid does not match the problem grid")
-    f_hat = spec.to_modal(cfg.f0)
-    normal = NormalOperator(spec, mask)
-    projection = normal.project(u_obs)
     c_hat = None  # the first step anchors at f_0
-    # the arrays every step writes, allocated once per call
-    f_next, diff, data_term = np.empty((3,) + f_hat.shape)
-    work = (*np.empty((3,) + projection[0].shape), data_term)
+    # the arrays every step writes and its plans, built once per call
+    normal, projection, work = _prepare(spec, u_obs, mask, cfg.f0)
+    f_hat, (f_next, diff) = work[1][0], np.empty((2, spec.grid.n_nodes))
+    diff_plan, step2 = dot_plan(diff, diff)
     phi_history: list[float] = []
     status = "max_iter"
     k = 0
     for k in range(1, cfg.max_iter + 1):
-        data_term, ff, phi, c_hat = _phi(normal, projection, f_hat, cfg.rho, c_hat, work)
+        data_term, ff, phi, c_hat = _phi(normal, projection, work, cfg.rho, c_hat)
         phi_history.append(phi)
         if not math.isfinite(phi) or phi > 1e12 * (phi_history[0] + 1.0):
             logger.warning(
@@ -233,17 +232,18 @@ def iterate(
             status = "diverged"
             break
         threshold_update(f_hat, data_term, cfg.m, cfg.rho, f_next)
-        np.subtract(f_next, f_hat, out=diff)
-        step = math.sqrt(_dot(diff, diff))
+        np.subtract(f_next, f_hat, diff)
+        run_plan(diff_plan)
+        step = math.sqrt(step2[0])
         # stopping ratio ||f_{k+1}-f_k|| / ||f_k|| with a floor at f_k = 0
         f_norm = max(math.sqrt(ff), _ZERO_NORM_FLOOR)
         logger.info("k=%d phi=%.6e step_ratio=%.3e", k - 1, phi, step / f_norm)
-        f_hat, f_next = f_next, f_hat
+        np.copyto(f_hat, f_next)
         if step < cfg.eps * f_norm:
             status = "converged"
             break
     if status != "diverged":  # a diverged run stops before updating f: phi is Phi(f)
-        phi = _phi(normal, projection, f_hat, cfg.rho, c_hat, work)[2]
+        phi = _phi(normal, projection, work, cfg.rho, c_hat)[2]
     phi_history.append(phi)
     f = Field(spec.grid, spec.to_nodal(f_hat))
     # no relative error against a source that is identically zero
@@ -281,16 +281,16 @@ def estimate_m(
     w = spec.grid.quad_weights
     q = np.empty((min(iters, spec.grid.n_nodes), spec.grid.n_nodes))
     r = splitmix64_uniform(seed, spec.grid.n_nodes)
-    beta = math.sqrt(_dot(r, w * r))
+    beta = math.sqrt(dots(r, w * r)[0])
     diag: list[float] = []
     off: list[float] = []
     for k in range(q.shape[0]):
         q[k] = r / beta
         r = solve_adjoint(spec, solve_forward(spec, Field(spec.grid, q[k])), mask).values
-        diag.append(_dot(q[k], w * r))
+        diag.append(float(dots(q[k], w * r)[0]))
         for _ in range(2):  # twice is enough (Parlett, The Symmetric Eigenvalue Problem)
-            r = r - q[: k + 1].T @ np.einsum("ij,j->i", q[: k + 1], w * r)
-        beta = math.sqrt(_dot(r, w * r))
+            r = r - q[: k + 1].T @ dots(q[: k + 1], w * r)
+        beta = math.sqrt(dots(r, w * r)[0])
         ritz, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         if beta * abs(vectors[-1, -1]) <= 1e-12 * ritz[-1] or beta == 0.0:
             break

@@ -14,6 +14,7 @@ from fracsource import (
     SpaceGrid,
     TimeGrid,
 )
+from fracsource.forward import run_plan
 from fracsource.oracle import PolynomialMu
 
 MU_STD = PolynomialMu((1.0, 0.0, 10.0 * math.pi))
@@ -53,6 +54,13 @@ def fd_stiffness(grid: SpaceGrid) -> np.ndarray:
 def make_spec(alpha: float, grid: SpaceGrid, n_steps: int = 40, T: float = 1.0) -> ProblemSpec:
     tgrid = TimeGrid(T, n_steps)
     return ProblemSpec(FractionalOrder(alpha), tgrid, grid, MU_STD.sample(tgrid))
+
+
+def gram_product(normal, e: np.ndarray) -> np.ndarray:
+    """G e_l for every row e_l of ``e``: ``normal.gram``'s plan, run as a thresholding step runs it."""
+    g = np.empty_like(e)
+    run_plan(normal.gram(e, g))
+    return g
 
 
 def edge_mask(grid: SpaceGrid) -> ObservationMask:

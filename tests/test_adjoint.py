@@ -16,7 +16,7 @@ from fracsource import (
 from fracsource.experiments import build_problem, config_from_preset, table_base_config
 from fracsource.forward import NormalOperator
 
-from conftest import edge_mask, make_spec
+from conftest import edge_mask, gram_product, make_spec
 
 
 def pairing_discrepancy(spec, mask, seed, n_pairs=10):
@@ -145,13 +145,13 @@ class TestNormalOperator:
         sb = spec.time_factor[1][: spec.normal_rank]
         e = sb * f_hat
         assert_allclose(
-            spec.to_nodal(np.einsum("ij,ij->j", sb, normal.gram(e))),
+            spec.to_nodal(np.einsum("ij,ij->j", sb, gram_product(normal, e))),
             (a.T @ (weights * (a @ f.values))) / grid.quad_weights,
             rtol=1e-12,
         )
         c, t, const = normal.project(u_obs)
         e -= normal.anchor(c, f_hat)
-        g = normal.gram(e)
+        g = gram_product(normal, e)
         assert_allclose(
             spec.to_nodal(np.einsum("ij,ij->j", sb, g) - t),
             (a.T @ (weights * residual)) / grid.quad_weights,
@@ -190,10 +190,10 @@ class TestNormalOperator:
             # through the transforms
             e = sb[:q] * f_hat
             full = normal.transpose(spec.observe(f_hat))
-            cut = np.einsum("ij,ij->j", sb[:q], normal.gram(e))
+            cut = np.einsum("ij,ij->j", sb[:q], gram_product(normal, e))
             assert np.linalg.norm(cut - full) <= 1e-14 * np.linalg.norm(full)
             e -= normal.anchor(c_q, f_hat)
-            g = normal.gram(e)
+            g = gram_product(normal, e)
             full = normal.transpose(spec.observe(f_hat) - c)
             cut = np.einsum("ij,ij->j", sb[:q], g) - t
             assert np.linalg.norm(cut - full) <= 1e-14 * np.linalg.norm(full)

@@ -244,11 +244,12 @@ def test_integer_power_tower_is_rejected_at_once(tmp_path):
 
 def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     # the misfit sums q n_nodes = 7 * 1681 terms, past the 10,000 above which
-    # OpenBLAS splits a dot across threads, so it must not be a BLAS dot; on
-    # the 101^2 grid the 101 x 101 x 101 transform products would split too,
-    # and over 60 steps so would the dots of N terms in each step.  At
-    # 21^2 x 400 the time factor's QR and SVD and the space-time products
-    # split, so only K, the status and f_k to rounding are independent of it
+    # OpenBLAS splits a dot across threads, so it must be cut into BLAS dots of
+    # at most 10,000 terms; on the 101^2 grid the 101 x 101 x 101 transform
+    # products would split too, and over 60 steps so would each step's dots of
+    # N = 10,201 terms, unless cut by grid line.  At
+    # 21^2 x 400 the time factor's QR, SVD and a^T x split, so only K, the
+    # status and f_k to rounding are independent of it
     grid_101 = {"preset": "5.3a", "n_per_axis": 101, "n_steps": 10, "m": 16.8}
     long_21 = {"preset": "5.3a", "n_per_axis": 21, "n_steps": 400, "m": 16.8}
     cases = [

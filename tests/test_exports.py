@@ -142,6 +142,59 @@ def test_bool_is_rejected_only_by_is_a():
     assert not sites, f"isinstance(..., bool) outside discretization.is_a: {sites}"
 
 
+# Every BLAS product in src runs in forward's block rule (``_blocks``, whose
+# products ``_matmul`` and the Gram plan run), in its dot rule (``dot_plan``)
+# or in one of these functions, each beside its largest m k n at aim 1's
+# scale-ups 81^2 x 80 and 41^2 x 400 (5.3a: r = 9, D = 845 distinct
+# eigenvalues and 720 omega columns at 41^2 x 400), so a new unblocked
+# product fails here, not only in the two-thread CLI test
+_PRODUCT_RULES = {"forward.py": {"_blocks", "dot_plan"}}
+_UNBLOCKED_PRODUCTS = {
+    "forward.py": {
+        "ProblemSpec.time_factor",  # a^T x, r x n_t x D: 9 x 400 x 845 = 3.0e6 (ROADMAP item 11)
+        "_step_l1",  # the L1 history, 1 x (n_t - 1) x D: 399 x 845 = 3.4e5
+        "NormalOperator.project",  # w_t @ res, 1 x (n_t + 1) x |omega|: 401 x 720 = 2.9e5
+    },
+    "inversion.py": {
+        "estimate_m",  # q^T c, N x k x 1, k <= iters = 60: 6561 x 60 = 3.9e5 at 81^2
+    },
+    "fraccalc.py": {
+        "linear_convolution",  # the oracle's Duhamel check and verify only: no reconstruction
+        "caputo_l1",  # verify only: n_t-term dots of one time series
+    },
+}
+
+
+def _is_product(node: ast.AST) -> bool:
+    """An ``@``, or a numpy product named as ``np.<name>`` (called or not), or ``.dot``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    return isinstance(node, ast.Attribute) and (
+        node.attr == "dot"
+        or (node.attr in {"matmul", "vdot", "vecdot", "inner"} and isinstance(node.value, ast.Name) and node.value.id == "np")
+    )
+
+
+def test_products_run_in_the_block_and_dot_rules():
+    # OpenBLAS splits a product past 2^18 multiply-adds, or a dot past 10,000
+    # terms, across threads, which can move the output bits
+    exempt = {name: _PRODUCT_RULES.get(name, set()) | names for name, names in _UNBLOCKED_PRODUCTS.items()}
+    sites = [f"{name}:{node.lineno}" for name, node in _source_nodes(exempt) if _is_product(node)]
+    assert not sites, f"products outside forward's block and dot rules and the allowlist: {sites}"
+    # the guard sees the products it exempts: each exempt function holds one
+    stale = [f"{name}: {function}" for name, functions in exempt.items() for function in sorted(functions)
+             if not any(map(_is_product, _function_nodes(name, function)))]
+    assert not stale, f"exempt functions without a product: {stale}"
+
+
+def _function_nodes(file_name: str, qualified: str):
+    """The nodes inside the function ``qualified`` (``function`` or ``Class.method``) of ``file_name``."""
+    node = ast.parse((SRC / file_name).read_text(), filename=file_name)
+    for part in qualified.split("."):
+        node = next(child for child in node.body if getattr(child, "name", None) == part)
+    return ast.walk(node)
+
+
 def _writes_output(node: ast.AST) -> bool:
     """``csv.writer``, or an ``open`` call with a mode that writes or that the
     source does not spell out as a literal."""

@@ -25,10 +25,11 @@ from fracsource.experiments import (
     config_from_preset,
     run_experiment,
 )
+from fracsource.forward import NormalOperator
 from fracsource.fraccalc import l1_scale, l1_weights
 from fracsource.oracle import eigen_forward, modes_up_to
 
-from conftest import MU_STD, cos_field, fd_stiffness, make_spec
+from conftest import MU_STD, cos_field, fd_stiffness, gram_product, make_spec
 
 
 def l1_history(spec: ProblemSpec, source, initial, step):
@@ -398,25 +399,39 @@ def test_transform_blocks_give_the_plain_product(n):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_dot_rule_sums_a_101_squared_grid_by_its_lines():
+    # 101^2 = 10,201 terms pass the 10,000 above which OpenBLAS splits a dot
+    # across threads, so the sum is one BLAS dot per grid line of 101 terms,
+    # the lines' dots then added up by a dot with ones, in a stack or alone
+    x, y = np.random.default_rng(101).standard_normal((2, 101**2))
+    plan, sums = forward.dot_plan(x, y)
+    forward.run_plan(plan)
+    lines = np.array([np.dot(a, b) for a, b in zip(x.reshape(101, 101), y.reshape(101, 101))])
+    assert plan[0][1].shape[-1] == 101
+    assert sums[0] == np.dot(lines, np.ones(101))
+    assert forward.dots(np.stack([x, y]), y).tolist() == [sums[0], forward.dots(y, y)[0]]
+    assert abs(sums[0] - math.fsum(x * y)) <= 1e-13 * math.fsum(abs(x * y))
+
+
 _PUBLISHED_MASKS = [(len(p["boxes"][0]), name) for name, p in OMEGA_PRESETS.items()]
 
 
 @pytest.mark.parametrize(
     "dim, boxes, rank",
     [(dim, OMEGA_PRESETS[name]["boxes"], 1) for dim, name in _PUBLISHED_MASKS]
-    + [(2, [[[lo, lo + 0.2]] * 2 for lo in (0.1, 0.4, 0.7)], 3)],
-    ids=[name for _, name in _PUBLISHED_MASKS] + ["three_diagonal_boxes"],
+    + [(2, [[[lo, lo + 0.2]] * 2 for lo in (0.1, 0.4, 0.7)], 3), (2, [[[0.0, 1.0]] * 2], 0)],
+    ids=[name for _, name in _PUBLISHED_MASKS] + ["three_diagonal_boxes", "whole_square"],
 )
 def test_mask_gram_is_the_dense_gram_matrix(dim, boxes, rank):
-    # G = P^T W_omega P, applied as s I plus R Kronecker terms through the
-    # transforms' blocks, against the dense product: one term on every
-    # published mask (in 1D, G itself), three for three disjoint boxes
+    # G = P^T W_omega P, applied as s I plus R Kronecker terms by the Gram
+    # plan of the thresholding step, against the dense product: one term on
+    # every published mask (in 1D, G itself), three for three disjoint boxes
+    # and none (G = I) when omega is the whole square
     grid = SpaceGrid(dim, 41)
     mask = ObservationMask.from_boxes(grid, boxes)
     modes = grid.axis_modes if dim == 1 else np.kron(grid.axis_modes, grid.axis_modes)
     dense = modes.T @ (mask.quad_weights[:, None] * modes)
     s, terms = mask.gram
-    identity = np.eye(grid.n_nodes)
-    got = s * identity + sum(forward._along_axes(grid, term, identity) for term in terms)
+    got = gram_product(NormalOperator(make_spec(0.5, grid), mask), np.eye(grid.n_nodes))
     assert len(terms) == rank
     assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))

@@ -22,7 +22,7 @@ from fracsource import (
     solve_adjoint,
     solve_forward,
 )
-from fracsource import inversion
+from fracsource import forward, inversion
 from fracsource.experiments import (
     build_problem,
     config_from_preset,
@@ -264,6 +264,28 @@ class TestIterate:
         rcfg = ReconstructionConfig(rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=f0, max_iter=3)
         res = iterate(spec, u_obs, mask, rcfg)
         assert res.phi_history[0] == objective(spec, f0, u_obs, mask, cfg.rho)
+
+    def test_steps_dispatch_no_product_helper(self, monkeypatch):
+        # the step runs plans built once per call, so a run makes as many calls
+        # to forward's product helpers at 50 steps as at 5 (5.3a at M = 16.8
+        # converges at K = 23 and never re-anchors)
+        calls = []
+        for name in ("_matmul", "_along_axes"):
+            def recording(*args, helper=getattr(forward, name)):
+                calls.append(helper)
+                return helper(*args)
+
+            monkeypatch.setattr(forward, name, recording)
+        cfg = config_from_preset("5.3a", m=16.8)
+        spec, f_true, mask = build_problem(cfg)
+        u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
+        counts = []
+        for max_iter in (5, 50):
+            calls.clear()
+            rcfg = ReconstructionConfig(cfg.rho, cfg.m, cfg.eps, Field.constant(spec.grid, cfg.f0), max_iter)
+            counts.append((iterate(spec, u_obs, mask, rcfg).iterations, len(calls)))
+        assert counts[0][0] == 5 and counts[1][0] == 23
+        assert counts[0][1] == counts[1][1] > 0
 
     def test_rejects_true_source_on_another_grid(self):
         # a 1D grid with the node count of 41^2 would be compared node by node,
