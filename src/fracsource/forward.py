@@ -250,10 +250,10 @@ def dot_plan(x: NDArray[np.float64], y: NDArray[np.float64]) -> tuple[list, NDAr
     stack ``x`` (or ``x`` itself), reading x and y when they run.  Each sum is cut into the fewest
     equal rows of at most 10,000 terms, one BLAS dot each (a (7, 1681) stack: one per grid row; a
     101^2 grid: one per grid line), and a dot with ones adds up each sum's rows."""
-    n = y.size
+    n, k = y.size, len(x) if x.ndim > y.ndim else 1  # y may be empty: no time rows (mu = 0)
     cut = 1 if n <= _ONE_THREAD_TERMS else next(p for p in range(-(-n // _ONE_THREAD_TERMS), n + 1) if n % p == 0)
-    rows = np.empty((x.size // n, cut))
-    plan = [(np.matmul, x.reshape(-1, cut, 1, n // cut), y.reshape(cut, n // cut, 1), rows.reshape(-1, cut, 1, 1))]
+    rows = np.empty((k, cut))
+    plan = [(np.matmul, x.reshape(k, cut, 1, n // cut), y.reshape(cut, n // cut, 1), rows.reshape(k, cut, 1, 1))]
     sums = rows.reshape(-1) if cut == 1 else np.empty(len(rows))
     return plan + [(np.matmul, rows.reshape(-1, 1, cut), np.ones((cut, 1)), sums.reshape(-1, 1, 1))] * (cut > 1), sums
 

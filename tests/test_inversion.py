@@ -8,10 +8,13 @@ from numpy.testing import assert_allclose
 
 from fracsource import (
     Field,
+    FractionalOrder,
     ObservationMask,
+    ProblemSpec,
     ReconstructionConfig,
     SpaceGrid,
     SpaceTimeField,
+    TimeGrid,
     estimate_m,
     gradient,
     inner_product,
@@ -286,6 +289,22 @@ class TestIterate:
             counts.append((iterate(spec, u_obs, mask, rcfg).iterations, len(calls)))
         assert counts[0][0] == 5 and counts[1][0] == 23
         assert counts[0][1] == counts[1][1] > 0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_runs_without_time_modes(self, dim):
+        # mu = 0 leaves the time factor no rows (q = r = 0), so Phi is the
+        # data's norm plus rho ||f||^2 and the data term vanishes; the block
+        # and dot rules take the empty products
+        grid, tgrid = SpaceGrid(dim, 11), TimeGrid(1.0, 10)
+        spec = ProblemSpec(FractionalOrder(0.5), tgrid, grid, np.zeros(11))
+        mask = ObservationMask.from_boxes(grid, [[[0.0, 0.3]] + [[0.0, 1.0]] * (dim - 1)])
+        u_obs = SpaceTimeField(grid, tgrid, np.ones((11, grid.n_nodes)))
+        f0 = Field.constant(grid, 2.0)
+        phi0 = masked_inner_product(u_obs, u_obs, mask) + 1e-5 * norm_l2(f0) ** 2
+        assert objective(spec, f0, u_obs, mask, 1e-5) == pytest.approx(phi0, rel=1e-14)
+        assert_allclose(gradient(spec, f0, u_obs, mask, 1e-5).values, 1e-5 * f0.values, rtol=1e-14)
+        res = iterate(spec, u_obs, mask, ReconstructionConfig(1e-5, 1.0, 1e-3, f0, 50))
+        assert (res.iterations, res.status) == (1, "converged")
 
     def test_rejects_true_source_on_another_grid(self):
         # a 1D grid with the node count of 41^2 would be compared node by node,
