@@ -21,19 +21,20 @@ table over the D distinct eigenvalues, built on first use and held read-only
 (``experiments`` keeps one spec per problem).  The spec states the mask-free
 half of the observation map A: f -> u(f)|_omega once:
 :meth:`ProblemSpec.to_modal` (f_hat = P^T W f), :meth:`ProblemSpec.to_nodal`
-(P) and :meth:`ProblemSpec.observe` (v with W_t^1/2 u(f) = a v).  A solve
-costs r + 1 batched n x n transforms along each axis (:func:`_along_axes`,
-n nodes per axis) and one product with the n_t x r matrix a, and
-:func:`solve_adjoint` is the exact transpose of :func:`solve_forward`.
-:class:`NormalOperator` adds the omega-weighted half through the mask's modal
-Gram matrix G = P^T W_omega P, and applies A^T A, quadratic in sb, through
-only the leading q rows of sb above float64 rounding (4 of 8 on 5.3a).
+(P), :meth:`ProblemSpec.observe` (v with W_t^1/2 u(f) = a v) and its exact
+transpose :meth:`ProblemSpec.transpose`.  A solve costs r + 1 batched n x n
+transforms along each axis (:func:`_along_axes`, n nodes per axis) and one
+product with the n_t x r matrix a, and :func:`solve_adjoint` is the exact
+transpose of :func:`solve_forward`.  :class:`NormalOperator` is one
+observation's misfit, derived in its docstring: Phi and A^T (A f - u_obs)
+through the mask's modal Gram matrix G = P^T W_omega P and only the leading
+q rows of sb above float64 rounding (4 of 8 on 5.3a).
 
 The solves and the thresholding step run their products in :func:`_blocks` of
 at most 2^18 multiply-adds and their sums as :func:`dot_plan`'s BLAS dots of at
 most 10,000 terms, sizes OpenBLAS runs on one thread, so their bits do not depend
 on the thread count.  Both give plans, (op, a, b, out) steps on fixed arrays
-(:func:`run_plan`), which the thresholding step builds once per run.
+(:func:`run_plan`), which :class:`NormalOperator` builds once per observation.
 
 The sparse LU of beta W + M (:attr:`ProblemSpec.step_solver`, factored by the
 module-level ``splu``) is reference code only: no solve here uses it, and the
@@ -44,6 +45,7 @@ accessed, so importing this module and running the modal solves load no scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,6 +72,8 @@ __all__ = [
 # singular values of W_t^1/2 R at or below this fraction of the largest are
 # dropped from the time factor; they are below the rounding of the table
 _RANK_RTOL = 1e-15
+# e . e / Phi above which NormalOperator.phi re-anchors: its misfit's rounding stays near 64 eps Phi
+_ANCHOR_SLACK = 64.0
 
 
 @dataclass(eq=False)
@@ -166,6 +170,12 @@ class ProblemSpec:
     def observe(self, f_hat: NDArray[np.float64]) -> NDArray[np.float64]:
         """v with W_t^1/2 u(f) = a v for f_hat = P^T W f; shape (r, n_nodes)."""
         return self.to_nodal(self.time_factor[1] * f_hat)
+
+    def transpose(self, w: NDArray[np.float64], first: int = 0) -> NDArray[np.float64]:
+        """sum_l sb_l * P^T w_l over the rows l = first, first + 1, ... of ``w``;
+        from ``first = 0`` over all r rows, the exact transpose of :meth:`observe`."""
+        w_hat = _along_axes(self.grid, self.grid.axis_modes, w)
+        return np.einsum("ij,ij->j", self.time_factor[1][first : first + len(w)], w_hat)
 
 
 def splu(matrix):
@@ -310,7 +320,7 @@ def solve_adjoint(
     is taken in the mass-weighted L2(Omega) product and the trapezoid-in-time
     pairing of :func:`masked_inner_product`, and is derived in
     :class:`NormalOperator`: A^T r = P g_hat with g_hat the
-    :meth:`NormalOperator.transpose` of d = (W_t^1/2 a)^T r.  ``residual`` is
+    :meth:`ProblemSpec.transpose` of W_omega d, d = (W_t^1/2 a)^T r.  ``residual`` is
     sampled on the full space-time grid; values outside omega are ignored,
     and the t = 0 sample meets the zero row 0 of ``a`` and never enters.
     Costs one (r x n_steps + 1) (n_steps + 1 x n_nodes) product, r batched
@@ -318,13 +328,30 @@ def solve_adjoint(
     """
     if residual.grid != spec.grid or residual.tgrid != spec.tgrid:
         raise ValueError("residual grids do not match the problem spec")
+    if mask.grid != spec.grid:
+        raise ValueError("mask grid does not match the problem grid")
     weighted_a = np.sqrt(spec.tgrid.quad_weights[:, None]) * spec.time_factor[0]
     d = _matmul(weighted_a.T, residual.values)
-    return Field(spec.grid, spec.to_nodal(NormalOperator(spec, mask).transpose(d)))
+    return Field(spec.grid, spec.to_nodal(spec.transpose(mask.quad_weights * d)))
+
+
+def _gram_plan(mask: ObservationMask, e: NDArray[np.float64], g: NDArray[np.float64]) -> list:
+    """The plan (:func:`run_plan`) that writes G e_l into g_l for every row e_l of the C array ``e``,
+    G = P^T W_omega P (:attr:`ObservationMask.gram`): per term, :func:`_blocks`' products by its
+    last factor on the right and, in 2D, its first on the left; then the sums."""
+    s, terms = mask.gram
+    shape = e.shape[:-1] + (mask.grid.n_per_axis,) * mask.grid.dim
+    x, out, mid = e.reshape(shape), g.reshape(shape), np.empty(shape)
+    plan, outs = [], [out] + [np.empty(shape) for _ in terms[1:]]
+    for (*firsts, last), out_k in zip(terms, outs):
+        plan += _blocks(x, last, mid if firsts else out_k)
+        plan += [step for first in firsts for step in _blocks(first.T, mid, out_k)]
+    plan += [(np.add, out, out_k, out) for out_k in outs[1:]] + [(np.add, out, x, out)] * int(s)
+    return plan if len(terms) else [(np.multiply, x, s, out)]
 
 
 class NormalOperator:
-    """The omega-weighted half of A: f -> u(f)|_omega and of its transpose.
+    """Phi(f) = ||A f - u_obs||^2 + rho ||f||^2 and A^T (A f - u_obs) for one observation, in modal form.
 
     Sources are handled as f_hat = P^T W f (:meth:`ProblemSpec.to_modal`),
     in which ||f|| is the Euclidean norm, and with W_t^1/2 R = a sb
@@ -336,9 +363,9 @@ class NormalOperator:
     :func:`masked_inner_product` is
     sum_n w_n <u^n, r^n>_omega = sum_l <P (sb_l * f_hat), d_l>_omega with
     d = (W_t^1/2 a)^T r, and <P c, d_l>_omega = c . P^T (W_omega d_l), so it
-    equals f_hat . g_hat with g_hat = sum_l sb_l * P^T (W_omega d_l),
-    :meth:`transpose`.  Since <f, P g_hat> = f_hat . g_hat in the
-    mass-weighted product, A^T r = P g_hat (:func:`solve_adjoint`), and
+    equals f_hat . g_hat with g_hat = sum_l sb_l * P^T (W_omega d_l), the
+    :meth:`ProblemSpec.transpose` of W_omega d.  Since <f, P g_hat> = f_hat . g_hat
+    in the mass-weighted product, A^T r = P g_hat (:func:`solve_adjoint`), and
     <A f, r> = <f, A^T r> holds to rounding.
 
     Misfit: since a has orthonormal columns, the space-time misfit against
@@ -346,8 +373,9 @@ class NormalOperator:
     with c = a^T y, and A^T (A f - u_obs) is the transpose of d = v - c.
     With d_l = P e_l on omega, e_l = sb_l * f_hat - c_hat_l, these are
     sum_l e_l . G e_l and sum_l sb_l * G e_l, G = P^T W_omega P the mask's
-    modal Gram matrix (:attr:`ObservationMask.gram`, :meth:`gram`), and
-    c_hat = :meth:`anchor` (c, f_a) the modal form of c.
+    modal Gram matrix (:attr:`ObservationMask.gram`), for any c_hat = P^T W c'
+    with c' = c on omega's columns.  Off them c is zero, and the anchor at f
+    sets c' = P (sb * f_hat) there, which keeps e small off omega near f.
 
     Rank cut: row l enters A^T A f as sb_l * G (sb_l * f_hat), quadratic in
     sb_l, and the rows of sb decay geometrically.  Past the leading q rows
@@ -358,84 +386,71 @@ class NormalOperator:
     linear in sb_l:
     sum_{l>=q} ||v_l - c_l||^2 = sum_{l>=q} ||c_l||^2 - 2 f_hat . t and
     sum_{l>=q} sb_l * P^T W_omega (v_l - c_l) = -t, with
-    t = sum_{l>=q} sb_l * P^T (W_omega c_l) the transpose over the tail.
-    :meth:`project` returns c_q, t and the constant, and ``inversion._phi``
-    states the misfit and A^T (A f - u_obs) once for ``objective``,
-    ``gradient`` and ``iterate``; the results match :func:`solve_forward`,
-    :func:`solve_adjoint` and :func:`masked_inner_product` to rounding.  A step
-    costs one product with G per row (:meth:`gram`): 2 R n^3 multiply-adds on
-    a 2D grid, n^2 in 1D.  :meth:`project` reads u_obs on omega's columns only
-    (:attr:`ObservationMask.weighted_nodes`), on which c and y - a c are formed,
-    since c is zero off them.  Everything linear in sb (the solves, c and t) keeps all r rows.
+    t = sum_{l>=q} sb_l * P^T (W_omega c_l) the transpose over the tail.  With
+    e the leading q rows, g = G e and const = ||y - a c||^2_omega + sum_{l>=q} ||c_l||^2_omega,
+    Phi = sum e * g - 2 f_hat . t + const + rho f_hat . f_hat and
+    A^T (A f - u_obs) = sum_l sb_l * g_l - t, which match :func:`solve_forward`,
+    :func:`solve_adjoint` and :func:`masked_inner_product` to rounding.
+
+    Anchor: sum e * g carries rounding of order eps e . e, and e . e grows off
+    omega as f leaves the anchor, so :meth:`phi` anchors at f on its first call
+    and re-anchors at f when e . e > 64 Phi (anchored, e . e <= 2^dim Phi),
+    never re-checking a fresh anchor.
+
+    The constructor reads u_obs on omega's columns only (:attr:`ObservationMask.weighted_nodes`,
+    where c is nonzero) and builds c, t, const and the arrays and plans of :meth:`phi`: one
+    product with G per row (:func:`_gram_plan`, 2 R n^3 multiply-adds on a 2D grid, n^2 in 1D)
+    and :func:`dot_plan`'s sums.  :meth:`phi` evaluates at ``f_hat``, into which
+    ``inversion.iterate`` writes each iterate.  A NaN or inf of u_obs on omega
+    reaches const, since every trapezoid weight is positive, and is rejected.
     """
 
-    def __init__(self, spec: ProblemSpec, mask: ObservationMask) -> None:
+    def __init__(self, spec: ProblemSpec, mask: ObservationMask, u_obs: SpaceTimeField, f: Field) -> None:
         if mask.grid != spec.grid:
             raise ValueError("mask grid does not match the problem grid")
-        self.spec = spec
-        self.mask = mask
-        self.weights = mask.quad_weights
-
-    def project(
-        self, u_obs: SpaceTimeField
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:
-        """(c_q, t, const) of y = W_t^1/2 u_obs on omega, with c = a^T y over all r rows.
-
-        c_q = c[:q], t = sum_{l>=q} sb_l * P^T (W_omega c_l) and
-        const = ||y - a c||^2_omega + sum_{l>=q} ||c_l||^2_omega.
-        """
-        if u_obs.grid != self.spec.grid or u_obs.tgrid != self.spec.tgrid:
+        if u_obs.grid != spec.grid or u_obs.tgrid != spec.tgrid:
             raise ValueError("observation grids do not match the problem spec")
-        a = self.spec.time_factor[0]
-        w_t = self.spec.tgrid.quad_weights
+        self.spec, self._omega = spec, mask.quad_weights != 0.0
+        (a, sb), w_t = spec.time_factor, spec.tgrid.quad_weights
         sqrt_w_t = np.sqrt(w_t)[:, None]
-        cols = self.mask.weighted_nodes
+        cols, weights = mask.weighted_nodes, mask.quad_weights
         res = np.take(u_obs.values, cols, axis=1)  # C-contiguous, unlike [:, cols]
-        c = np.zeros((a.shape[1], self.spec.grid.n_nodes))
+        c = np.zeros((a.shape[1], spec.grid.n_nodes))
         c[:, cols] = c_cols = _matmul((sqrt_w_t * a).T, res)
         # ||y - a c||^2_omega = sum_n w_n ||u_n - (W_t^-1/2 a c)_n||^2_omega, formed
         # in place on omega's columns
         res -= _matmul(a / sqrt_w_t, c_cols)
         res *= res
-        q = self.spec.normal_rank
-        const = float(np.einsum("j,j->", w_t @ res, self.weights[cols])) + self.misfit(c[q:])
-        return c[:q], self.transpose(c[q:], q), const
+        q = spec.normal_rank
+        self._c, tail = c[:q], c[q:]
+        tail_misfit = float(np.einsum("j,j->", np.sum(tail * tail, axis=0), weights))
+        self._const = float(np.einsum("j,j->", w_t @ res, weights[cols])) + tail_misfit
+        del res  # space-time sized: freed before the step's arrays and plans are built
+        if not math.isfinite(self._const):
+            raise ValueError(f"u_obs must be finite on omega; its misfit constant is {self._const}")
+        self._sb, self._c_hat = sb[:q], None
+        ft, self._ge = np.empty((2, spec.grid.n_nodes)), np.empty((2,) + self._c.shape)
+        ft[0], ft[1] = spec.to_modal(f), spec.transpose(weights * tail, q)
+        self.f_hat, self._t = ft
+        self._data_term = np.empty_like(self._t)
+        (ge_plan, self._ge_sums), (ft_plan, self._ft_sums) = dot_plan(self._ge, self._ge[1]), dot_plan(ft, ft[0])
+        self._plan = _gram_plan(mask, self._ge[1], self._ge[0]) + ge_plan + ft_plan
 
-    def anchor(self, c: NDArray[np.float64], f_hat: NDArray[np.float64]) -> NDArray[np.float64]:
-        """P^T W c', c' = ``c`` with its values off omega's columns set to P (sb * f_hat).
-
-        Only omega's columns of c enter, so this modal form of c serves for
-        every f; anchored at f it keeps e small off omega (:class:`NormalOperator`).
-        """
-        nodal = self.spec.to_nodal(self.spec.time_factor[1][: len(c)] * f_hat)
-        cols = self.mask.weighted_nodes
-        nodal[:, cols] = c[:, cols]
-        return _along_axes(self.spec.grid, self.spec.grid.axis_analysis, nodal)
-
-    def gram(self, e: NDArray[np.float64], g: NDArray[np.float64]) -> list:
-        """The plan (:func:`run_plan`) that writes G e_l into g_l for every row e_l of the C array ``e``,
-        G = P^T W_omega P (:attr:`ObservationMask.gram`): per term, :func:`_blocks`' products by its
-        last factor on the right and, in 2D, its first on the left; then the sums."""
-        s, terms = self.mask.gram
-        shape = e.shape[:-1] + (self.spec.grid.n_per_axis,) * self.spec.grid.dim
-        x, out, mid = e.reshape(shape), g.reshape(shape), np.empty(shape)
-        plan, outs = [], [out] + [np.empty(shape) for _ in terms[1:]]
-        for (*firsts, last), out_k in zip(terms, outs):
-            plan += _blocks(x, last, mid if firsts else out_k)
-            plan += [step for first in firsts for step in _blocks(first.T, mid, out_k)]
-        plan += [(np.add, out, out_k, out) for out_k in outs[1:]] + [(np.add, out, x, out)] * int(s)
-        return plan if len(terms) else [(np.multiply, x, s, out)]
-
-    def misfit(self, d: NDArray[np.float64]) -> float:
-        """sum_l ||d_l||^2_omega over the rows of ``d``."""
-        return float(np.einsum("j,j->", np.sum(d * d, axis=0), self.weights))
-
-    def transpose(self, d: NDArray[np.float64], first: int = 0) -> NDArray[np.float64]:
-        """sum_l sb_l * P^T (W_omega d_l): modal A^T of the history a d.
-
-        ``d`` holds the rows l = first, first + 1, ... of a history in the
-        time factor: all r for :func:`solve_adjoint`, the tail for t.
-        """
-        grid = self.spec.grid
-        wd_hat = _along_axes(grid, grid.axis_modes, self.weights * d)
-        return np.einsum("ij,ij->j", self.spec.time_factor[1][first : first + len(d)], wd_hat)
+    def phi(self, rho: float) -> tuple[NDArray[np.float64], float, float]:
+        """(A^T (A f - u_obs) in modal form, f_hat . f_hat, Phi(f)) at ``f_hat``; the next call reuses the array."""
+        fresh = self._c_hat is None
+        if fresh:  # the anchor at f: P^T W c', c' = c_q on omega's columns, P (sb_q * f_hat) off them
+            nodal = self.spec.to_nodal(self._sb * self.f_hat)
+            np.copyto(nodal, self._c, where=self._omega)
+            self._c_hat = _along_axes(self.spec.grid, self.spec.grid.axis_analysis, nodal)
+        np.multiply(self._sb, self.f_hat, self._ge[1])
+        self._ge[1] -= self._c_hat
+        run_plan(self._plan)
+        (eg, ee), (ff, f_t) = self._ge_sums.tolist(), self._ft_sums.tolist()
+        phi = eg - 2.0 * f_t + self._const + rho * ff
+        if not fresh and ee > _ANCHOR_SLACK * phi:
+            self._c_hat = None
+            return self.phi(rho)
+        np.einsum("ij,ij->j", self._sb, self._ge[0], out=self._data_term)
+        self._data_term -= self._t
+        return self._data_term, ff, phi

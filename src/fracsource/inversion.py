@@ -6,21 +6,15 @@ the tuning constant M dominates the squared operator norm of f -> u(f)|_omega,
 which :func:`estimate_m` computes by Lanczos on A^T A, to 1e-12 relative in
 5-8 steps on the published cases.
 
-:func:`objective`, :func:`gradient` and :func:`iterate` share one statement
-of Phi and of A^T (A f - u_obs) in modal coordinates on :class:`NormalOperator`,
-forming no space-time history.  A^T A is quadratic in the time factor, whose
-rows decay geometrically, so the operator applies it through only the leading
-q rows above rounding (q of r: 4 of 8 on 5.3a, 7 of 13 on table 2) and folds
-the data's share of the other rows into a modal vector and a constant,
-computed once per call: a step costs one product of the q rows with the
-mask's modal Gram matrix G = P^T W_omega P (:attr:`ObservationMask.gram`,
-2 R n^3 multiply-adds per row, R = 1 on every published mask) and passes
-for the residual, the misfit and the data term.  Its sums are BLAS dots of at
-most 10,000 terms (:func:`forward.dot_plan`), past which OpenBLAS splits a dot
-by thread count (7 x 1681 on table 2), and :func:`iterate` builds its plans once.
+:func:`objective`, :func:`gradient` and :func:`iterate` each build one
+:class:`forward.NormalOperator` of the observation, whose docstring derives
+Phi and A^T (A f - u_obs) in modal coordinates, and call its ``phi``: a step
+costs one product of the q time rows above rounding with the mask's modal
+Gram matrix (:attr:`ObservationMask.gram`) and forms no space-time history.
 Only :func:`estimate_m` runs the forward and adjoint solves (r + 1 batched
 transforms each): the benchmark's tracer counts them and forces the
-reference LU on each, so its move onto the operator waits for a tracer fix.
+reference LU on each, so its move onto ``ProblemSpec.observe`` and
+``ProblemSpec.transpose`` waits for a tracer fix.
 """
 
 from __future__ import annotations
@@ -57,8 +51,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _ZERO_NORM_FLOOR = 1e-14
-# e . e / Phi above which _phi re-anchors: its misfit's rounding stays near 64 eps Phi
-_ANCHOR_SLACK = 64.0
 
 
 @dataclass
@@ -80,6 +72,8 @@ class ReconstructionConfig:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not isinstance(self.f0, Field):
             raise ValueError(f"f0 must be a Field, got {type(self.f0).__name__}")
+        if not np.all(np.isfinite(self.f0.values)):
+            raise ValueError("f0 must have finite values")
 
 
 @dataclass
@@ -93,10 +87,10 @@ class ReconstructionResult:
     identically zero.
 
     Each ``phi_history`` entry is a sum of terms of the size of Phi_0
-    (``_phi``), so it carries absolute rounding of order eps Phi_0, eps the
-    float64 machine epsilon: once Phi has fallen far below Phi_0 (58.9 to
-    0.0018 on 5.1a) its last digits are rounding and move with any change
-    in the order of the sums.
+    (:meth:`forward.NormalOperator.phi`), so it carries absolute rounding of
+    order eps Phi_0, eps the float64 machine epsilon: once Phi has fallen far
+    below Phi_0 (58.9 to 0.0018 on 5.1a) its last digits are rounding and
+    move with any change in the order of the sums.
     """
 
     f_k: Field
@@ -110,47 +104,6 @@ class ReconstructionResult:
         return self.status == "converged"
 
 
-def _phi(
-    normal: NormalOperator, projection: tuple, work: tuple, rho: float, c_hat=None
-) -> tuple[NDArray[np.float64], float, float, NDArray[np.float64]]:
-    """(A^T (A f - u_obs) in modal form, f_hat . f_hat, Phi(f), c_hat) at the f_hat = P^T W f of ``work``.
-
-    ``projection`` = ``normal.project(u_obs)`` = (c_q, t, const) and c_hat is
-    c_q's modal form :meth:`NormalOperator.anchor`, anchored at f when None.
-    With e = sb_q * f_hat - c_hat and g = G e (:meth:`NormalOperator.gram`),
-    ||A f - u_obs||^2 = sum e * g - 2 f_hat . t + const and
-    A^T (A f - u_obs) = sum_l sb_l * g_l - t.  sum e * g carries rounding of
-    order eps e . e, and e . e grows off omega as f leaves the anchor, so
-    past _ANCHOR_SLACK Phi it is recomputed anchored at f (e . e <= 2^dim Phi).
-    """
-    c, t, const = projection
-    sb, ft, ge, data_term, plan, sums = work
-    anchored = c_hat is None
-    c_hat = normal.anchor(c, ft[0]) if anchored else c_hat
-    np.multiply(sb, ft[0], ge[1])
-    ge[1] -= c_hat
-    run_plan(plan)
-    (eg, ee), (ff, f_t) = sums[0].tolist(), sums[1].tolist()
-    phi = eg - 2.0 * f_t + const + rho * ff
-    if not anchored and ee > _ANCHOR_SLACK * phi:
-        return _phi(normal, projection, work, rho)
-    np.einsum("ij,ij->j", sb, ge[0], out=data_term)
-    data_term -= t
-    return data_term, ff, phi, c_hat
-
-
-def _prepare(spec: ProblemSpec, u_obs: SpaceTimeField, mask: ObservationMask, f: Field) -> tuple:
-    """(normal, projection, work) for :func:`_phi` at f, work = (sb_q, ft = [f_hat, t], [G e, e], data term,
-    plan, sums): the plan is :meth:`NormalOperator.gram`'s, then :func:`forward.dot_plan`'s for the sums."""
-    normal = NormalOperator(spec, mask)
-    c, t, _ = projection = normal.project(u_obs)
-    ft, ge = np.empty((2,) + t.shape), np.empty((2,) + c.shape)
-    ft[0], ft[1] = spec.to_modal(f), t
-    (ge_plan, ge_sums), (ft_plan, ft_sums) = dot_plan(ge, ge[1]), dot_plan(ft, ft[0])
-    plan = normal.gram(ge[1], ge[0]) + ge_plan + ft_plan
-    return normal, projection, (spec.time_factor[1][: len(c)], ft, ge, np.empty_like(t), plan, (ge_sums, ft_sums))
-
-
 def objective(
     spec: ProblemSpec,
     f: Field,
@@ -159,7 +112,7 @@ def objective(
     rho: float,
 ) -> float:
     """Phi(f) = ||u(f) - u_obs||^2 over omega x (0,T) plus rho ||f||^2."""
-    return _phi(*_prepare(spec, u_obs, mask, f), rho)[2]
+    return NormalOperator(spec, mask, u_obs, f).phi(rho)[2]
 
 
 def gradient(
@@ -170,7 +123,7 @@ def gradient(
     rho: float,
 ) -> Field:
     """int_0^T mu z(f) dt + rho f, i.e. half the Frechet derivative of Phi."""
-    data_term = _phi(*_prepare(spec, u_obs, mask, f), rho)[0]
+    data_term = NormalOperator(spec, mask, u_obs, f).phi(rho)[0]
     return Field(spec.grid, spec.to_nodal(data_term) + rho * f.values)
 
 
@@ -204,23 +157,20 @@ def iterate(
     it returns f_{K-1}, and the last two entries of ``phi_history`` both hold
     Phi(f_{K-1}).
 
-    The iterates stay in the modal coordinates f_hat = P^T W f, so a step
-    costs one product of q rows with the mask's Gram matrix G = P^T W_omega P
-    (:attr:`ObservationMask.gram`) instead of a forward and an adjoint solve,
-    q <= r the time modes above rounding in A^T A (:attr:`ProblemSpec.normal_rank`).
+    The iterates stay in the modal coordinates f_hat = P^T W f: each is
+    written into the ``f_hat`` of one :class:`forward.NormalOperator`, whose
+    ``phi`` evaluates Phi and the data term there with no forward or adjoint solve.
     """
     if f_true is not None and f_true.grid != spec.grid:
         raise ValueError("true source grid does not match the problem grid")
-    c_hat = None  # the first step anchors at f_0
-    # the arrays every step writes and its plans, built once per call
-    normal, projection, work = _prepare(spec, u_obs, mask, cfg.f0)
-    f_hat, (f_next, diff) = work[1][0], np.empty((2, spec.grid.n_nodes))
+    normal = NormalOperator(spec, mask, u_obs, cfg.f0)  # the arrays and plans every step uses
+    f_hat, (f_next, diff) = normal.f_hat, np.empty((2, spec.grid.n_nodes))
     diff_plan, step2 = dot_plan(diff, diff)
     phi_history: list[float] = []
     status = "max_iter"
     k = 0
     for k in range(1, cfg.max_iter + 1):
-        data_term, ff, phi, c_hat = _phi(normal, projection, work, cfg.rho, c_hat)
+        data_term, ff, phi = normal.phi(cfg.rho)
         phi_history.append(phi)
         if not math.isfinite(phi) or phi > 1e12 * (phi_history[0] + 1.0):
             logger.warning(
@@ -243,7 +193,7 @@ def iterate(
             status = "converged"
             break
     if status != "diverged":  # a diverged run stops before updating f: phi is Phi(f)
-        phi = _phi(normal, projection, work, cfg.rho, c_hat)[2]
+        phi = normal.phi(cfg.rho)[2]
     phi_history.append(phi)
     f = Field(spec.grid, spec.to_nodal(f_hat))
     # no relative error against a source that is identically zero

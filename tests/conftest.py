@@ -14,7 +14,7 @@ from fracsource import (
     SpaceGrid,
     TimeGrid,
 )
-from fracsource.forward import run_plan
+from fracsource.forward import _gram_plan, run_plan
 from fracsource.oracle import PolynomialMu
 
 MU_STD = PolynomialMu((1.0, 0.0, 10.0 * math.pi))
@@ -56,10 +56,10 @@ def make_spec(alpha: float, grid: SpaceGrid, n_steps: int = 40, T: float = 1.0) 
     return ProblemSpec(FractionalOrder(alpha), tgrid, grid, MU_STD.sample(tgrid))
 
 
-def gram_product(normal, e: np.ndarray) -> np.ndarray:
-    """G e_l for every row e_l of ``e``: ``normal.gram``'s plan, run as a thresholding step runs it."""
+def gram_product(mask: ObservationMask, e: np.ndarray) -> np.ndarray:
+    """G e_l for every row e_l of ``e``: the mask's Gram plan, run as a thresholding step runs it."""
     g = np.empty_like(e)
-    run_plan(normal.gram(e, g))
+    run_plan(_gram_plan(mask, e, g))
     return g
 
 

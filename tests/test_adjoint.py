@@ -16,7 +16,7 @@ from fracsource import (
 from fracsource.experiments import build_problem, config_from_preset, table_base_config
 from fracsource.forward import NormalOperator
 
-from conftest import edge_mask, gram_product, make_spec
+from conftest import edge_mask, make_spec
 
 
 def pairing_discrepancy(spec, mask, seed, n_pairs=10):
@@ -103,6 +103,8 @@ class TestSolveAdjoint:
         bad = SpaceTimeField.zeros(other, spec.tgrid)
         with pytest.raises(ValueError):
             solve_adjoint(spec, bad, edge_mask(grid21))
+        with pytest.raises(ValueError):
+            solve_adjoint(spec, SpaceTimeField.zeros(grid21, spec.tgrid), edge_mask(other))
 
 
 class TestAdjointPairing:
@@ -136,33 +138,28 @@ class TestNormalOperator:
             grid, tgrid, rng.standard_normal((tgrid.n_steps + 1, grid.n_nodes))
         )
         residual = a @ f.values - u_obs.values.ravel()
-        normal = NormalOperator(spec, mask)
         # the dense map's time factor has 7 rows, of which A^T A keeps 4
         assert (spec.normal_rank, spec.time_factor[1].shape[0]) == (4, 7)
-        f_hat = spec.to_modal(f)
-        assert_allclose(spec.to_nodal(f_hat), f.values, rtol=1e-12)
-        # the leading q rows of the history in modal form, e, and G e
-        sb = spec.time_factor[1][: spec.normal_rank]
-        e = sb * f_hat
+        assert_allclose(spec.to_nodal(spec.to_modal(f)), f.values, rtol=1e-12)
+        # the data term against u_obs = 0 is A^T A f
+        data_term = NormalOperator(spec, mask, SpaceTimeField.zeros(grid, tgrid), f).phi(0.0)[0]
         assert_allclose(
-            spec.to_nodal(np.einsum("ij,ij->j", sb, gram_product(normal, e))),
+            spec.to_nodal(data_term),
             (a.T @ (weights * (a @ f.values))) / grid.quad_weights,
             rtol=1e-12,
         )
-        c, t, const = normal.project(u_obs)
-        e -= normal.anchor(c, f_hat)
-        g = gram_product(normal, e)
+        normal = NormalOperator(spec, mask, u_obs, f)
+        data_term, ff, phi = normal.phi(0.0)
         assert_allclose(
-            spec.to_nodal(np.einsum("ij,ij->j", sb, g) - t),
+            spec.to_nodal(data_term),
             (a.T @ (weights * residual)) / grid.quad_weights,
             rtol=1e-12,
         )
         r = SpaceTimeField(grid, tgrid, residual.reshape(u_obs.values.shape))
-        assert_allclose(
-            np.sum(e * g) - 2.0 * (f_hat @ t) + const,
-            masked_inner_product(r, r, mask),
-            rtol=1e-12,
-        )
+        assert_allclose(phi, masked_inner_product(r, r, mask), rtol=1e-12)
+        # f_hat . f_hat is ||f||^2 in the mass-weighted product, rho's term
+        assert_allclose(ff, inner_product(f, f), rtol=1e-12)
+        assert_allclose(normal.phi(0.5)[2], phi + 0.5 * ff, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "config, q, r",
@@ -173,7 +170,6 @@ class TestNormalOperator:
         # A^T A through the leading q rows of sb, with the tail's data terms
         # folded into t and const, against the same maps over all r rows
         spec, _, mask = build_problem(config)
-        normal = NormalOperator(spec, mask)
         a, sb = spec.time_factor
         assert (spec.normal_rank, sb.shape[0]) == (q, r)
         peak = np.max(np.abs(sb), axis=1) ** 2
@@ -181,32 +177,31 @@ class TestNormalOperator:
         rng = np.random.default_rng(5)
         shape = (spec.tgrid.n_steps + 1, spec.grid.n_nodes)
         u_obs = SpaceTimeField(spec.grid, spec.tgrid, rng.standard_normal(shape))
+        zero = SpaceTimeField.zeros(spec.grid, spec.tgrid)
         y = np.sqrt(spec.tgrid.quad_weights)[:, None] * u_obs.values
         c = a.T @ y
-        c_q, t, const = normal.project(u_obs)
+        w = mask.quad_weights
         for _ in range(3):
-            f_hat = rng.standard_normal(spec.grid.n_nodes)
-            # the leading q rows in modal form, e, and G e against all r rows
-            # through the transforms
-            e = sb[:q] * f_hat
-            full = normal.transpose(spec.observe(f_hat))
-            cut = np.einsum("ij,ij->j", sb[:q], gram_product(normal, e))
+            f = Field(spec.grid, rng.standard_normal(spec.grid.n_nodes))
+            # phi's leading q rows against all r rows through observe and transpose
+            normal = NormalOperator(spec, mask, zero, f)
+            full = spec.transpose(w * spec.observe(normal.f_hat))
+            cut = normal.phi(0.0)[0]
             assert np.linalg.norm(cut - full) <= 1e-14 * np.linalg.norm(full)
-            e -= normal.anchor(c_q, f_hat)
-            g = gram_product(normal, e)
-            full = normal.transpose(spec.observe(f_hat) - c)
-            cut = np.einsum("ij,ij->j", sb[:q], g) - t
+            d = spec.observe(normal.f_hat) - c
+            cut, _, phi = NormalOperator(spec, mask, u_obs, f).phi(0.0)
+            full = spec.transpose(w * d)
             assert np.linalg.norm(cut - full) <= 1e-14 * np.linalg.norm(full)
-            full = normal.misfit(spec.observe(f_hat) - c) + normal.misfit(y - a @ c)
-            cut = np.sum(e * g) - 2.0 * (f_hat @ t) + const
-            assert abs(cut - full) <= 1e-14 * full
+            # sum_l ||d_l||^2_omega over all r rows, plus the residual off a's span
+            full = np.sum(d * d, axis=0) @ w + np.sum((y - a @ c) ** 2, axis=0) @ w
+            assert abs(phi - full) <= 1e-14 * full
 
     def test_grid_mismatch(self, grid21):
         spec = make_spec(0.5, grid21, n_steps=20)
+        u_obs, f = SpaceTimeField.zeros(grid21, spec.tgrid), Field.constant(grid21, 1.0)
         with pytest.raises(ValueError):
-            NormalOperator(spec, edge_mask(SpaceGrid(1, 41)))
-        normal = NormalOperator(spec, edge_mask(grid21))
+            NormalOperator(spec, edge_mask(SpaceGrid(1, 41)), u_obs, f)
         with pytest.raises(ValueError):
-            normal.project(SpaceTimeField.zeros(grid21, TimeGrid(1.0, 10)))
+            NormalOperator(spec, edge_mask(grid21), SpaceTimeField.zeros(grid21, TimeGrid(1.0, 10)), f)
         with pytest.raises(ValueError):
-            spec.to_modal(Field.constant(SpaceGrid(1, 11), 1.0))
+            NormalOperator(spec, edge_mask(grid21), u_obs, Field.constant(SpaceGrid(1, 11), 1.0))

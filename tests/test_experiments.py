@@ -307,17 +307,16 @@ class TestSynthesizeObservation:
     def test_row_setup_holds_at_most_two_space_time_arrays(self):
         # a table row's noise and projection run on 0.55 MB space-time arrays;
         # each extra temporary costs page faults once the heap is trimmed.
-        # project squares its residual on omega's columns only: its worst row,
-        # frame_0.1_0.8, peaks at 1.58 x the bytes of u
+        # NormalOperator squares its residual on omega's columns only: its worst
+        # row, frame_0.1_0.8, peaks at 1.65 x the bytes of u
         base = table_base_config(2)
         spec, f_true = experiments.build_forward_problem(base)
         u = solve_forward(spec, f_true)
         for delta, omega, _, _ in TABLE_ROWS[2]:
             mask = experiments.build_mask(replace(base, omega=omega), spec.grid)
             noise_peak, u_obs = _peak_traced(lambda: experiments._add_noise(u, mask, delta, 1))
-            normal = NormalOperator(spec, mask)
-            normal.project(u_obs)  # builds the operator's cached data
-            project_peak, _ = _peak_traced(lambda: normal.project(u_obs))
+            NormalOperator(spec, mask, u_obs, f_true)  # builds the spec's and mask's cached data
+            project_peak, _ = _peak_traced(lambda: NormalOperator(spec, mask, u_obs, f_true))
             assert noise_peak <= 2 * u.values.nbytes, (omega, noise_peak / u.values.nbytes)
             assert project_peak <= 1.75 * u_obs.values.nbytes, (omega, project_peak / u_obs.values.nbytes)
 

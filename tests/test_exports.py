@@ -153,7 +153,7 @@ _UNBLOCKED_PRODUCTS = {
     "forward.py": {
         "ProblemSpec.time_factor",  # a^T x, r x n_t x D: 9 x 400 x 845 = 3.0e6 (ROADMAP item 11)
         "_step_l1",  # the L1 history, 1 x (n_t - 1) x D: 399 x 845 = 3.4e5
-        "NormalOperator.project",  # w_t @ res, 1 x (n_t + 1) x |omega|: 401 x 720 = 2.9e5
+        "NormalOperator.__init__",  # w_t @ res, 1 x (n_t + 1) x |omega|: 401 x 720 = 2.9e5
     },
     "inversion.py": {
         "estimate_m",  # q^T c, N x k x 1, k <= iters = 60: 6561 x 60 = 3.9e5 at 81^2

@@ -25,7 +25,6 @@ from fracsource.experiments import (
     config_from_preset,
     run_experiment,
 )
-from fracsource.forward import NormalOperator
 from fracsource.fraccalc import l1_scale, l1_weights
 from fracsource.oracle import eigen_forward, modes_up_to
 
@@ -205,6 +204,20 @@ class TestProblemSpec:
             assert spec.time_factor is spec.time_factor
             # u^0 = 0 is built into the factor, not patched into the solves
             assert np.all(a[0] == 0.0)
+
+    @pytest.mark.parametrize("dim, n", [(1, 41), (2, 21)])
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_transpose_is_the_transpose_of_observe(self, dim, n, first):
+        # sum_l observe(f_hat)_l . w_l = f_hat . transpose(w, first) over the
+        # rows l = first, first + 1, ... that w holds
+        spec = make_spec(0.5, SpaceGrid(dim, n), n_steps=20)
+        r = spec.time_factor[1].shape[0]
+        rng = np.random.default_rng(3)
+        f_hat = rng.standard_normal(spec.grid.n_nodes)
+        w = rng.standard_normal((r - first, spec.grid.n_nodes))
+        lhs = np.sum(spec.observe(f_hat)[first:] * w)
+        rhs = f_hat @ spec.transpose(w, first)
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
 class TestSolveForward:
@@ -432,6 +445,6 @@ def test_mask_gram_is_the_dense_gram_matrix(dim, boxes, rank):
     modes = grid.axis_modes if dim == 1 else np.kron(grid.axis_modes, grid.axis_modes)
     dense = modes.T @ (mask.quad_weights[:, None] * modes)
     s, terms = mask.gram
-    got = gram_product(NormalOperator(make_spec(0.5, grid), mask), np.eye(grid.n_nodes))
+    got = gram_product(mask, np.eye(grid.n_nodes))
     assert len(terms) == rank
     assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))

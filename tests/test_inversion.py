@@ -98,6 +98,24 @@ class TestObjective:
             assert norm_l2(Field(spec.grid, grad.values - ref.values)) <= 1e-12 * norm_l2(ref)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_observation_on_omega(self, bad):
+        # a NaN or inf of u_obs on omega reaches the misfit's constant term and
+        # is rejected there; off omega u_obs is never read
+        cfg = config_from_preset("5.1a")
+        spec, f_true, mask = build_problem(cfg)
+        u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
+        f0 = Field.constant(spec.grid, cfg.f0)
+        inside, outside = mask.weighted_nodes[0], np.flatnonzero(mask.quad_weights == 0.0)[0]
+        off = SpaceTimeField(spec.grid, spec.tgrid, u_obs.values.copy())
+        off.values[5, outside] = bad
+        assert objective(spec, f0, off, mask, cfg.rho) == objective(spec, f0, u_obs, mask, cfg.rho)
+        u_obs.values[5, inside] = bad
+        for call in (objective, gradient):
+            with pytest.raises(ValueError, match="u_obs must be finite on omega"):
+                call(spec, f0, u_obs, mask, cfg.rho)
+
+
 class TestGradient:
     def test_exact_data_leaves_regularizer(self, grid21):
         spec = make_spec(0.3, grid21, n_steps=20)
@@ -136,6 +154,9 @@ class TestReconstructionConfig:
             dict(rho=1e-5, m=1.0, eps=1e-3, max_iter=True),
             dict(rho=1e-5, m=1.0, eps=1e-3, f0=2.0),
             dict(rho=1e-5, m=1.0, eps=1e-3, f0=f0.values),
+            # a non-finite start would end the run as "diverged", blaming M
+            dict(rho=1e-5, m=1.0, eps=1e-3, f0=Field.constant(grid21, math.nan)),
+            dict(rho=1e-5, m=1.0, eps=1e-3, f0=Field.constant(grid21, -math.inf)),
         ):
             with pytest.raises(ValueError):
                 ReconstructionConfig(**{"f0": f0, "max_iter": 10, **bad})
@@ -150,6 +171,7 @@ class TestReconstructionConfig:
             ("m", -1.0, "m must be finite and positive, got -1.0"),
             ("eps", math.inf, "eps must be finite and positive, got inf"),
             ("max_iter", 0, "max_iter must be an integer >= 1, got 0"),
+            ("f0", Field.constant(grid21, math.inf), "f0 must have finite values"),
         ):
             with pytest.raises(ValueError) as exc:
                 ReconstructionConfig(**{**good, name: value})
@@ -305,6 +327,19 @@ class TestIterate:
         assert_allclose(gradient(spec, f0, u_obs, mask, 1e-5).values, 1e-5 * f0.values, rtol=1e-14)
         res = iterate(spec, u_obs, mask, ReconstructionConfig(1e-5, 1.0, 1e-3, f0, 50))
         assert (res.iterations, res.status) == (1, "converged")
+
+    def test_non_finite_observation_is_not_reported_as_divergence(self, caplog):
+        # one NaN of u_obs on omega used to end the run as "diverged" at K = 1,
+        # blaming M; it is an input error and fails before the first step
+        cfg = config_from_preset("5.1a")
+        spec, f_true, mask = build_problem(cfg)
+        u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
+        u_obs.values[7, mask.weighted_nodes[-1]] = math.nan
+        rcfg = ReconstructionConfig(cfg.rho, cfg.m, cfg.eps, Field.constant(spec.grid, cfg.f0))
+        with caplog.at_level(logging.WARNING, logger="fracsource.inversion"):
+            with pytest.raises(ValueError, match="u_obs must be finite on omega"):
+                iterate(spec, u_obs, mask, rcfg)
+        assert not caplog.records
 
     def test_rejects_true_source_on_another_grid(self):
         # a 1D grid with the node count of 41^2 would be compared node by node,
