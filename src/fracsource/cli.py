@@ -42,9 +42,9 @@ def main(verbose: bool) -> None:
 def _usage_errors():
     """Report a ValueError from config validation or problem building, an
     OSError from writing the output, or a MemoryError from a problem too large
-    for this machine, as a one-line error with exit status 1, not a traceback;
-    status 2 stays reserved for a reconstruction that stopped without
-    converging (``status=max_iter`` or ``status=diverged``)."""
+    for this machine, as a one-line error with exit status 1, not a traceback.
+    Status 2 marks a reconstruction that did not converge (``status=max_iter`` or ``diverged``)
+    and click's own parse errors, with usage text (``--preset bogus``, ``--m abc``, ``table --id 3``)."""
     try:
         yield
     except (ValueError, OSError) as exc:
@@ -55,10 +55,10 @@ def _usage_errors():
 
 
 def _config(preset, config, overrides):
+    if (preset is None) == (config is None):
+        raise click.ClickException("provide exactly one of --preset and --config")
     if config is not None:
         return config_from_file(config, **overrides)
-    if preset is None:
-        raise click.UsageError("provide --preset or --config")
     return config_from_preset(preset, **overrides)
 
 

@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -321,25 +321,39 @@ class ObservationMask:
         ]
         return s, _read_only(np.reshape(terms, (len(terms), grid.dim, n, n)))
 
+    @staticmethod
+    def check_boxes(boxes, dim: int) -> None:
+        """Raise ``ValueError`` unless ``boxes`` is a list or tuple of boxes, each a list or tuple of
+        ``dim`` intervals [lo, hi], each a list or tuple of two finite real numbers (:func:`is_a`: no
+        bool, NaN, inf or str) with 0 <= lo <= hi <= 1.  An empty list passes."""
+        seq = (list, tuple)
+        if not isinstance(boxes, seq) or not all(
+            isinstance(box, seq) and len(box) == dim
+            and all(isinstance(iv, seq) and len(iv) == 2 and all(is_a(numbers.Real, b) for b in iv) for iv in box)
+            for box in boxes
+        ):
+            raise ValueError(
+                f"omega must be a list of {dim}-D boxes, one [lo, hi] number pair per axis of the {dim}D grid"
+            )
+        if not all(0.0 <= lo <= hi <= 1.0 for box in boxes for lo, hi in box):
+            raise ValueError("omega boxes must lie within [0,1]^dim, each interval [lo, hi] with lo <= hi")
+
     @classmethod
-    def from_boxes(cls, grid: SpaceGrid, boxes: Iterable[Box]) -> "ObservationMask":
+    def from_boxes(cls, grid: SpaceGrid, boxes: Sequence[Box]) -> "ObservationMask":
         """Nodes whose coordinates lie in any of the closed boxes.
 
         A node within 1e-12 of a box face counts as inside, so a face that
         falls on a grid line keeps its nodes despite the rounding of
         ``linspace`` coordinates (x = 0.30000000000000004 on 11 nodes).
-        Raises ``ValueError`` when a box does not give one (lo, hi) pair per
-        axis of the grid, when no node is inside, or when the nodes inside are
+        Raises ``ValueError`` when the boxes fail :meth:`check_boxes` on the
+        grid's dimension, when no node is inside, or when the nodes inside are
         all isolated, so that no grid cell lies in omega and the quadrature
         over omega, hence the observation map, is zero.
         """
+        cls.check_boxes(boxes, grid.dim)
         x = grid.axis_nodes
         ind = np.zeros(grid.n_nodes, dtype=bool)
         for box in boxes:
-            if len(box) != grid.dim:
-                raise ValueError(
-                    f"a box needs one interval per axis of the {grid.dim}D grid, got {len(box)}"
-                )
             axes = [(x >= lo - _BOX_TOL) & (x <= hi + _BOX_TOL) for lo, hi in box]
             ind |= reduce(np.logical_and.outer, axes).ravel()
         if not ind.any():

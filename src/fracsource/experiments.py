@@ -242,9 +242,10 @@ class ExperimentConfig:
 
     ``f_true`` is a preset name or an expression over sin, cos, exp, pi and
     x1[, x2]; ``omega`` is a preset name or a list of closed coordinate boxes
-    inside [0,1]^dim.  The types that consume the other fields are built to
-    check them, so a config that cannot run fails when it is made; its problem
-    (:func:`_problem_of`) checks alpha, the grids and f_true, building no time factor and no u.
+    inside [0,1]^dim.  The types that consume the fields check them, so a config that cannot
+    run fails when it is made: its problem (:func:`_problem_of`) checks alpha, the grids and
+    f_true, building no time factor and no u, and :meth:`ObservationMask.check_boxes` omega's
+    boxes; the mask, built at the first run, checks that omega holds a grid cell.
     """
 
     dim: int
@@ -281,25 +282,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         f0 = Field.constant(_problem_of(self).spec.grid, self.f0)
         ReconstructionConfig(self.rho, self.m, self.eps, f0, self.max_iter)
-        preset = isinstance(self.omega, str)
-        boxes = _omega_boxes_and_label(self.omega)[0] if preset else self.omega
-        seq = (list, tuple)
-        if not isinstance(boxes, seq) or not all(
-            isinstance(box, seq)
-            and len(box) == self.dim
-            and all(isinstance(iv, seq) and len(iv) == 2 for iv in box)
-            and all(is_a(numbers.Real, bound) for iv in box for bound in iv)
-            for box in boxes
-        ):
-            raise ValueError(
-                f"omega preset {self.omega!r} does not have {self.dim}-D boxes" if preset
-                else "omega must be a preset name or a list of boxes, "
-                "each a list of one [lo, hi] number pair per axis"
-            )
-        for box in boxes:
-            for lo, hi in box:
-                if not 0.0 <= lo <= hi <= 1.0:
-                    raise ValueError("omega boxes must lie within [0,1]^dim")
+        omega = self.omega
+        ObservationMask.check_boxes(_omega_boxes_and_label(omega)[0] if isinstance(omega, str) else omega, self.dim)
 
 
 # Published experiment settings: example id -> configuration.

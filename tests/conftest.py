@@ -63,6 +63,15 @@ def gram_product(mask: ObservationMask, e: np.ndarray) -> np.ndarray:
     return g
 
 
+def dense_normal(spec: ProblemSpec, mask: ObservationMask) -> np.ndarray:
+    """H = A^T A in the modal coordinates f_hat = P^T W f, built densely:
+    sum_l diag(sb_l) G diag(sb_l) over all r rows sb_l of ``spec.time_factor[1]``,
+    with G = P^T W_omega P from the mask's Gram plan on the identity."""
+    g = gram_product(mask, np.eye(spec.grid.n_nodes))
+    sb = spec.time_factor[1]
+    return g * (sb.T @ sb)  # entry (i, j) is G_ij sum_l sb_li sb_lj
+
+
 def edge_mask(grid: SpaceGrid) -> ObservationMask:
     return ObservationMask.from_boxes(grid, [[[0.0, 0.05]], [[0.95, 1.0]]])
 

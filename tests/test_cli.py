@@ -60,6 +60,25 @@ def test_reconstruct_requires_source(tmp_path):
     assert result.exit_code != 0
 
 
+def test_preset_and_config_are_exclusive(tmp_path):
+    # both flags would name two runs (the config's 5.1a and the flag's 5.3a),
+    # and neither names none: each is one Error: line with status 1, and
+    # status 2 stays with a run that did not converge
+    path = _write_config(tmp_path)
+    out = tmp_path / "u.csv"
+    runs = [
+        ["forward", "--preset", "5.3a", "--config", path, "--out", str(out)],
+        ["forward", "--out", str(out)],
+        ["reconstruct", "--preset", "5.3a", "--config", path],
+        ["reconstruct", "--outdir", str(tmp_path / "out")],
+    ]
+    for args in runs:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert result.output == "Error: provide exactly one of --preset and --config\n", result.output
+    assert not out.exists() and not (tmp_path / "out").exists()
+
+
 def test_table_smoke_deterministic(tmp_path):
     runner = CliRunner()
     r1 = runner.invoke(

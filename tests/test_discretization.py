@@ -19,6 +19,7 @@ from fracsource.discretization import (
     masked_inner_product,
     norm_l2,
 )
+from fracsource.experiments import config_from_preset
 from fracsource.oracle import modes_up_to
 
 from conftest import fd_stiffness
@@ -293,6 +294,31 @@ class TestMask:
             ObservationMask.from_boxes(SpaceGrid(2, 11), [[[0.0, 0.2]]])
         with pytest.raises(ValueError, match="1D grid"):
             ObservationMask.from_boxes(SpaceGrid(1, 11), [[[0.0, 0.2], [0.0, 0.2]]])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize(
+        "boxes",
+        [
+            [[[False, 0.05]], [[0.95, True]]],
+            [[[0.5, 0.1]]],
+            [[[math.nan, 0.1]]],
+            [[["0.0", 0.1]]],
+            3,
+            [[0.0, 0.1]],
+            [[[-0.5, 0.05]]],
+        ],
+        ids=["bool-bound", "inverted", "nan-bound", "str-bound", "not-a-list", "flat", "below-zero"],
+    )
+    def test_malformed_boxes_rejected(self, dim, boxes):
+        # the format is checked before any node is tested: an inverted or NaN
+        # interval is malformed, not an omega that happens to hold no node
+        if isinstance(boxes, list) and isinstance(boxes[0][0], list):
+            boxes = [box + [[0.0, 1.0]] * (dim - 1) for box in boxes]
+        message = "^omega (must be a list of|boxes must lie within)"
+        with pytest.raises(ValueError, match=message):
+            ObservationMask.from_boxes(SpaceGrid(dim, 11), boxes)
+        with pytest.raises(ValueError, match=message):
+            config_from_preset("5.1a" if dim == 1 else "5.3a", omega=boxes)
 
     def test_quadrature_measure_exact(self):
         g = SpaceGrid(1, 41)

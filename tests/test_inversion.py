@@ -35,7 +35,7 @@ from fracsource.experiments import (
 )
 from fracsource.inversion import threshold_update
 
-from conftest import edge_mask, make_spec
+from conftest import dense_normal, edge_mask, make_spec
 from test_adjoint import dense_forward_map
 
 
@@ -470,6 +470,24 @@ class TestEstimateM:
         assert estimate_m(spec, mask, iters=60) == pytest.approx(
             dense_norm_sq(spec, mask, a), rel=1e-12, abs=0.0
         )
+
+    @pytest.mark.parametrize(
+        "base, omega",
+        [
+            (config_from_preset("5.1a"), "edges_0.05"),
+            (config_from_preset("5.1b"), "edges_0.05"),
+            *[(table_base_config(1), omega) for omega in ("edges_0.05", "edges_0.2", "edges_0.1", "edges_0.025")],
+            (config_from_preset("5.3a", n_per_axis=21), "frame_0.1_0.9"),
+            (table_base_config(2, smoke=True), "three_edges"),
+        ],
+        ids=["5.1a", "5.1b", "table1-0.05", "table1-0.2", "table1-0.1", "table1-0.025", "5.3a-21", "three_edges-21"],
+    )
+    def test_matches_exact_top_eigenvalue_of_modal_normal_map(self, base, omega):
+        # H = A^T A in modal coordinates has the spectrum of A^T A in the
+        # mass-weighted product, so Lanczos stops at its top eigenvalue
+        spec, _, mask = build_problem(replace(base, omega=omega))
+        exact = np.linalg.eigvalsh(dense_normal(spec, mask))[-1]
+        assert estimate_m(spec, mask, iters=60) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_stops_early_on_53a(self, monkeypatch):
         spec, _, mask = build_problem(config_from_preset("5.3a"))
