@@ -113,10 +113,10 @@ class TimeGrid:
     def nodes(self) -> NDArray[np.float64]:
         return np.linspace(0.0, self.T, self.n_steps + 1)
 
-    @property
+    @cached_property
     def quad_weights(self) -> NDArray[np.float64]:
-        """Trapezoid weights on the time nodes."""
-        return _trapezoid(self.n_steps + 1, self.tau)
+        """Trapezoid weights on the time nodes (read-only)."""
+        return _read_only(_trapezoid(self.n_steps + 1, self.tau))
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,10 @@ class SpaceGrid:
         """Trapezoid weights along one axis."""
         return _trapezoid(self.n_per_axis, self.h)
 
-    @property
+    @cached_property
     def quad_weights(self) -> NDArray[np.float64]:
-        """Flattened tensor-product trapezoid weights."""
-        return reduce(np.multiply.outer, [self.axis_weights] * self.dim).ravel()
+        """Flattened tensor-product trapezoid weights (read-only)."""
+        return _read_only(reduce(np.multiply.outer, [self.axis_weights] * self.dim).ravel())
 
     @cached_property
     def axis_eigenvalues(self) -> NDArray[np.float64]:

@@ -17,8 +17,8 @@ keyed by config values, and shares it read-only:
   nested tuples: the frozen :class:`ObservationMask` with its Gram factors,
   27 KB at 41^2; at most 32.
 
-Every run draws its own noise on the shared u (:func:`_add_noise`) as
-:func:`synthesize_observation` does, so it writes the bits of a run without the caches.
+A run draws its noise on the shared u's omega columns only, by the rule of :func:`synthesize_observation`
+(:func:`_noisy_columns`), so it writes the bits of a run without the caches and builds no (n_t + 1) x N array.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import math
 import numbers
 import operator
 import os
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from itertools import count, islice, product, repeat
@@ -244,8 +245,9 @@ class ExperimentConfig:
     x1[, x2]; ``omega`` is a preset name or a list of closed coordinate boxes
     inside [0,1]^dim.  The types that consume the fields check them, so a config that cannot
     run fails when it is made: its problem (:func:`_problem_of`) checks alpha, the grids and
-    f_true, building no time factor and no u, and :meth:`ObservationMask.check_boxes` omega's
-    boxes; the mask, built at the first run, checks that omega holds a grid cell.
+    f_true, building no time factor and no u, :meth:`ReconstructionConfig.check_scalars` rho, M,
+    eps and max_iter, and :meth:`ObservationMask.check_boxes` omega's boxes (a preset's name and
+    dimension); the mask, built at the first run, checks that omega holds a grid cell.
     """
 
     dim: int
@@ -276,14 +278,15 @@ class ExperimentConfig:
             raise ValueError(f"label must be a plain file-name stem, got {self.label!r}")
         if not (is_a(numbers.Real, self.delta) and self.delta >= 0.0):
             raise ValueError(f"noise level delta must be a finite number >= 0, got {self.delta!r}")
-        if not is_a(numbers.Real, self.f0):
+        if not (is_a(numbers.Real, self.f0) and abs(self.f0) <= sys.float_info.max):
             raise ValueError(f"f0 must be a finite number, got {self.f0!r}")
         if not is_a(numbers.Integral, self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        f0 = Field.constant(_problem_of(self).spec.grid, self.f0)
-        ReconstructionConfig(self.rho, self.m, self.eps, f0, self.max_iter)
-        omega = self.omega
-        ObservationMask.check_boxes(_omega_boxes_and_label(omega)[0] if isinstance(omega, str) else omega, self.dim)
+        _problem_of(self)  # checks alpha, the grids and f_true
+        ReconstructionConfig.check_scalars(self.rho, self.m, self.eps, self.max_iter)
+        # every preset passes check_boxes in its own dim (tested), so its first box shows the dim
+        boxes = _omega_boxes_and_label(self.omega)[0][:1] if isinstance(self.omega, str) else self.omega
+        ObservationMask.check_boxes(boxes, self.dim)
 
 
 # Published experiment settings: example id -> configuration.
@@ -428,27 +431,31 @@ def synthesize_observation(
     masked nodes by ascending flat index, and for each node all time nodes
     0..n_steps, so a fixed seed reproduces the observation bitwise.
     """
-    return _add_noise(solve_forward(spec, f_true), mask, delta, seed)
+    u, cols = solve_forward(spec, f_true), np.flatnonzero(mask.indicator)
+    obs = np.zeros_like(u.values)
+    obs[:, cols] = _noisy_columns(u.values, mask, cols, delta, seed)
+    return SpaceTimeField(u.grid, u.tgrid, obs)
 
 
-def _add_noise(
-    u: SpaceTimeField, mask: ObservationMask, delta: float, seed: int, draws=None
-) -> SpaceTimeField:
-    """The noise step of :func:`synthesize_observation` on a solved ``u``.
+def _noisy_columns(
+    u: np.ndarray, mask: ObservationMask, cols: np.ndarray, delta: float, seed: int, draws=None
+) -> np.ndarray:
+    """The noise rule of :func:`synthesize_observation`: (1 + delta r) u, in that order, on the
+    columns ``cols`` of the masked nodes (ascending) as a C-contiguous (n_t + 1) x |cols| array.
 
-    ``draws``, when given, starts with the draws of ``seed`` and the mask reads
-    its prefix; otherwise the call draws them.  They are scaled, (1 + delta r) u
-    in that order, holding at most about two space-time arrays.
+    Each column keeps its node's draws of the documented order, whichever masked nodes ``cols``
+    holds.  ``draws``, when given, starts with the draws of ``seed`` and the mask reads its
+    prefix; otherwise the call draws them.
     """
     active = np.flatnonzero(mask.indicator)
-    n = active.size * (u.tgrid.n_steps + 1)
-    r = splitmix64_uniform(seed, n) if draws is None else draws[:n]
-    r = r.reshape(active.size, -1).T * delta
-    r += 1.0
-    r *= u.values[:, active]
-    obs = np.zeros_like(u.values)
-    obs[:, active] = r
-    return SpaceTimeField(u.grid, u.tgrid, obs)
+    n = active.size * u.shape[0]
+    rows = slice(None) if cols.size == active.size else np.searchsorted(active, cols)  # cols' places in active
+    r = (splitmix64_uniform(seed, n) if draws is None else draws[:n]).reshape(active.size, -1)[rows].T
+    obs = np.multiply(r, delta, order="C")  # C order, as NormalOperator's products take a full grid's columns
+    del r  # frees the call's own draws
+    obs += 1.0
+    obs *= np.take(u, cols, axis=1)  # (1 + delta r) u: the product commutes bitwise
+    return obs
 
 
 def run_reconstruction(cfg: ExperimentConfig) -> tuple[ReconstructionResult, Field, Field]:
@@ -461,13 +468,13 @@ def _reconstruct(
 ) -> tuple[ReconstructionResult, Field, Field]:
     """Synthesis and iteration on ``cfg``'s problem and ``mask``; see :func:`run_reconstruction`.
 
-    The noise is drawn on the process's one u(f_true) of the problem
-    (:attr:`_Problem.u`), the same bits :func:`synthesize_observation` gives;
+    The noise is drawn on omega's columns (:attr:`ObservationMask.weighted_nodes`) of the process's
+    one u(f_true) (:attr:`_Problem.u`), the bits :func:`synthesize_observation` gives there;
     ``draws``, when given, starts with at least the run's draws of ``cfg.seed``.
     """
     problem = _problem_of(cfg)
     spec, f_true = problem.spec, Field(problem.spec.grid, problem.f_true)
-    u_obs = _add_noise(problem.u, mask, cfg.delta, cfg.seed, draws)
+    u_obs = _noisy_columns(problem.u.values, mask, mask.weighted_nodes, cfg.delta, cfg.seed, draws)
     f0 = Field.constant(spec.grid, cfg.f0)
     rcfg = ReconstructionConfig(rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=f0, max_iter=cfg.max_iter)
     result = iterate(spec, u_obs, mask, rcfg, f_true=f_true)

@@ -397,35 +397,40 @@ class NormalOperator:
     and re-anchors at f when e . e > 64 Phi (anchored, e . e <= 2^dim Phi),
     never re-checking a fresh anchor.
 
-    The constructor reads u_obs on omega's columns only (:attr:`ObservationMask.weighted_nodes`,
-    where c is nonzero) and builds c, t, const and the arrays and plans of :meth:`phi`: one
+    The constructor reads u_obs on omega's columns only (:attr:`ObservationMask.weighted_nodes`, where c
+    is nonzero), taken from a full-grid field or given as an (n_t + 1) x |omega| array (``experiments``
+    draws a run's noise so), and builds c, t, const and the arrays and plans of :meth:`phi`: one
     product with G per row (:func:`_gram_plan`, 2 R n^3 multiply-adds on a 2D grid, n^2 in 1D)
     and :func:`dot_plan`'s sums.  :meth:`phi` evaluates at ``f_hat``, into which
     ``inversion.iterate`` writes each iterate.  A NaN or inf of u_obs on omega
     reaches const, since every trapezoid weight is positive, and is rejected.
     """
 
-    def __init__(self, spec: ProblemSpec, mask: ObservationMask, u_obs: SpaceTimeField, f: Field) -> None:
+    def __init__(self, spec: ProblemSpec, mask: ObservationMask, u_obs: SpaceTimeField | NDArray, f: Field) -> None:
         if mask.grid != spec.grid:
             raise ValueError("mask grid does not match the problem grid")
-        if u_obs.grid != spec.grid or u_obs.tgrid != spec.tgrid:
-            raise ValueError("observation grids do not match the problem spec")
-        self.spec, self._omega = spec, mask.quad_weights != 0.0
+        cols, weights = mask.weighted_nodes, mask.quad_weights
+        if isinstance(u_obs, SpaceTimeField):
+            if u_obs.grid != spec.grid or u_obs.tgrid != spec.tgrid:
+                raise ValueError("observation grids do not match the problem spec")
+            u_obs = np.take(u_obs.values, cols, axis=1)  # C-contiguous, unlike [:, cols]
+        u_obs, shape = np.ascontiguousarray(u_obs, dtype=float), (spec.tgrid.n_steps + 1, cols.size)
+        if u_obs.shape != shape:  # C order above: either input gives the same bits
+            raise ValueError(f"u_obs on omega's columns must have shape {shape}, got {u_obs.shape}")
+        self.spec, self._omega = spec, weights != 0.0
         (a, sb), w_t = spec.time_factor, spec.tgrid.quad_weights
         sqrt_w_t = np.sqrt(w_t)[:, None]
-        cols, weights = mask.weighted_nodes, mask.quad_weights
-        res = np.take(u_obs.values, cols, axis=1)  # C-contiguous, unlike [:, cols]
         c = np.zeros((a.shape[1], spec.grid.n_nodes))
-        c[:, cols] = c_cols = _matmul((sqrt_w_t * a).T, res)
-        # ||y - a c||^2_omega = sum_n w_n ||u_n - (W_t^-1/2 a c)_n||^2_omega, formed
-        # in place on omega's columns
-        res -= _matmul(a / sqrt_w_t, c_cols)
+        c[:, cols] = c_cols = _matmul((sqrt_w_t * a).T, u_obs)
+        # ||y - a c||^2_omega = sum_n w_n ||u_n - (W_t^-1/2 a c)_n||^2_omega on omega's columns
+        res = _matmul(a / sqrt_w_t, c_cols)
+        np.subtract(u_obs, res, out=res)
         res *= res
         q = spec.normal_rank
         self._c, tail = c[:q], c[q:]
         tail_misfit = float(np.einsum("j,j->", np.sum(tail * tail, axis=0), weights))
         self._const = float(np.einsum("j,j->", w_t @ res, weights[cols])) + tail_misfit
-        del res  # space-time sized: freed before the step's arrays and plans are built
+        del u_obs, res  # this call's copies are freed before the step's arrays and plans are built
         if not math.isfinite(self._const):
             raise ValueError(f"u_obs must be finite on omega; its misfit constant is {self._const}")
         self._sb, self._c_hat = sb[:q], None

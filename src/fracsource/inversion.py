@@ -63,13 +63,17 @@ class ReconstructionConfig:
     f0: Field
     max_iter: int = 1000
 
-    def __post_init__(self) -> None:
-        for name in ("rho", "m", "eps"):
-            value = getattr(self, name)
+    @staticmethod
+    def check_scalars(rho, m, eps, max_iter) -> None:
+        """Raise ``ValueError`` unless rho, M and eps are finite and positive and max_iter an integer >= 1."""
+        for name, value in (("rho", rho), ("m", m), ("eps", eps)):
             if not (is_a(numbers.Real, value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (is_a(numbers.Integral, self.max_iter) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not (is_a(numbers.Integral, max_iter) and max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+    def __post_init__(self) -> None:
+        self.check_scalars(self.rho, self.m, self.eps, self.max_iter)
         if not isinstance(self.f0, Field):
             raise ValueError(f"f0 must be a Field, got {type(self.f0).__name__}")
         if not np.all(np.isfinite(self.f0.values)):
@@ -139,7 +143,7 @@ def threshold_update(
 
 def iterate(
     spec: ProblemSpec,
-    u_obs: SpaceTimeField,
+    u_obs: SpaceTimeField | NDArray,
     mask: ObservationMask,
     cfg: ReconstructionConfig,
     f_true: Field | None = None,
@@ -159,7 +163,7 @@ def iterate(
 
     The iterates stay in the modal coordinates f_hat = P^T W f: each is
     written into the ``f_hat`` of one :class:`forward.NormalOperator`, whose
-    ``phi`` evaluates Phi and the data term there with no forward or adjoint solve.
+    ``phi`` evaluates Phi and the data term there with no solve; ``u_obs`` goes to it as given.
     """
     if f_true is not None and f_true.grid != spec.grid:
         raise ValueError("true source grid does not match the problem grid")
@@ -174,10 +178,9 @@ def iterate(
         phi_history.append(phi)
         if not math.isfinite(phi) or phi > 1e12 * (phi_history[0] + 1.0):
             logger.warning(
-                "iteration diverged at k=%d (phi=%.3e); M is too small for this operator: "
-                "it converges only if ||A||^2 < 2M + rho. See docs/decisions.md.",
-                k - 1,
-                phi,
+                "iteration diverged at K=%d, which counts this check (Phi(f_%d)=%.3e); M is too small "
+                "for this operator: it converges only if ||A||^2 < 2M + rho. See docs/decisions.md.",
+                k, k - 1, phi,
             )
             status = "diverged"
             break

@@ -196,6 +196,24 @@ class TestNormalOperator:
             full = np.sum(d * d, axis=0) @ w + np.sum((y - a @ c) ** 2, axis=0) @ w
             assert abs(phi - full) <= 1e-14 * full
 
+    def test_takes_the_observation_on_omegas_columns(self):
+        # an (n_t + 1) x |omega| array of u_obs on omega's columns gives the bits of
+        # the full-grid field, in either memory order, and is only read
+        spec, _, mask = build_problem(config_from_preset("5.3a", n_per_axis=21))
+        rng = np.random.default_rng(8)
+        u_obs = SpaceTimeField(spec.grid, spec.tgrid, rng.standard_normal((41, spec.grid.n_nodes)))
+        f = Field(spec.grid, rng.standard_normal(spec.grid.n_nodes))
+        block = u_obs.values[:, mask.weighted_nodes]
+        kept = block.copy()
+        expected = NormalOperator(spec, mask, u_obs, f).phi(1e-5)
+        for given in (np.ascontiguousarray(block), np.asfortranarray(block)):
+            data_term, ff, phi = NormalOperator(spec, mask, given, f).phi(1e-5)
+            assert (data_term.tobytes(), ff, phi) == (expected[0].tobytes(), expected[1], expected[2])
+            assert np.array_equal(given, kept)
+        for bad in (block[:, 1:], block[1:], u_obs.values):
+            with pytest.raises(ValueError, match="u_obs on omega's columns must have shape"):
+                NormalOperator(spec, mask, bad, f)
+
     def test_grid_mismatch(self, grid21):
         spec = make_spec(0.5, grid21, n_steps=20)
         u_obs, f = SpaceTimeField.zeros(grid21, spec.tgrid), Field.constant(grid21, 1.0)

@@ -38,6 +38,24 @@ class TestGrids:
         assert g.coords.shape == (25, 2)
         assert_allclose(g.quad_weights.sum(), 1.0, rtol=1e-14)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_quad_weights_are_cached_read_only_trapezoid_weights(self, dim):
+        # built once per grid and shared by every caller, so none may write them;
+        # the bits are those of the trapezoid rule, h or tau halved at both ends
+        grid, tgrid = SpaceGrid(dim, 9), TimeGrid(0.3, 7)
+        w, w_t = np.full(9, 1.0 / 8), np.full(8, 0.3 / 7)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        w_t[0] *= 0.5
+        w_t[-1] *= 0.5
+        expected = w if dim == 1 else np.multiply.outer(w, w).ravel()
+        for weights, formula in ((grid.quad_weights, expected), (tgrid.quad_weights, w_t)):
+            assert weights.tobytes() == formula.tobytes()
+            assert not weights.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 1.0
+        assert grid.quad_weights is grid.quad_weights and tgrid.quad_weights is tgrid.quad_weights
+
     def test_invalid_grids(self):
         with pytest.raises(ValueError):
             SpaceGrid(3, 11)

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from fracsource import experiments, forward, solve_forward
 from fracsource import discretization
-from fracsource.discretization import SpaceGrid, SpaceTimeField, TimeGrid, splitmix64_uniform
+from fracsource.discretization import Field, ObservationMask, SpaceGrid, SpaceTimeField, TimeGrid, splitmix64_uniform
 from fracsource.experiments import (
     EXPERIMENT_PRESETS,
     ExperimentConfig,
@@ -29,6 +29,7 @@ from fracsource.experiments import (
     write_forward_csv,
 )
 from fracsource.forward import NormalOperator
+from fracsource.inversion import ReconstructionConfig, iterate
 
 _MASK64 = (1 << 64) - 1
 
@@ -41,14 +42,21 @@ def _clear_process_caches() -> None:
         cache.cache_clear()
 
 
-def _peak_traced(call):
-    """(peak bytes that ``tracemalloc`` traced during ``call()``, its result); numpy traces its buffers."""
+def _traced(call):
+    """((bytes still traced after ``call()``, peak bytes traced during it), its result); numpy
+    traces its buffers, and what the result holds is still traced."""
     tracemalloc.start()
     try:
         result = call()
-        return tracemalloc.get_traced_memory()[1], result
+        return tracemalloc.get_traced_memory(), result
     finally:
         tracemalloc.stop()
+
+
+def _peak_traced(call):
+    """(peak bytes that ``tracemalloc`` traced during ``call()``, its result)."""
+    (_, peak), result = _traced(call)
+    return peak, result
 
 
 class SplitMix64:
@@ -201,6 +209,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_preset("5.1a", **bad)
 
+    def test_every_omega_preset_passes_check_boxes(self):
+        # a config checks a preset's name and, by its first box, its dimension;
+        # the rest of the format holds for every preset here
+        for name, preset in OMEGA_PRESETS.items():
+            dim = len(preset["boxes"][0])
+            ObservationMask.check_boxes(preset["boxes"], dim)
+            with pytest.raises(ValueError, match=f"omega must be a list of {3 - dim}-D boxes"):
+                ObservationMask.check_boxes(preset["boxes"], 3 - dim)
+
+    def test_making_a_config_allocates_no_node_array(self):
+        # the config checks its scalars by ReconstructionConfig's rules without
+        # building an f0 field, and a preset omega without walking its boxes
+        base = table_base_config(2)
+        grid = experiments._problem_of(base).spec.grid
+        peak, cfg = _peak_traced(lambda: replace(base, delta=0.01, omega="frame_0.1_0.8", eps=0.002, seed=1))
+        assert cfg.omega == "frame_0.1_0.8"
+        assert peak < 8 * grid.n_nodes, peak
+        # an f0 too large for a float is refused when the config is made
+        with pytest.raises(ValueError, match="f0 must be a finite number"):
+            replace(base, f0=10**400)
+        for bad in ({"rho": 0.0}, {"m": float("inf")}, {"eps": "1e-3"}, {"max_iter": 0}):
+            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+                replace(base, **bad)
+
     def test_f_true_expression(self):
         cfg = config_from_preset("5.1a", f_true="sin(pi*x1) + x1 - 3", n_steps=10)
         _, f_expr, _ = build_problem(cfg)
@@ -304,21 +336,99 @@ class TestSynthesizeObservation:
         outside = mask.indicator == 0.0
         assert np.all(obs.values[:, outside] == 0.0)
 
-    def test_row_setup_holds_at_most_two_space_time_arrays(self):
-        # a table row's noise and projection run on 0.55 MB space-time arrays;
-        # each extra temporary costs page faults once the heap is trimmed.
-        # NormalOperator squares its residual on omega's columns only: its worst
-        # row, frame_0.1_0.8, peaks at 1.65 x the bytes of u
+    def test_isolated_node_keeps_its_place_in_the_draw_order(self):
+        # the node at 0.5 is masked but in no grid cell, so it carries no weight and
+        # omega's columns skip it; its draws stay in the stream, and the warm run's
+        # columns and result are the public path's bits
+        cfg = config_from_preset("5.1a", omega=[[[0.0, 0.1]], [[0.5, 0.5]], [[0.9, 1.0]]], n_steps=10, seed=7)
+        spec, f_true, mask = build_problem(cfg)
+        active, cols = np.flatnonzero(mask.indicator), mask.weighted_nodes
+        assert 20 in active and 20 not in cols and cols.size == active.size - 1
+        u = solve_forward(spec, f_true).values
+        expected = np.zeros_like(u)
+        rng = SplitMix64(7)
+        for idx in active:
+            for n in range(spec.tgrid.n_steps + 1):
+                expected[n, idx] = (1.0 + 0.02 * (2.0 * rng.uniform() - 1.0)) * u[n, idx]
+        assert np.array_equal(synthesize_observation(spec, f_true, mask, 0.02, 7).values, expected)
+        for draws in (None, splitmix64_uniform(7, 1000)):
+            block = experiments._noisy_columns(u, mask, cols, 0.02, 7, draws)
+            assert block.flags.c_contiguous and np.array_equal(block, expected[:, cols])
+        _assert_same_run(run_reconstruction(cfg)[0], _public_run(cfg))
+
+    def test_row_setup_allocates_no_space_time_array(self):
+        # a warm table row draws its noise on omega's columns and hands that block,
+        # (n_t + 1) x |omega|, to NormalOperator: the noise holds two such arrays
+        # (the noise and u's columns), the constructor one beyond what it keeps (the
+        # residual) and (r - q) x N tail products; O(N) slack covers index arrays.
+        # The parent held 2 and 1.65 full (n_t + 1) x N arrays here
         base = table_base_config(2)
         spec, f_true = experiments.build_forward_problem(base)
-        u = solve_forward(spec, f_true)
-        for delta, omega, _, _ in TABLE_ROWS[2]:
-            mask = experiments.build_mask(replace(base, omega=omega), spec.grid)
-            noise_peak, u_obs = _peak_traced(lambda: experiments._add_noise(u, mask, delta, 1))
-            NormalOperator(spec, mask, u_obs, f_true)  # builds the spec's and mask's cached data
-            project_peak, _ = _peak_traced(lambda: NormalOperator(spec, mask, u_obs, f_true))
-            assert noise_peak <= 2 * u.values.nbytes, (omega, noise_peak / u.values.nbytes)
-            assert project_peak <= 1.75 * u_obs.values.nbytes, (omega, project_peak / u_obs.values.nbytes)
+        u = experiments._problem_of(base).u.values
+        masks = [experiments.build_mask(replace(base, omega=omega), spec.grid) for _, omega, _, _ in TABLE_ROWS[2]]
+        draws = splitmix64_uniform(1, max(mask.n_active for mask in masks) * u.shape[0])
+        tail = 8 * (spec.time_factor[1].shape[0] - spec.normal_rank) * spec.grid.n_nodes
+        for (delta, omega, _, _), mask in zip(TABLE_ROWS[2], masks):
+            noise_peak, block = _peak_traced(
+                lambda: experiments._noisy_columns(u, mask, mask.weighted_nodes, delta, 1, draws)
+            )
+            assert block.shape == (u.shape[0], mask.weighted_nodes.size)
+            NormalOperator(spec, mask, block, f_true)  # builds the spec's and mask's cached data
+            (kept, peak), _ = _traced(lambda: NormalOperator(spec, mask, block, f_true))
+            slack = 16 * spec.grid.n_nodes
+            assert noise_peak <= 2 * block.nbytes + slack, (omega, noise_peak / block.nbytes)
+            assert peak - kept <= block.nbytes + tail + slack, (omega, (peak - kept) / block.nbytes)
+
+    def test_warm_run_allocates_no_space_time_array(self, tmp_path):
+        # at 41^2 x 400 every array of a warm 5.3a run but the observation and the
+        # residual on omega's columns (720 of 1,681) is small beside u, so a peak
+        # under u's bytes shows that the run, CSVs included, allocates no
+        # (n_t + 1) x N array (the parent peaked at 1.9 u)
+        cfg = config_from_preset("5.3a", n_steps=400, m=16.8, outdir=str(tmp_path))
+        run_experiment(cfg)
+        u = experiments._problem_of(cfg).u.values
+        peak, _ = _peak_traced(lambda: run_experiment(cfg))
+        assert peak < u.nbytes, peak / u.nbytes
+
+
+def _public_run(cfg):
+    """``cfg``'s run by the public path: a full-grid observation, then ``iterate``."""
+    spec, f_true, mask = build_problem(cfg)
+    u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
+    rcfg = ReconstructionConfig(cfg.rho, cfg.m, cfg.eps, Field.constant(spec.grid, cfg.f0), cfg.max_iter)
+    return iterate(spec, u_obs, mask, rcfg, f_true=f_true)
+
+
+def _assert_same_run(a, b) -> None:
+    assert (a.iterations, a.status) == (b.iterations, b.status)
+    assert a.f_k.values.tobytes() == b.f_k.values.tobytes()
+    assert np.array(a.phi_history).tobytes() == np.array(b.phi_history).tobytes()
+
+
+class TestWarmPathIsThePublicPath:
+    """The runners draw on omega's columns of a shared u; synthesize_observation
+    and iterate give the same bits through a full-grid observation."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("preset", sorted(EXPERIMENT_PRESETS))
+    def test_presets(self, preset, seed):
+        cfg = config_from_preset(preset, seed=seed)
+        _assert_same_run(run_reconstruction(cfg)[0], _public_run(cfg))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("table_id", [1, 2])
+    def test_table_rows(self, table_id, seed, tmp_path, monkeypatch):
+        # every row's run inside run_table, through the module's iterate, as a tracer sees it
+        runs = []
+        monkeypatch.setattr(experiments, "iterate", lambda *args, **kw: runs.append(args) or iterate(*args, **kw))
+        run_table(table_id, seed=seed, outdir=str(tmp_path))
+        base = table_base_config(table_id)
+        assert len(runs) == len(TABLE_ROWS[table_id])
+        for (delta, omega, _, _), (spec, u_obs, mask, rcfg) in zip(TABLE_ROWS[table_id], runs):
+            assert u_obs.shape == (spec.tgrid.n_steps + 1, mask.weighted_nodes.size)
+            cfg = replace(base, delta=delta, omega=omega, eps=rcfg.eps, seed=seed)
+            _, f_true, _ = build_problem(cfg)
+            _assert_same_run(iterate(spec, u_obs, mask, rcfg, f_true=f_true), _public_run(cfg))
 
 
 class TestMasksFromPresets:

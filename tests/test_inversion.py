@@ -268,6 +268,18 @@ class TestIterate:
             "||A||^2 < 2M + rho. See docs/decisions.md."
         )
 
+    def test_divergence_warning_names_the_reported_k(self, caplog):
+        # table 1's edges_0.2 row bails out at the check K = 10 that finds Phi(f_9)
+        # past the bound: the warning states the K the table and the CLI report
+        cfg = replace(table_base_config(1), delta=0.02, omega="edges_0.2")
+        with caplog.at_level(logging.WARNING, logger="fracsource.inversion"):
+            res = run_reconstruction(cfg)[0]
+        assert (res.status, res.iterations) == ("diverged", 10)
+        [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert record.getMessage().startswith(
+            f"iteration diverged at K=10, which counts this check (Phi(f_9)={res.phi_history[-1]:.3e}); "
+        )
+
     def test_zero_source_has_no_relative_error(self, grid21):
         # ||f_K - f_true|| / ||f_true|| is undefined for f_true = 0
         spec = make_spec(0.5, grid21, n_steps=20)
