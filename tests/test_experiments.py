@@ -361,7 +361,7 @@ class TestSynthesizeObservation:
         # (n_t + 1) x |omega|, to NormalOperator: the noise holds two such arrays
         # (the noise and u's columns), the constructor one beyond what it keeps (the
         # residual) and (r - q) x N tail products; O(N) slack covers index arrays.
-        # The parent held 2 and 1.65 full (n_t + 1) x N arrays here
+        # with a full-grid observation the row held 2 and 1.65 (n_t + 1) x N arrays here
         base = table_base_config(2)
         spec, f_true = experiments.build_forward_problem(base)
         u = experiments._problem_of(base).u.values
@@ -383,7 +383,7 @@ class TestSynthesizeObservation:
         # at 41^2 x 400 every array of a warm 5.3a run but the observation and the
         # residual on omega's columns (720 of 1,681) is small beside u, so a peak
         # under u's bytes shows that the run, CSVs included, allocates no
-        # (n_t + 1) x N array (the parent peaked at 1.9 u)
+        # (n_t + 1) x N array (one that builds the full-grid observation peaks at 1.9 u)
         cfg = config_from_preset("5.3a", n_steps=400, m=16.8, outdir=str(tmp_path))
         run_experiment(cfg)
         u = experiments._problem_of(cfg).u.values
