@@ -44,10 +44,13 @@ def splitmix64(seed: int, n: int) -> NDArray[np.uint64]:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB; return z ^ (z >> 31).
     The state has this closed form, so all draws are computed at once.
+    A ``seed`` that is not an integer (:func:`is_a`: no bool or float) raises ``ValueError``.
     """
+    if not is_a(numbers.Integral, seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     z = np.arange(1, n + 1, dtype=np.uint64)
     z *= np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(seed & _MASK64)
+    z += np.uint64(int(seed) & _MASK64)
     # in place, so the n draws take one temporary of their size at a time
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= z >> np.uint64(shift)
@@ -260,8 +263,8 @@ class ObservationMask:
     Quadrature over omega aggregates the grid cells whose corners are all
     masked (trapezoid rule per cell), so box-boundary nodes carry half weight
     and the discrete measure of omega is exact; isolated masked nodes carry no
-    quadrature weight.  The mask keeps a read-only copy of the indicator, so
-    its weights are computed once.
+    quadrature weight.  The masked nodes (:attr:`nodes`) are omega's columns for the noise and
+    the misfit alike.  The indicator is kept read-only, so nodes and weights are computed once.
     """
 
     grid: SpaceGrid
@@ -276,6 +279,11 @@ class ObservationMask:
         object.__setattr__(self, "indicator", _read_only(indicator))
 
     @cached_property
+    def nodes(self) -> NDArray[np.intp]:
+        """Flat indices of the masked nodes, ascending (read-only)."""
+        return _read_only(np.flatnonzero(self.indicator))
+
+    @cached_property
     def quad_weights(self) -> NDArray[np.float64]:
         """Trapezoid weights of the cells contained in omega (read-only)."""
         dim = self.grid.dim
@@ -287,11 +295,6 @@ class ObservationMask:
         for corner in corners:
             w[corner] += (0.5 * self.grid.h) ** dim * cells
         return _read_only(w.ravel())
-
-    @cached_property
-    def weighted_nodes(self) -> NDArray[np.intp]:
-        """Flat indices of the nodes of nonzero omega weight, ascending (read-only)."""
-        return _read_only(np.flatnonzero(self.quad_weights))
 
     @cached_property
     def gram(self) -> tuple[float, NDArray[np.float64]]:
@@ -365,10 +368,6 @@ class ObservationMask:
                 "its isolated nodes carry zero quadrature weight"
             )
         return mask
-
-    @property
-    def n_active(self) -> int:
-        return int(self.indicator.sum())
 
 
 def inner_product(a: Field, b: Field) -> float:

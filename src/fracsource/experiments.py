@@ -17,8 +17,8 @@ keyed by config values, and shares it read-only:
   nested tuples: the frozen :class:`ObservationMask` with its Gram factors,
   27 KB at 41^2; at most 32.
 
-A run draws its noise on the shared u's omega columns only, by the rule of :func:`synthesize_observation`
-(:func:`_noisy_columns`), so it writes the bits of a run without the caches and builds no (n_t + 1) x N array.
+A run draws its noise on the masked nodes' columns of the shared u only (:func:`_noisy_columns`), so it
+writes the bits of :func:`synthesize_observation` without the caches and builds no (n_t + 1) x N array.
 """
 
 from __future__ import annotations
@@ -431,30 +431,25 @@ def synthesize_observation(
     masked nodes by ascending flat index, and for each node all time nodes
     0..n_steps, so a fixed seed reproduces the observation bitwise.
     """
-    u, cols = solve_forward(spec, f_true), np.flatnonzero(mask.indicator)
+    u = solve_forward(spec, f_true)
     obs = np.zeros_like(u.values)
-    obs[:, cols] = _noisy_columns(u.values, mask, cols, delta, seed)
+    obs[:, mask.nodes] = _noisy_columns(u.values, mask, delta, seed)
     return SpaceTimeField(u.grid, u.tgrid, obs)
 
 
-def _noisy_columns(
-    u: np.ndarray, mask: ObservationMask, cols: np.ndarray, delta: float, seed: int, draws=None
-) -> np.ndarray:
-    """The noise rule of :func:`synthesize_observation`: (1 + delta r) u, in that order, on the
-    columns ``cols`` of the masked nodes (ascending) as a C-contiguous (n_t + 1) x |cols| array.
+def _noisy_columns(u: np.ndarray, mask: ObservationMask, delta: float, seed: int, draws=None) -> np.ndarray:
+    """The noise rule of :func:`synthesize_observation`: (1 + delta r) u, in that order, on the columns
+    of the masked nodes (:attr:`ObservationMask.nodes`) as a C-contiguous (n_t + 1) x |nodes| array.
 
-    Each column keeps its node's draws of the documented order, whichever masked nodes ``cols``
-    holds.  ``draws``, when given, starts with the draws of ``seed`` and the mask reads its
-    prefix; otherwise the call draws them.
+    Column j holds node j's draws in the documented order.  ``draws``, when given, starts with the
+    draws of ``seed`` and the mask reads its prefix; otherwise the call draws them.
     """
-    active = np.flatnonzero(mask.indicator)
-    n = active.size * u.shape[0]
-    rows = slice(None) if cols.size == active.size else np.searchsorted(active, cols)  # cols' places in active
-    r = (splitmix64_uniform(seed, n) if draws is None else draws[:n]).reshape(active.size, -1)[rows].T
+    n = mask.nodes.size * u.shape[0]
+    r = (splitmix64_uniform(seed, n) if draws is None else draws[:n]).reshape(mask.nodes.size, -1).T
     obs = np.multiply(r, delta, order="C")  # C order, as NormalOperator's products take a full grid's columns
     del r  # frees the call's own draws
     obs += 1.0
-    obs *= np.take(u, cols, axis=1)  # (1 + delta r) u: the product commutes bitwise
+    obs *= np.take(u, mask.nodes, axis=1)  # (1 + delta r) u: the product commutes bitwise
     return obs
 
 
@@ -468,13 +463,13 @@ def _reconstruct(
 ) -> tuple[ReconstructionResult, Field, Field]:
     """Synthesis and iteration on ``cfg``'s problem and ``mask``; see :func:`run_reconstruction`.
 
-    The noise is drawn on omega's columns (:attr:`ObservationMask.weighted_nodes`) of the process's
+    The noise is drawn on the masked nodes' columns (:attr:`ObservationMask.nodes`) of the process's
     one u(f_true) (:attr:`_Problem.u`), the bits :func:`synthesize_observation` gives there;
     ``draws``, when given, starts with at least the run's draws of ``cfg.seed``.
     """
     problem = _problem_of(cfg)
     spec, f_true = problem.spec, Field(problem.spec.grid, problem.f_true)
-    u_obs = _noisy_columns(problem.u.values, mask, mask.weighted_nodes, cfg.delta, cfg.seed, draws)
+    u_obs = _noisy_columns(problem.u.values, mask, cfg.delta, cfg.seed, draws)
     f0 = Field.constant(spec.grid, cfg.f0)
     rcfg = ReconstructionConfig(rho=cfg.rho, m=cfg.m, eps=cfg.eps, f0=f0, max_iter=cfg.max_iter)
     result = iterate(spec, u_obs, mask, rcfg, f_true=f_true)
@@ -601,7 +596,7 @@ def run_table(table_id: int, seed: int = 0, outdir: str = "results", smoke: bool
         except ValueError as exc:
             logger.warning("table %d row %s: not run: %s", table_id, rows[-1][1], exc)
     # the rows share the seed, so each row's draws are a prefix of one stream
-    draws = splitmix64_uniform(seed, max((m.n_active for *_, m in runs), default=0) * (base.n_steps + 1))
+    draws = splitmix64_uniform(seed, max((m.nodes.size for *_, m in runs), default=0) * (base.n_steps + 1))
     for row, cfg, mask in runs:
         result, _, _ = _reconstruct(cfg, mask, draws)
         row[2:4] = _err_cell(result), result.iterations

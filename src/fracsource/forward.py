@@ -318,7 +318,7 @@ def solve_adjoint(
 
     A: f -> u(f)|_omega is :func:`solve_forward` observed on omega; the transpose
     is taken in the mass-weighted L2(Omega) product and the trapezoid-in-time
-    pairing of :func:`masked_inner_product`, and is derived in
+    pairing of :func:`discretization.masked_inner_product`, and is derived in
     :class:`NormalOperator`: A^T r = P g_hat with g_hat the
     :meth:`ProblemSpec.transpose` of W_omega d, d = (W_t^1/2 a)^T r.  ``residual`` is
     sampled on the full space-time grid; values outside omega are ignored,
@@ -360,7 +360,7 @@ class NormalOperator:
     (:meth:`ProblemSpec.observe`).
 
     Transpose: for r on the space-time grid, the pairing of
-    :func:`masked_inner_product` is
+    :func:`discretization.masked_inner_product` is
     sum_n w_n <u^n, r^n>_omega = sum_l <P (sb_l * f_hat), d_l>_omega with
     d = (W_t^1/2 a)^T r, and <P c, d_l>_omega = c . P^T (W_omega d_l), so it
     equals f_hat . g_hat with g_hat = sum_l sb_l * P^T (W_omega d_l), the
@@ -374,8 +374,8 @@ class NormalOperator:
     With d_l = P e_l on omega, e_l = sb_l * f_hat - c_hat_l, these are
     sum_l e_l . G e_l and sum_l sb_l * G e_l, G = P^T W_omega P the mask's
     modal Gram matrix (:attr:`ObservationMask.gram`), for any c_hat = P^T W c'
-    with c' = c on omega's columns.  Off them c is zero, and the anchor at f
-    sets c' = P (sb * f_hat) there, which keeps e small off omega near f.
+    with c' = c on the nodes of nonzero omega weight, which alone enter G.  Off
+    them the anchor at f sets c' = P (sb * f_hat), which keeps e small there near f.
 
     Rank cut: row l enters A^T A f as sb_l * G (sb_l * f_hat), quadratic in
     sb_l, and the rows of sb decay geometrically.  Past the leading q rows
@@ -390,26 +390,26 @@ class NormalOperator:
     e the leading q rows, g = G e and const = ||y - a c||^2_omega + sum_{l>=q} ||c_l||^2_omega,
     Phi = sum e * g - 2 f_hat . t + const + rho f_hat . f_hat and
     A^T (A f - u_obs) = sum_l sb_l * g_l - t, which match :func:`solve_forward`,
-    :func:`solve_adjoint` and :func:`masked_inner_product` to rounding.
+    :func:`solve_adjoint` and :func:`discretization.masked_inner_product` to rounding.
 
     Anchor: sum e * g carries rounding of order eps e . e, and e . e grows off
     omega as f leaves the anchor, so :meth:`phi` anchors at f on its first call
     and re-anchors at f when e . e > 64 Phi (anchored, e . e <= 2^dim Phi),
     never re-checking a fresh anchor.
 
-    The constructor reads u_obs on omega's columns only (:attr:`ObservationMask.weighted_nodes`, where c
-    is nonzero), taken from a full-grid field or given as an (n_t + 1) x |omega| array (``experiments``
-    draws a run's noise so), and builds c, t, const and the arrays and plans of :meth:`phi`: one
-    product with G per row (:func:`_gram_plan`, 2 R n^3 multiply-adds on a 2D grid, n^2 in 1D)
-    and :func:`dot_plan`'s sums.  :meth:`phi` evaluates at ``f_hat``, into which
-    ``inversion.iterate`` writes each iterate.  A NaN or inf of u_obs on omega
-    reaches const, since every trapezoid weight is positive, and is rejected.
+    The constructor reads u_obs on omega's columns, the masked nodes (:attr:`ObservationMask.nodes`; c is
+    zero off them), from a full-grid field or as an (n_t + 1) x |nodes| array (``experiments`` draws a
+    run's noise so), and builds c, t, const and the arrays and plans of :meth:`phi`: one product with G
+    per row (:func:`_gram_plan`, 2 R n^3 multiply-adds on a 2D grid, n^2 in 1D) and :func:`dot_plan`'s
+    sums.  A masked node of zero weight drops out of const, t and G through its weight.  :meth:`phi`
+    evaluates at ``f_hat``, into which ``inversion.iterate`` writes each iterate.  A NaN or inf of u_obs
+    on a masked node reaches const through its weight, positive or zero (0 * inf is NaN), and is rejected.
     """
 
     def __init__(self, spec: ProblemSpec, mask: ObservationMask, u_obs: SpaceTimeField | NDArray, f: Field) -> None:
         if mask.grid != spec.grid:
             raise ValueError("mask grid does not match the problem grid")
-        cols, weights = mask.weighted_nodes, mask.quad_weights
+        cols, weights = mask.nodes, mask.quad_weights
         if isinstance(u_obs, SpaceTimeField):
             if u_obs.grid != spec.grid or u_obs.tgrid != spec.tgrid:
                 raise ValueError("observation grids do not match the problem spec")
@@ -444,7 +444,7 @@ class NormalOperator:
     def phi(self, rho: float) -> tuple[NDArray[np.float64], float, float]:
         """(A^T (A f - u_obs) in modal form, f_hat . f_hat, Phi(f)) at ``f_hat``; the next call reuses the array."""
         fresh = self._c_hat is None
-        if fresh:  # the anchor at f: P^T W c', c' = c_q on omega's columns, P (sb_q * f_hat) off them
+        if fresh:  # the anchor at f: P^T W c', c' = c_q where omega's weight is nonzero, P (sb_q * f_hat) elsewhere
             nodal = self.spec.to_nodal(self._sb * self.f_hat)
             np.copyto(nodal, self._c, where=self._omega)
             self._c_hat = _along_axes(self.spec.grid, self.spec.grid.axis_analysis, nodal)

@@ -14,7 +14,7 @@ from fracsource import (
     SpaceGrid,
     TimeGrid,
 )
-from fracsource.forward import _gram_plan, run_plan
+from fracsource.forward import NormalOperator, _gram_plan, run_plan
 from fracsource.oracle import PolynomialMu
 
 MU_STD = PolynomialMu((1.0, 0.0, 10.0 * math.pi))
@@ -70,6 +70,40 @@ def dense_normal(spec: ProblemSpec, mask: ObservationMask) -> np.ndarray:
     g = gram_product(mask, np.eye(spec.grid.n_nodes))
     sb = spec.time_factor[1]
     return g * (sb.T @ sb)  # entry (i, j) is G_ij sum_l sb_li sb_lj
+
+
+def spectral_replay(spec: ProblemSpec, mask: ObservationMask, u_obs, cfg) -> dict:
+    """``iterate``'s stopping and bail-out rules replayed in the eigenbasis of H = :func:`dense_normal`.
+
+    The step is affine, f_{k+1} = T f_k + b / (M + rho) with T = (M I - H) / (M + rho) and
+    b = A^T u_obs, so f_k - f* = T^k (f_0 - f*) and the steps are d_k = T^(k-1) d_1: in H's
+    eigenbasis (H = V diag(lam) V^T) every mode scales by tau = (M - lam) / (M + rho) per step,
+    and Phi(f) = sum (lam + rho) g^2 - 2 b g + ||u_obs||^2_omega in the coordinates g of f.
+    Returns K and status as ``iterate`` would report them, the norms ``steps`` of d_1, d_2, ...,
+    and per check k the stopping ratio ||d_k|| / (eps ||f_{k-1}||) (``stop``, below 1 stops) and
+    Phi(f_{k-1}) / (1e12 (Phi(f_0) + 1)) (``blowup``, above 1 bails out).
+    """
+    lam, v = np.linalg.eigh(dense_normal(spec, mask))
+    data_term, _, phi_zero = NormalOperator(spec, mask, u_obs, Field.constant(spec.grid, 0.0)).phi(cfg.rho)
+    b = v.T @ -data_term  # A^T (A 0 - u_obs) = -b
+    m, rho = cfg.m, cfg.rho
+    tau, g = (m - lam) / (m + rho), v.T @ spec.to_modal(cfg.f0)
+    d, out = (b - (lam + rho) * g) / (m + rho), {"steps": [], "stop": [], "blowup": []}
+
+    def phi(g):
+        return float(np.sum(((lam + rho) * g - 2.0 * b) * g)) + phi_zero
+
+    limit = 1e12 * (phi(g) + 1.0)
+    for k in range(1, cfg.max_iter + 1):
+        out["blowup"].append(phi(g) / limit)
+        if not math.isfinite(out["blowup"][-1]) or out["blowup"][-1] > 1.0:
+            return {**out, "K": k, "status": "diverged"}
+        out["steps"].append(float(np.linalg.norm(d)))
+        out["stop"].append(out["steps"][-1] / (cfg.eps * max(float(np.linalg.norm(g)), 1e-14)))
+        g, d = g + d, tau * d
+        if out["stop"][-1] < 1.0:
+            return {**out, "K": k, "status": "converged"}
+    return {**out, "K": cfg.max_iter, "status": "max_iter"}
 
 
 def edge_mask(grid: SpaceGrid) -> ObservationMask:

@@ -29,7 +29,7 @@ from fracsource.experiments import (
     write_forward_csv,
 )
 from fracsource.forward import NormalOperator
-from fracsource.inversion import ReconstructionConfig, iterate
+from fracsource.inversion import ReconstructionConfig, estimate_m, iterate
 
 _MASK64 = (1 << 64) - 1
 
@@ -117,6 +117,22 @@ class TestSplitMix64:
         r = splitmix64_uniform(2**63 + 5, 1000)
         assert r.tolist() == expected
         assert np.all((-1.0 <= r) & (r < 1.0))
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), True, "1", None])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # a float seed used to fail deep in the draw (TypeError on `seed & mask`), and
+        # True drew seed 1's stream; every caller reaches the one check in splitmix64.
+        # A numpy integer is an integer and draws its value's stream (it overflowed before)
+        spec, f_true, mask = build_problem(config_from_preset("5.1a", n_steps=10))
+        calls = (
+            lambda: splitmix64(seed, 3),
+            lambda: synthesize_observation(spec, f_true, mask, 0.02, seed),
+            lambda: estimate_m(spec, mask, 5, seed=seed),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                call()
+        assert splitmix64(np.int64(7), 5).tobytes() == splitmix64(7, 5).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 123, 2**64 - 1])
     def test_shorter_stream_is_a_prefix(self, seed):
@@ -337,23 +353,23 @@ class TestSynthesizeObservation:
         assert np.all(obs.values[:, outside] == 0.0)
 
     def test_isolated_node_keeps_its_place_in_the_draw_order(self):
-        # the node at 0.5 is masked but in no grid cell, so it carries no weight and
-        # omega's columns skip it; its draws stay in the stream, and the warm run's
-        # columns and result are the public path's bits
+        # the node at 0.5 is masked but in no grid cell, so it carries no weight; the
+        # run's block still holds its column, every column keeps its node's draws in
+        # the stream's order, and the warm run gives the public path's bits
         cfg = config_from_preset("5.1a", omega=[[[0.0, 0.1]], [[0.5, 0.5]], [[0.9, 1.0]]], n_steps=10, seed=7)
         spec, f_true, mask = build_problem(cfg)
-        active, cols = np.flatnonzero(mask.indicator), mask.weighted_nodes
-        assert 20 in active and 20 not in cols and cols.size == active.size - 1
+        assert np.array_equal(mask.nodes, np.flatnonzero(mask.indicator))
+        assert 20 in mask.nodes and mask.quad_weights[20] == 0.0
         u = solve_forward(spec, f_true).values
         expected = np.zeros_like(u)
         rng = SplitMix64(7)
-        for idx in active:
+        for idx in mask.nodes:
             for n in range(spec.tgrid.n_steps + 1):
                 expected[n, idx] = (1.0 + 0.02 * (2.0 * rng.uniform() - 1.0)) * u[n, idx]
         assert np.array_equal(synthesize_observation(spec, f_true, mask, 0.02, 7).values, expected)
         for draws in (None, splitmix64_uniform(7, 1000)):
-            block = experiments._noisy_columns(u, mask, cols, 0.02, 7, draws)
-            assert block.flags.c_contiguous and np.array_equal(block, expected[:, cols])
+            block = experiments._noisy_columns(u, mask, 0.02, 7, draws)
+            assert block.flags.c_contiguous and np.array_equal(block, expected[:, mask.nodes])
         _assert_same_run(run_reconstruction(cfg)[0], _public_run(cfg))
 
     def test_row_setup_allocates_no_space_time_array(self):
@@ -366,13 +382,13 @@ class TestSynthesizeObservation:
         spec, f_true = experiments.build_forward_problem(base)
         u = experiments._problem_of(base).u.values
         masks = [experiments.build_mask(replace(base, omega=omega), spec.grid) for _, omega, _, _ in TABLE_ROWS[2]]
-        draws = splitmix64_uniform(1, max(mask.n_active for mask in masks) * u.shape[0])
+        draws = splitmix64_uniform(1, max(mask.nodes.size for mask in masks) * u.shape[0])
         tail = 8 * (spec.time_factor[1].shape[0] - spec.normal_rank) * spec.grid.n_nodes
         for (delta, omega, _, _), mask in zip(TABLE_ROWS[2], masks):
             noise_peak, block = _peak_traced(
-                lambda: experiments._noisy_columns(u, mask, mask.weighted_nodes, delta, 1, draws)
+                lambda: experiments._noisy_columns(u, mask, delta, 1, draws)
             )
-            assert block.shape == (u.shape[0], mask.weighted_nodes.size)
+            assert block.shape == (u.shape[0], mask.nodes.size)
             NormalOperator(spec, mask, block, f_true)  # builds the spec's and mask's cached data
             (kept, peak), _ = _traced(lambda: NormalOperator(spec, mask, block, f_true))
             slack = 16 * spec.grid.n_nodes
@@ -425,7 +441,7 @@ class TestWarmPathIsThePublicPath:
         base = table_base_config(table_id)
         assert len(runs) == len(TABLE_ROWS[table_id])
         for (delta, omega, _, _), (spec, u_obs, mask, rcfg) in zip(TABLE_ROWS[table_id], runs):
-            assert u_obs.shape == (spec.tgrid.n_steps + 1, mask.weighted_nodes.size)
+            assert u_obs.shape == (spec.tgrid.n_steps + 1, mask.nodes.size)
             cfg = replace(base, delta=delta, omega=omega, eps=rcfg.eps, seed=seed)
             _, f_true, _ = build_problem(cfg)
             _assert_same_run(iterate(spec, u_obs, mask, rcfg, f_true=f_true), _public_run(cfg))
@@ -435,14 +451,14 @@ class TestMasksFromPresets:
     def test_edge_counts(self):
         cfg = config_from_preset("5.1a")
         _, _, mask = build_problem(cfg)
-        assert mask.n_active == 6
+        assert mask.nodes.size == 6
         assert_allclose(mask.quad_weights.sum(), 0.1, rtol=1e-12)
 
     def test_frame_counts(self):
         # closed edge bands include the ring of nodes at 0.1 and 0.9
         cfg = config_from_preset("5.3a")
         _, _, mask = build_problem(cfg)
-        assert mask.n_active == 41 * 41 - 31 * 31
+        assert mask.nodes.size == 41 * 41 - 31 * 31
         assert_allclose(mask.quad_weights.sum(), 1.0 - 0.8**2, rtol=1e-10)
 
 
@@ -591,7 +607,7 @@ class TestProcessCaches:
         )
         run_table(2, seed=0, outdir=str(tmp_path), smoke=True)
         masks = [build_problem(replace(table_base_config(2, smoke=True), omega=o))[2] for _, o, _, _ in TABLE_ROWS[2]]
-        assert drawn == [max(mask.n_active for mask in masks) * 41]
+        assert drawn == [max(mask.nodes.size for mask in masks) * 41]
 
     def test_tables_at_two_seeds_solve_once_and_build_each_omega_once(self, tmp_path, monkeypatch):
         _clear_process_caches()
@@ -616,7 +632,7 @@ class TestProcessCaches:
         spec, f_true, mask = build_problem(cfg)
         problem = experiments._problem_of(cfg)
         assert problem.spec is spec
-        for values in (problem.u.values, f_true.values, mask.indicator, mask.quad_weights, mask.weighted_nodes):
+        for values in (problem.u.values, f_true.values, mask.indicator, mask.quad_weights, mask.nodes):
             assert not values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from functools import reduce
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -63,6 +64,41 @@ def test_readme_names_resolve():
     assert names, "README.md names no fracsource attribute"
     stale = sorted(name for name, obj in names.items() if obj is None)
     assert not stale, f"README.md names attributes that do not exist: {stale}"
+
+
+_ROLE_REFERENCE = re.compile(r":(?:attr|func|meth|class|data):`~?([A-Za-z_][\w.]*)`")
+
+
+def _has_path(root, dotted: str) -> bool:
+    """``dotted`` is a chain of attributes from ``root``; a dataclass field without a
+    default, which is no class attribute, counts as one."""
+    obj = root
+    for part in dotted.split("."):
+        if not hasattr(obj, part) and part not in getattr(obj, "__dataclass_fields__", {}):
+            return False
+        obj = getattr(obj, part, None)
+    return True
+
+
+def test_docstring_references_resolve():
+    # a :attr:, :func:, :meth:, :class: or :data: reference resolves in its module, in a
+    # class around it, or from the package, through a module (``forward.NormalOperator``)
+    # or in full (``fracsource.forward.ProblemSpec``): a rename cannot leave a stale one
+    package = SimpleNamespace(fracsource=fracsource)
+    stale, count = [], 0
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        source = Path(module.__file__).read_text()
+        classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            for ref in _ROLE_REFERENCE.findall(line):
+                around = [getattr(module, c.name, None) for c in classes if c.lineno <= lineno <= c.end_lineno]
+                roots = [module, *filter(None, around), fracsource, package]
+                count += 1
+                if not any(_has_path(root, ref) for root in roots):
+                    stale.append(f"{name}:{lineno}: {ref}")
+    assert count > 50, count
+    assert not stale, f"docstring references that resolve nowhere: {stale}"
 
 
 def test_no_private_imports_across_modules():

@@ -27,6 +27,7 @@ from fracsource import (
 )
 from fracsource import forward, inversion
 from fracsource.experiments import (
+    TABLE_ROWS,
     build_problem,
     config_from_preset,
     run_reconstruction,
@@ -35,7 +36,7 @@ from fracsource.experiments import (
 )
 from fracsource.inversion import threshold_update
 
-from conftest import dense_normal, edge_mask, make_spec
+from conftest import dense_normal, edge_mask, make_spec, spectral_replay
 from test_adjoint import dense_forward_map
 
 
@@ -100,20 +101,27 @@ class TestObjective:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_observation_on_omega(self, bad):
-        # a NaN or inf of u_obs on omega reaches the misfit's constant term and
-        # is rejected there; off omega u_obs is never read
+        # a NaN or inf of u_obs on a masked node reaches the misfit's constant term
+        # and is rejected there, also on a node of zero weight (0 * inf is NaN);
+        # off omega u_obs is never read
         cfg = config_from_preset("5.1a")
         spec, f_true, mask = build_problem(cfg)
         u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
         f0 = Field.constant(spec.grid, cfg.f0)
-        inside, outside = mask.weighted_nodes[0], np.flatnonzero(mask.quad_weights == 0.0)[0]
+        inside, outside = mask.nodes[0], np.flatnonzero(mask.indicator == 0.0)[0]
         off = SpaceTimeField(spec.grid, spec.tgrid, u_obs.values.copy())
         off.values[5, outside] = bad
         assert objective(spec, f0, off, mask, cfg.rho) == objective(spec, f0, u_obs, mask, cfg.rho)
         u_obs.values[5, inside] = bad
+        # node 20, at x = 0.5, is masked but lies in no grid cell: it is read and weighs nothing
+        isolated = build_problem(replace(cfg, omega=[[[0.0, 0.05]], [[0.5, 0.5]], [[0.95, 1.0]]]))[2]
+        assert 20 in isolated.nodes and isolated.quad_weights[20] == 0.0
+        on_isolated = synthesize_observation(spec, f_true, isolated, cfg.delta, cfg.seed)
+        on_isolated.values[5, 20] = bad
         for call in (objective, gradient):
-            with pytest.raises(ValueError, match="u_obs must be finite on omega"):
-                call(spec, f0, u_obs, mask, cfg.rho)
+            for obs, m in ((u_obs, mask), (on_isolated, isolated)):
+                with pytest.raises(ValueError, match="u_obs must be finite on omega"):
+                    call(spec, f0, obs, m, cfg.rho)
 
 
 class TestGradient:
@@ -346,7 +354,7 @@ class TestIterate:
         cfg = config_from_preset("5.1a")
         spec, f_true, mask = build_problem(cfg)
         u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
-        u_obs.values[7, mask.weighted_nodes[-1]] = math.nan
+        u_obs.values[7, mask.nodes[-1]] = math.nan
         rcfg = ReconstructionConfig(cfg.rho, cfg.m, cfg.eps, Field.constant(spec.grid, cfg.f0))
         with caplog.at_level(logging.WARNING, logger="fracsource.inversion"):
             with pytest.raises(ValueError, match="u_obs must be finite on omega"):
@@ -576,3 +584,58 @@ class TestObjectiveMonotonicity:
         res = iterate(spec, u_obs, mask, cfg)
         phi = np.asarray(res.phi_history)
         assert np.all(np.diff(phi) <= 1e-10)
+
+
+_TABLE1 = table_base_config(1)
+
+
+class TestSpectralOracle:
+    """``iterate`` against :func:`conftest.spectral_replay`, the closed form of its affine step
+    in the eigenbasis of H = A^T A; run with ``-s`` to see each case's margins."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            config_from_preset("5.1a"),
+            config_from_preset("5.1b"),
+            config_from_preset("5.1a", max_iter=50),
+            *[replace(_TABLE1, delta=delta, omega=omega, seed=0) for delta, omega, _, _ in TABLE_ROWS[1]],
+            config_from_preset("5.3a", n_per_axis=21),
+            config_from_preset("5.3a", n_per_axis=21, m=16.8),
+        ],
+        ids=[
+            "5.1a", "5.1b", "5.1a-max_iter50",
+            *[f"table1-{omega}-{delta}" for delta, omega, _, _ in TABLE_ROWS[1]],
+            "5.3a-21", "5.3a-21-m16.8",
+        ],
+    )
+    def test_predicts_k_status_and_contraction(self, cfg, monkeypatch, request):
+        spec, f_true, mask = build_problem(cfg)
+        u_obs = synthesize_observation(spec, f_true, mask, cfg.delta, cfg.seed)
+        rcfg = ReconstructionConfig(cfg.rho, cfg.m, cfg.eps, Field.constant(spec.grid, cfg.f0), cfg.max_iter)
+        iterates, update = [spec.to_modal(rcfg.f0)], inversion.threshold_update
+
+        def recorded(*args):
+            update(*args)
+            iterates.append(args[-1].copy())  # f_{k+1}, written into its out array
+
+        monkeypatch.setattr(inversion, "threshold_update", recorded)
+        result = iterate(spec, u_obs, mask, rcfg)
+        oracle, k = spectral_replay(spec, mask, u_obs, rcfg), result.iterations
+        print(
+            f"\n{request.node.callspec.id}: K={oracle['K']} {oracle['status']}; at K-1 and K, "
+            f"||d_k|| / (eps ||f_k-1||) = {oracle['stop'][k - 2:k]} (stops below 1), "
+            f"Phi(f_k-1) / (1e12 (Phi_0 + 1)) = {oracle['blowup'][k - 2:k]} (bails out above 1)"
+        )
+        assert (k, result.status) == (oracle["K"], oracle["status"])
+        steps = np.linalg.norm(np.diff(iterates, axis=0), axis=1)
+        assert len(steps) == len(oracle["steps"])
+        # d_k = f_k - f_k-1 carries the iterates' rounding e_k - e_k-1.  One update rounds f by
+        # gamma u F, F = max ||f_k|| and u the unit roundoff; T damps or carries earlier e_k, and
+        # (T - I) e_k-1 is at most that size again, so to first order a contraction
+        # ||d_k+1|| / ||d_k|| is off by gamma u F (1 / ||d_k|| + 1 / ||d_k+1||) relative.
+        # These cases need gamma <= 12; 2^10 covers an update's sums with that much to spare.
+        bound = 2.0**10 * np.finfo(float).eps / 2 * max(np.linalg.norm(iterates, axis=1))
+        expected = np.array(oracle["steps"][1:]) / oracle["steps"][:-1]
+        error = np.abs(steps[1:] / steps[:-1] - expected) / expected
+        assert np.all(error <= bound * (1.0 / steps[1:] + 1.0 / steps[:-1])), error.max()
